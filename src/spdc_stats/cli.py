@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--chunk-pulses", type=int, default=DEFAULT_CHUNK_PULSES,
-        help="pulses per work chunk, multiple of 4 (default %(default)s)",
+        help="emitting pulses per work chunk, multiple of 4; results "
+        "never depend on this (default %(default)s)",
     )
     p_sim.add_argument(
         "--out", type=Path, default=Path("simcounts.json"),

@@ -49,6 +49,10 @@ class CountRecord:
     cc123: float | None = None
 
     def __post_init__(self):
+        for name in ("power_mw", "sc1", "sc2", "cc", "cc12", "cc13", "cc123"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.power_mw <= 0:
             raise ValueError(f"power must be positive, got {self.power_mw!r}")
         for name in ("sc1", "sc2", "cc"):

@@ -1,17 +1,23 @@
-"""Per-pulse Monte Carlo oracle for the analytic rate and correlation model.
+"""Event-driven Monte Carlo oracle for the analytic rate and correlation model.
 
-Every pulse draws a pair number n from the source distribution, thins the
-photons through bucket detectors, and (in the splitter configuration)
+Empty pulses add nothing to any tally, so only emitting pulses (events) are
+simulated.  The event count is drawn once, K ~ Binomial(pulses, P(n >= 1)),
+and each event draws its pair number from the source law conditioned on
+n >= 1: n = 1 + Geom(x) for the geometric sources, because the geometric is
+memoryless, and a zero-truncated Poisson table for the coherent source.
+This is an exact sampler of the same per-pulse law.  Each event thins its
+photons through bucket detectors and (in the splitter configuration)
 divides the signal photons binomially between two branches.  Integer
 tallies of clicks, coincidences, and emission moments are merged across
 chunks by plain addition, so results are exact and associative.
 
-Reproducibility contract: the random stream is a counter-based generator
-(Philox) indexed by pulse, not by worker.  Pulse i always consumes the
-same fixed window of the key stream, so identical configurations produce
-bit-identical tallies regardless of chunk size or thread count.  Chunk
-boundaries are kept at multiples of four pulses because the generator
-seeks in four-word blocks.
+Reproducibility contract: both random streams are counter-based (Philox)
+and keyed by the seed.  K comes from the stream whose second key word is 1;
+the events use the stream whose second key word is 0, indexed by event, not
+by pulse or worker.  Event i always consumes the same fixed window of that
+stream, so identical configurations produce bit-identical tallies
+regardless of chunk size or thread count.  Chunk boundaries are kept at
+multiples of four events because the generator seeks in four-word blocks.
 """
 
 from __future__ import annotations
@@ -33,15 +39,15 @@ from .detector_model import (
     singles_rate,
     split_coincidences,
 )
-from .correlation import g2_heralded_predicted
+from .correlation import g2_from_counts
 from .errors import ResourceLimitError
 from .photon_statistics import validate_emission_parameter
 
 MODES = ("two_arm", "heralded_split", "saturation")
 
-DEFAULT_CHUNK_PULSES = 1 << 21
+DEFAULT_CHUNK_PULSES = 1 << 20
 
-# words of the key stream consumed per pulse, by mode
+# words of the key stream consumed per event, by mode
 _STRIDE = {"two_arm": 3, "heralded_split": 5, "saturation": 2}
 
 _TWO53 = float(1 << 53)
@@ -110,8 +116,10 @@ class SimConfig:
                 raise ValueError(
                     "saturation mode requires source_kind thermal|coherent"
                 )
-            if self.mean is None or self.mean < 0:
-                raise ValueError("saturation mode requires mean >= 0")
+            if self.mean is None or not math.isfinite(self.mean) or self.mean < 0:
+                raise ValueError(
+                    f"saturation mode requires a finite mean >= 0, got {self.mean!r}"
+                )
             if self.chain is None:
                 raise ValueError("saturation mode requires chain.eta1")
 
@@ -169,12 +177,6 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     ) / _TWO53
 
 
-def _geometric_from_uniform(u: np.ndarray, x: float) -> np.ndarray:
-    if x == 0.0:
-        return np.zeros(len(u), dtype=np.int64)
-    return np.floor(np.log(u) / math.log(x)).astype(np.int64)
-
-
 def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
     """k ~ Binomial(n, 1/2) for each n, driven by one word per draw.
 
@@ -208,92 +210,103 @@ def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
     return k
 
 
-def _poisson_cdf_table(mean: float) -> np.ndarray:
-    """Cumulative Poisson table long enough that the tail is below 2**-53."""
-    if mean == 0.0:
-        return np.array([1.0])
+def _geometric_parameter(config: SimConfig) -> float | None:
+    """x of the geometric pair-number law; None for the coherent source."""
+    if config.mode != "saturation":
+        return config.x
+    if config.source_kind == "thermal":
+        return config.mean / (1.0 + config.mean)
+    return None
+
+
+def _emission_probability(config: SimConfig) -> float:
+    """P(n >= 1) per pulse."""
+    x = _geometric_parameter(config)
+    return x if x is not None else -math.expm1(-config.mean)
+
+
+def _truncated_poisson_cdf(mean: float) -> np.ndarray:
+    """Cumulative Poisson table conditioned on n >= 1: entry i is
+    Pr(n <= i + 1 | n >= 1), long enough that the tail is below 2**-53."""
     n_max = int(mean + 12.0 * math.sqrt(mean) + 40.0)
     if n_max > 200_000:
         raise ResourceLimitError(f"Poisson mean {mean} too large to tabulate")
-    n = np.arange(n_max + 1, dtype=np.float64)
-    logpmf = n * math.log(mean) - mean - gammaln(n + 1.0)
-    cdf = np.cumsum(np.exp(logpmf))
-    cdf[-1] = 1.0
-    return cdf
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    logw = n * math.log(mean) - gammaln(n + 1.0)
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    return cdf / cdf[-1]
 
 
-def _emission_tallies(n: np.ndarray) -> tuple[int, int, int, int]:
-    return (
-        int(n.sum()),
-        int((n * n).sum()),
-        int((n * n * n).sum()),
-        int(np.count_nonzero(n)),
-    )
+def _event_photon_sampler(config: SimConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Map uniforms on (0, 1] to pair numbers of emitting pulses (n >= 1)."""
+    x = _geometric_parameter(config)
+    if x is not None:
+        log_x = math.log(x)
+        return lambda u: 1 + np.floor(np.log(u) / log_x).astype(np.int64)
+    cdf = _truncated_poisson_cdf(config.mean)
+    return lambda u: 1 + np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 
-def _run_chunk(config: SimConfig, start: int, m: int) -> np.ndarray:
+def _event_count(config: SimConfig) -> int:
+    """K ~ Binomial(pulses, P(n >= 1)) from the seed's second stream, which
+    shares the seed but not the key word of the event stream."""
+    rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
+    return int(rng.binomial(config.pulses, _emission_probability(config)))
+
+
+def _run_chunk(
+    config: SimConfig,
+    draw_n: Callable[[np.ndarray], np.ndarray],
+    start: int,
+    m: int,
+) -> np.ndarray:
+    """Tallies of events start .. start + m - 1."""
     stride = _STRIDE[config.mode]
     bit = np.random.Philox(key=config.seed)
     bit.advance((stride * start) // 4)
     words = bit.random_raw(stride * m).reshape(m, stride)
     tally = dict.fromkeys(_TALLY_FIELDS, 0)
+    chain = config.chain
+    n = draw_n(_uniforms(words[:, 0]))
 
     if config.mode == "saturation":
-        eta = config.chain.eta1
-        if config.source_kind == "thermal":
-            x = config.mean / (1.0 + config.mean)
-            n = _geometric_from_uniform(_uniforms(words[:, 0]), x)
-        else:
-            cdf = _poisson_cdf_table(config.mean)
-            n = np.searchsorted(cdf, _uniforms(words[:, 0]), side="left").astype(
-                np.int64
-            )
-        clicked = _uniforms(words[:, 1]) < click_probability(n, eta)
+        clicked = _uniforms(words[:, 1]) < click_probability(n, chain.eta1)
         tally["clicks1"] = int(clicked.sum())
         tally["clicked_photons"] = int(n[clicked].sum())
+    elif config.mode == "two_arm":
+        c1 = _uniforms(words[:, 1]) < click_probability(n, chain.eta1)
+        c2 = _uniforms(words[:, 2]) < click_probability(n, chain.eta2)
+        tally["clicks1"] = int(c1.sum())
+        tally["clicks2"] = int(c2.sum())
+        tally["pair12"] = int((c1 & c2).sum())
     else:
-        n = _geometric_from_uniform(_uniforms(words[:, 0]), config.x)
-        pos = np.nonzero(n)[0]
-        npos = n[pos]
-        if config.mode == "two_arm":
-            c1 = _uniforms(words[pos, 1]) < click_probability(npos, config.chain.eta1)
-            c2 = _uniforms(words[pos, 2]) < click_probability(npos, config.chain.eta2)
-            tally["clicks1"] = int(c1.sum())
-            tally["clicks2"] = int(c2.sum())
-            tally["pair12"] = int((c1 & c2).sum())
-        else:
-            k3 = _binomial_half(npos, words[pos, 1])
-            k2 = npos - k3
-            c1 = _uniforms(words[pos, 2]) < click_probability(npos, config.chain.eta1)
-            c2 = _uniforms(words[pos, 3]) < click_probability(k2, config.chain.eta2)
-            c3 = _uniforms(words[pos, 4]) < click_probability(k3, config.chain.eta3)
-            tally["clicks1"] = int(c1.sum())
-            tally["clicks2"] = int(c2.sum())
-            tally["clicks3"] = int(c3.sum())
-            tally["pair12"] = int((c1 & c2).sum())
-            tally["pair13"] = int((c1 & c3).sum())
-            tally["triple123"] = int((c1 & c2 & c3).sum())
+        k3 = _binomial_half(n, words[:, 1])
+        k2 = n - k3
+        c1 = _uniforms(words[:, 2]) < click_probability(n, chain.eta1)
+        c2 = _uniforms(words[:, 3]) < click_probability(k2, chain.eta2)
+        c3 = _uniforms(words[:, 4]) < click_probability(k3, chain.eta3)
+        tally["clicks1"] = int(c1.sum())
+        tally["clicks2"] = int(c2.sum())
+        tally["clicks3"] = int(c3.sum())
+        tally["pair12"] = int((c1 & c2).sum())
+        tally["pair13"] = int((c1 & c3).sum())
+        tally["triple123"] = int((c1 & c2 & c3).sum())
 
-    (
-        tally["emitted"],
-        tally["emitted_sq"],
-        tally["emitted_cu"],
-        tally["pulses_with_emission"],
-    ) = _emission_tallies(n)
+    tally["emitted"] = int(n.sum())
+    tally["emitted_sq"] = int((n * n).sum())
+    tally["emitted_cu"] = int((n * n * n).sum())
+    tally["pulses_with_emission"] = m
     return np.array([tally[f] for f in _TALLY_FIELDS], dtype=np.int64)
 
 
 def _max_draw(config: SimConfig) -> int:
     """Largest photon number a single pulse can produce."""
-    if config.mode == "saturation" and config.source_kind == "coherent":
-        return len(_poisson_cdf_table(config.mean)) - 1
-    if config.mode == "saturation":
-        x = config.mean / (1.0 + config.mean)
-    else:
-        x = config.x
-    if x == 0.0:
+    if _emission_probability(config) == 0.0:
         return 0
-    return int(math.floor(53.0 * math.log(2.0) / -math.log(x)))
+    x = _geometric_parameter(config)
+    if x is None:
+        return len(_truncated_poisson_cdf(config.mean))
+    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(x)))
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -318,7 +331,8 @@ def simulate(
     """Run the simulation described by config and return exact tallies.
 
     threads and chunk_pulses affect speed only, never the result.
-    chunk_pulses must be a positive multiple of 4 (stream-seek alignment).
+    chunk_pulses counts emitting pulses per work chunk and must be a
+    positive multiple of 4 (stream-seek alignment).
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
@@ -328,40 +342,40 @@ def simulate(
             f"{config.pulses} pulses with draws up to {worst} photons "
             "would overflow 64-bit tallies"
         )
+    events = _event_count(config)
     jobs = [
-        (start, min(chunk_pulses, config.pulses - start))
-        for start in range(0, config.pulses, chunk_pulses)
+        (start, min(chunk_pulses, events - start))
+        for start in range(0, events, chunk_pulses)
     ]
     nthreads = resolve_threads(threads)
-    if nthreads == 1 or len(jobs) == 1:
-        parts = [_run_chunk(config, s, m) for s, m in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(lambda j: _run_chunk(config, *j), jobs))
-    total = np.sum(parts, axis=0, dtype=np.int64)
+    parts = []
+    if jobs:
+        draw_n = _event_photon_sampler(config)
+
+        def run(job):
+            return _run_chunk(config, draw_n, *job)
+
+        if nthreads == 1 or len(jobs) == 1:
+            parts = [run(job) for job in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=nthreads) as pool:
+                parts = list(pool.map(run, jobs))
+    total = sum(parts, np.zeros(len(_TALLY_FIELDS), dtype=np.int64))
     return SimCounts(
         pulses=config.pulses, **dict(zip(_TALLY_FIELDS, total.tolist()))
     )
 
 
-def g2_with_stderr(counts: SimCounts) -> tuple[float, float] | None:
-    """Counting-estimator g2 from split-mode tallies, with its delta-method
-    standard error.
+def _g2_stderr(s: float, a: float, b: float, t: float, pulses: int) -> float:
+    """Delta-method standard error of the counting estimator
+    2 s t / (a + b)**2 over pulses pulses, at per-pulse probabilities s, a,
+    b, t of click1, pair12, pair13, triple123.
 
-    Returns None when no pair coincidences were seen.  The covariance of
-    the per-pulse indicator vector (click1, pair12, pair13, triple123)
-    uses the nesting triple <= pair <= click, so the error is exact to
-    O(1/pulses) without resampling.
+    The covariance of the per-pulse indicator vector uses the nesting
+    triple <= pair <= click, so the error is exact to O(1/pulses) without
+    resampling.
     """
-    p = counts.pulses
-    s = counts.clicks1 / p
-    a = counts.pair12 / p
-    b = counts.pair13 / p
-    t = counts.triple123 / p
-    if a + b == 0:
-        return None
     ab = a + b
-    g = 2.0 * s * t / ab**2
     grad = np.array(
         [
             2.0 * t / ab**2,
@@ -378,8 +392,24 @@ def g2_with_stderr(counts: SimCounts) -> tuple[float, float] | None:
             [t * (1 - s), t * (1 - a), t * (1 - b), t * (1 - t)],
         ]
     )
-    var = float(grad @ cov @ grad) / p
-    return g, math.sqrt(max(var, 0.0))
+    var = float(grad @ cov @ grad) / pulses
+    return math.sqrt(max(var, 0.0))
+
+
+def g2_with_stderr(counts: SimCounts) -> tuple[float, float] | None:
+    """Counting-estimator g2 from split-mode tallies, with its delta-method
+    standard error taken at the observed rates.
+
+    Returns None when no pair coincidences were seen.
+    """
+    p = counts.pulses
+    s = counts.clicks1 / p
+    a = counts.pair12 / p
+    b = counts.pair13 / p
+    t = counts.triple123 / p
+    if a + b == 0:
+        return None
+    return 2.0 * s * t / (a + b) ** 2, _g2_stderr(s, a, b, t, p)
 
 
 def _raw_moment(kind: str, mean_param: float, k: int) -> float:
@@ -453,7 +483,7 @@ def analytic_expectations(config: SimConfig) -> dict[str, float]:
     out["pair13"] = rates.cc13
     out["triple123"] = rates.cc123
     if x > 0:
-        out["g2"] = g2_heralded_predicted(x, chain.eta1, chain.eta2, chain.eta3)
+        out["g2"] = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
     return out
 
 
@@ -492,12 +522,19 @@ def compare_with_analytic(
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
         if name == "g2":
-            est = g2_with_stderr(counts)
-            if est is None or est[1] == 0.0:
-                # too few coincidences to form the ratio estimator and its
-                # error; the raw tallies above still constrain the run
+            if counts.pair12 + counts.pair13 == 0:
+                # no pair coincidences to form the ratio estimator; the raw
+                # tallies still constrain the run
                 continue
-            mc, se = est
+            mc = g2_from_counts(
+                counts.clicks1, counts.pair12, counts.pair13, counts.triple123
+            )
+            # the error at the analytic rates: taken at the observed ones, a
+            # run that sees few triples gets too small an error
+            se = _g2_stderr(
+                expected["clicks1"], expected["pair12"], expected["pair13"],
+                expected["triple123"], counts.pulses,
+            )
         else:
             mc = counts.fraction(name)
             se = math.sqrt(

@@ -114,6 +114,25 @@ class TestInvert:
         assert code == 1
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body,fragment",
+        [
+            ("power_mw,sc1,sc2,cc\n10,2e5,1.9e5,4e4\nnan,2e5,1.9e5,4e4\n",
+             "line 3: power_mw must be finite"),
+            ("power_mw,sc1,sc2,cc\n10,2e5,1.9e5,inf\n",
+             "line 2: cc must be finite"),
+            ("power_mw,sc1,sc2,cc,cc12,cc13,cc123\n"
+             "10,2e5,1.9e5,4e4,2e4,1.8e4,nan\n", "line 2: cc123 must be finite"),
+        ],
+    )
+    def test_nonfinite_sweep_values(self, tmp_path, capsys, body, fragment):
+        sweep = tmp_path / "bad.csv"
+        sweep.write_text(body)
+        code = main(["invert", str(sweep), "--out", str(tmp_path)])
+        assert code == 1
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["invert", str(tmp_path / "nope.csv")])
         assert code == 1
@@ -285,6 +304,16 @@ class TestSimulate:
         ])
         assert code == 1
         assert "eta2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mean", ["nan", "inf"])
+    def test_nonfinite_mean_rejected(self, tmp_path, capsys, mean):
+        code = main([
+            "simulate", "--mode", "saturation", "--source-kind", "coherent",
+            "--mean", mean, "--eta1", "0.5", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spdc-stats: error:" in err and "mean" in err
 
     def test_five_sigma_gate(self, tmp_path, monkeypatch, capsys):
         import spdc_stats.cli as cli_module

@@ -140,6 +140,17 @@ class TestCountRecord:
         with pytest.raises(ValueError, match="cc12"):
             CountRecord(power_mw=10, sc1=2e5, sc2=2e5, cc=4e4, cc12=2e4)
 
+    @pytest.mark.parametrize(
+        "field", ["power_mw", "sc1", "sc2", "cc", "cc12", "cc13", "cc123"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_values(self, field, bad):
+        values = dict(power_mw=10, sc1=2e5, sc2=2e5, cc=4e4,
+                      cc12=2e4, cc13=1.8e4, cc123=77)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CountRecord(**values)
+
     def test_has_split_counts(self):
         bare = CountRecord(power_mw=10, sc1=2e5, sc2=2e5, cc=4e4)
         assert not bare.has_split_counts

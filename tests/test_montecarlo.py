@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
     SimConfig,
+    SimCounts,
+    analytic_expectations,
     compare_with_analytic,
     g2_heralded_predicted,
     g2_with_stderr,
@@ -12,6 +16,7 @@ from spdc_stats import (
     resolve_threads,
     simulate,
 )
+from spdc_stats.montecarlo import DEFAULT_CHUNK_PULSES, _event_photon_sampler
 
 CHAIN10 = DetectorChain(eta1=0.215, eta2=0.198, eta3=0.163)
 
@@ -27,6 +32,24 @@ def heralded(x, pulses, seed=12345, chain=CHAIN10):
     return SimConfig(
         mode="heralded_split", pulses=pulses, seed=seed, x=x, chain=chain
     )
+
+
+def saturation(kind, mean, pulses, seed=12345, eta=0.6):
+    return SimConfig(
+        mode="saturation", pulses=pulses, seed=seed, source_kind=kind,
+        mean=mean, chain=DetectorChain(eta1=eta),
+    )
+
+
+# one config per mode and source, with P(n >= 1) per pulse
+SAMPLER_CASES = [
+    pytest.param(two_arm(0.392, 10_000, seed=3), 0.392, id="two_arm"),
+    pytest.param(heralded(0.392, 10_000, seed=3), 0.392, id="heralded_split"),
+    pytest.param(saturation("thermal", 2.0, 10_000, seed=3), 2.0 / 3.0,
+                 id="thermal"),
+    pytest.param(saturation("coherent", 2.0, 10_000, seed=3),
+                 -math.expm1(-2.0), id="coherent"),
+]
 
 
 class TestGeometricSampler:
@@ -95,6 +118,11 @@ class TestSimConfigValidation:
                 chain=DetectorChain(eta1=0.2, eta2=0.2),
             )
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_mean(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            saturation("coherent", mean, 100)
+
     def test_saturation_needs_source(self):
         with pytest.raises(ValueError, match="source_kind"):
             SimConfig(
@@ -128,6 +156,48 @@ class TestDeterminism:
     def test_chunk_alignment_required(self):
         with pytest.raises(ValueError, match="multiple of 4"):
             simulate(two_arm(0.1, 100), chunk_pulses=6)
+
+
+class TestEventSampler:
+    @pytest.mark.parametrize("config,p_emit", SAMPLER_CASES)
+    def test_chunk_size_invariance(self, config, p_emit):
+        assert simulate(config, chunk_pulses=4) == simulate(
+            config, chunk_pulses=DEFAULT_CHUNK_PULSES
+        )
+
+    @pytest.mark.parametrize("config,p_emit", SAMPLER_CASES)
+    def test_thread_count_invariance(self, config, p_emit):
+        a = simulate(config, threads=1, chunk_pulses=256)
+        b = simulate(config, threads=3, chunk_pulses=256)
+        assert a == b
+
+    @pytest.mark.parametrize("config,p_emit", SAMPLER_CASES)
+    def test_emitting_pulses_binomial(self, config, p_emit):
+        n = config.pulses
+        counts = simulate(config)
+        se = math.sqrt(n * p_emit * (1.0 - p_emit))
+        assert abs(counts.pulses_with_emission - n * p_emit) < 5.0 * se
+
+    @pytest.mark.parametrize("mean", [0.1, 10.0])
+    def test_zero_truncated_poisson_law(self, mean):
+        draw = _event_photon_sampler(saturation("coherent", mean, 1))
+        u = 1.0 - np.random.default_rng(8).random(1_000_000)
+        n = draw(u)
+        assert n.min() >= 1
+        scale = math.exp(-mean) / -math.expm1(-mean)
+        for k in (1, 2):
+            p = scale * mean**k / math.factorial(k)
+            freq = np.count_nonzero(n == k) / n.size
+            assert abs(freq - p) < 5.0 * math.sqrt(p * (1.0 - p) / n.size)
+
+    @pytest.mark.parametrize(
+        "config",
+        [heralded(0.0, 10_000), saturation("thermal", 0.0, 10_000),
+         saturation("coherent", 0.0, 10_000)],
+        ids=["x=0", "thermal mean=0", "coherent mean=0"],
+    )
+    def test_no_emission_all_zero(self, config):
+        assert simulate(config) == SimCounts(pulses=10_000)
 
 
 class TestTallies:
@@ -211,6 +281,35 @@ class TestAgainstAnalytic:
         got, se = g2_with_stderr(counts)
         predicted = g2_heralded_predicted(x, 0.215, 0.198, 0.163)
         assert abs(got - predicted) < 5 * se
+
+    @staticmethod
+    def _split_lo_counts(triples_scale=None, triples=None):
+        """Tallies at their expected values for x = 0.0135 and 1e7 pulses,
+        except for the three-fold coincidences."""
+        config = heralded(0.0135, 10_000_000)
+        expected = analytic_expectations(config)
+        tally = {
+            name: round(expected[name] * config.pulses)
+            for name in ("clicks1", "pair12", "pair13", "triple123")
+        }
+        if triples is None:
+            triples = round(triples_scale * expected["triple123"] * config.pulses)
+        tally["triple123"] = triples
+        return config, expected, SimCounts(pulses=config.pulses, **tally)
+
+    def test_g2_error_from_analytic_rates(self):
+        # about 11.7 triples are expected; seeing 2 is a 2.8-sigma Poisson
+        # fluctuation, but the error taken at the observed rates shrinks
+        # with the count and puts the run beyond 5 sigma
+        config, expected, counts = self._split_lo_counts(triples=2)
+        assert 11.0 < expected["triple123"] * config.pulses < 12.5
+        observed, observed_se = g2_with_stderr(counts)
+        assert abs(observed - expected["g2"]) / observed_se > 5.0
+        assert compare_with_analytic(config, counts)["g2"]["sigma"] < 5.0
+
+    def test_g2_gate_trips_on_excess_triples(self):
+        config, _, counts = self._split_lo_counts(triples_scale=3.0)
+        assert compare_with_analytic(config, counts)["g2"]["sigma"] >= 5.0
 
     def test_g2_none_without_pairs(self):
         counts = simulate(heralded(0.0, 1000))
