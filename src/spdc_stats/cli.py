@@ -30,7 +30,6 @@ from .montecarlo import (
     compare_with_analytic,
     simulate,
 )
-from .photon_statistics import EPS_TRUNC_DEFAULT
 from .saturation import curve, default_mean_grid
 from .sweepio import (
     read_sweep,
@@ -102,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta3-scale", type=float, default=DEFAULT_ETA3_SCALE,
         help="reflected-branch efficiency as a fraction of the "
         "signal-arm efficiency (default %(default).6g)",
-    )
-    p_cor.add_argument(
-        "--eps-trunc", type=float, default=EPS_TRUNC_DEFAULT,
-        help="series truncation tolerance (default %(default)s)",
     )
     p_cor.add_argument(
         "--out", type=Path, default=Path("table2.csv"),
@@ -193,10 +188,7 @@ def cmd_invert(args) -> int:
 def cmd_correlations(args) -> int:
     _, rows = read_table1_json(args.table1)
     reports = build_table_two(
-        rows,
-        eta2_scale=args.eta2_scale,
-        eta3_scale=args.eta3_scale,
-        eps_trunc=args.eps_trunc,
+        rows, eta2_scale=args.eta2_scale, eta3_scale=args.eta3_scale
     )
     write_table2_csv(reports, args.out)
     failures = [r for r in reports if isinstance(r, FailedRow)]

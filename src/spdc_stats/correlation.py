@@ -15,9 +15,9 @@ the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
   rate predictions for a given (x, eta1, eta2, eta3), which accounts for
   multi-pair emission seen through lossy bucket detectors.
 
-Closed forms are the production path; ``method="series"`` evaluates the
-defining photon-number sums and ``method="moments"`` (where offered) goes
-through raw moments, for cross-checking.
+Closed forms are the default and the production path; ``method="series"``
+evaluates the defining photon-number sums and ``method="moments"`` (where
+offered) goes through raw moments, for cross-checking.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def g2_heralded_predicted(
     eta2: float,
     eta3: float,
     f: float = 1.0,
-    method: str = "series",
+    method: str = "closed",
     eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> float:
     """g2 the splitter measurement would report, from the rate model.
@@ -211,7 +211,9 @@ def g2_heralded_predicted(
     Applies the counting estimator to the predicted rates for emission
     parameter x seen by the heralding detector eta1 and the two
     post-splitter branches eta2, eta3.  The repetition rate cancels in
-    the estimator; f is accepted only for interface symmetry.
+    the estimator; f is accepted only for interface symmetry.  The rates
+    come from the closed forms of ``split_coincidences`` by default;
+    ``method="series"`` (truncated at ``eps_trunc``) is a cross-check.
 
     At x = 0 the limit 0 is returned (one pair at most, no accidentals).
     """
@@ -251,7 +253,6 @@ def report_for_row(
     row: TableOneRow,
     eta2_scale: float = DEFAULT_ETA2_SCALE,
     eta3_scale: float = DEFAULT_ETA3_SCALE,
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> CorrelationReport:
     """Correlation values for one inverted sweep row."""
     x = row.x
@@ -273,9 +274,7 @@ def report_for_row(
     return CorrelationReport(
         power_mw=row.power_mw,
         g2_measured=g2_meas,
-        g2_predicted=guarded(
-            g2_heralded_predicted, x, row.eta1, eta2, eta3, eps_trunc=eps_trunc
-        ),
+        g2_predicted=guarded(g2_heralded_predicted, x, row.eta1, eta2, eta3),
         g2_heralded=g2_heralded_ideal(x),
         g2_unheralded=g2_unheralded(x),
         g2_signal_idler=guarded(g2_signal_idler, x),
@@ -288,7 +287,6 @@ def build_table_two(
     rows: list[TableOneRow | FailedRow],
     eta2_scale: float = DEFAULT_ETA2_SCALE,
     eta3_scale: float = DEFAULT_ETA3_SCALE,
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> list[CorrelationReport | FailedRow]:
     """Correlation reports for every successfully inverted row.
 
@@ -301,12 +299,7 @@ def build_table_two(
             out.append(row)
             continue
         out.append(
-            report_for_row(
-                row,
-                eta2_scale=eta2_scale,
-                eta3_scale=eta3_scale,
-                eps_trunc=eps_trunc,
-            )
+            report_for_row(row, eta2_scale=eta2_scale, eta3_scale=eta3_scale)
         )
     return out
 

@@ -7,10 +7,12 @@ coincidence rates, and the rates seen when one arm is divided by a
 balanced splitter onto two detectors.
 
 Closed forms exist for every rate here because the geometric distribution
-has the probability generating function G(z) = (1 - x) / (1 - z x); they
-are the production path.  Every function also offers an explicit series
-path (``method="series"``) that evaluates the defining sums term by term,
-which the tests cross-check against the closed forms.
+has the probability generating function G(z) = (1 - x) / (1 - z x).  They
+are the default and the production path, written as sums and products of
+positive terms so they keep full relative precision down to x -> 0 and
+eta -> 0.  Every function also offers an explicit series path
+(``method="series"``) that evaluates the defining sums term by term; it is
+a cross-check for the tests, not a production path.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .photon_statistics import (
     EPS_TRUNC_DEFAULT,
     CoherentDistribution,
+    log_binomial_half,
+    log_factorials,
     validate_emission_parameter,
     weighted_pair_sum,
 )
@@ -57,11 +60,6 @@ def click_probability(n, eta: float):
     if np.isscalar(n) or n_arr.ndim == 0:
         return float(out)
     return out
-
-
-def _pgf(x: float, z: float) -> float:
-    """E[z**n] for the geometric pair distribution."""
-    return (1.0 - x) / (1.0 - z * x)
 
 
 @dataclass(frozen=True)
@@ -167,16 +165,9 @@ def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePredictio
 
 def _split_weights(n: int) -> np.ndarray:
     """Binomial weights C(n, k) / 2**n for k = 0 .. n."""
-    k = np.arange(n + 1)
     if n <= _EXACT_BINOM_MAX_N:
         return np.array([math.comb(n, j) for j in range(n + 1)]) * 2.0 ** (-n)
-    logw = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        - n * math.log(2.0)
-    )
-    return np.exp(logw)
+    return np.exp(log_binomial_half(n, log_factorials(n)))
 
 
 def split_coincidences(
@@ -185,17 +176,18 @@ def split_coincidences(
     eta1: float,
     eta2: float,
     eta3: float,
-    method: str = "series",
+    method: str = "closed",
     eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> RatePrediction:
     """Rates when one arm feeds a balanced splitter onto two detectors.
 
     The n photons reaching the splitter divide binomially between the two
     output branches; detector 2 sees k photons with branch efficiency eta2
-    and detector 3 sees n - k with eta3.  The default method evaluates the
-    binomial average explicitly for each n; the closed form obtained from
-    the generating function is available as a cross-check and gives
-    identical results to within the truncation tolerance.
+    and detector 3 sees n - k with eta3.  The default closed form follows
+    from the generating function and is accurate to near machine precision
+    relative to each rate, for every x in [0, 1) and every efficiency in
+    [0, 1].  ``method="series"`` evaluates the binomial average explicitly
+    for each n, to within ``eps_trunc``, as a cross-check.
     """
     _validate_rep_rate(f)
     x = validate_emission_parameter(x)
@@ -213,22 +205,49 @@ def split_coincidences(
             )
         )
     elif method == "closed":
-        z1 = 1.0 - eta1
-        a = 1.0 - eta2 / 2.0
-        b = 1.0 - eta3 / 2.0
-        c = 1.0 - (eta2 + eta3) / 2.0
-        def pair(u):
-            # E[(1 - z1**n)(1 - u**n)]
-            return 1.0 - _pgf(x, z1) - _pgf(x, u) + _pgf(x, z1 * u)
-        cc12 = f * pair(a)
-        cc13 = f * pair(b)
-        cc123 = f * (
-            (1.0 - _pgf(x, a) - _pgf(x, b) + _pgf(x, c))
-            - (_pgf(x, z1) - _pgf(x, z1 * a) - _pgf(x, z1 * b) + _pgf(x, z1 * c))
-        )
+        # a balanced split followed by a detector of efficiency eta is one
+        # detector of efficiency eta/2 as far as branch pairs go
+        cc12 = coincidence_rate(f, x, eta1, eta2 / 2.0)
+        cc13 = coincidence_rate(f, x, eta1, eta3 / 2.0)
+        cc123 = f * _triple_per_pulse(x, eta1, eta2 / 2.0, eta3 / 2.0)
     else:
         raise ValueError(f"unknown method {method!r}")
     return RatePrediction(cc12=cc12, cc13=cc13, cc123=cc123, sc1h=sc1h)
+
+
+def _triple_per_pulse(x: float, eta1: float, p: float, q: float) -> float:
+    """Per-pulse three-fold probability behind the splitter.
+
+    p and q are the per-photon click probabilities of the two branch
+    detectors (half their efficiencies).  Inclusion-exclusion over the
+    generating function gives, with a, b, c = 1 - p, 1 - q, 1 - p - q,
+
+        (1 - x) p q [R(x) - R((1 - eta1) x)],
+        R(y) = y**2 (2 - (2 - p - q) y) / ((1 - y)(1 - a y)(1 - b y)(1 - c y)).
+
+    R is increasing, so the bracket is R(x) (1 - exp(-delta)) with delta =
+    log R(x) - log R((1 - eta1) x) built from log1p terms of d = eta1 x
+    directly, and every 1 - s y is formed as (1 - y) + (1 - s) y; nothing
+    near-equal is ever subtracted.
+    """
+    if x == 0.0 or eta1 == 0.0 or p == 0.0 or q == 0.0:
+        return 0.0
+    u = 1.0 - x
+    ts = (0.0, p, q, p + q)  # 1 - s for s = 1, a, b, c
+    # (1 - x) R(x), with the (1 - x) factors cancelled
+    head = p * q * x * x * (2.0 * u + (p + q) * x)
+    for t in ts[1:]:
+        head /= u + t * x
+    if eta1 == 1.0:
+        return head  # R(0) = 0
+    d = eta1 * x
+    v = x - d
+    delta = -2.0 * math.log1p(-eta1) + math.log1p(
+        -(2.0 - p - q) * d / (2.0 * (u + d) + (p + q) * v)
+    )
+    for t in ts:
+        delta += math.log1p((1.0 - t) * d / (u + t * x))
+    return head * -math.expm1(-delta)
 
 
 def _split_weight_fn(eta1, eta2, eta3, which):

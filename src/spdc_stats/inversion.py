@@ -20,11 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import h as _PLANCK
 
 from .errors import DataInconsistencyError, InversionError
 from .photon_statistics import mean_pairs_per_pulse, one_pair_rate, pair_rate
+
+# exact SI values (2019 redefinition)
+_PLANCK = 6.62607015e-34  # J s
+_SPEED_OF_LIGHT = 299792458.0  # m/s
 
 TOL_INV_DEFAULT = 1e-9
 MAX_ITER_DEFAULT = 200

@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .detector_model import (
     DetectorChain,
@@ -41,7 +40,12 @@ from .detector_model import (
 )
 from .correlation import g2_from_counts
 from .errors import ResourceLimitError
-from .photon_statistics import validate_emission_parameter
+from .photon_statistics import (
+    log_binomial_half,
+    log_factorials,
+    poisson_pmf,
+    validate_emission_parameter,
+)
 
 MODES = ("two_arm", "heralded_split", "saturation")
 
@@ -195,16 +199,10 @@ def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
         slow = np.nonzero(~fast)[0]
         u = _uniforms(words[slow])
         ns = n[slow]
+        log_fact = log_factorials(int(ns.max()))
         for nv in np.unique(ns):
             sel = ns == nv
-            kk = np.arange(nv + 1, dtype=np.float64)
-            logpmf = (
-                gammaln(nv + 1.0)
-                - gammaln(kk + 1.0)
-                - gammaln(nv - kk + 1.0)
-                - nv * math.log(2.0)
-            )
-            cdf = np.cumsum(np.exp(logpmf))
+            cdf = np.cumsum(np.exp(log_binomial_half(int(nv), log_fact)))
             cdf[-1] = 1.0
             k[slow[sel]] = np.searchsorted(cdf, u[sel], side="left")
     return k
@@ -231,9 +229,7 @@ def _truncated_poisson_cdf(mean: float) -> np.ndarray:
     n_max = int(mean + 12.0 * math.sqrt(mean) + 40.0)
     if n_max > 200_000:
         raise ResourceLimitError(f"Poisson mean {mean} too large to tabulate")
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    logw = n * math.log(mean) - gammaln(n + 1.0)
-    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf = np.cumsum(poisson_pmf(mean, n_max, n_min=1))
     return cdf / cdf[-1]
 
 
@@ -476,9 +472,7 @@ def analytic_expectations(config: SimConfig) -> dict[str, float]:
     # so branch singles compose into plain singles at half efficiency
     out["clicks2"] = singles_rate(1.0, x, chain.eta2 / 2.0)
     out["clicks3"] = singles_rate(1.0, x, chain.eta3 / 2.0)
-    rates = split_coincidences(
-        1.0, x, chain.eta1, chain.eta2, chain.eta3, method="closed"
-    )
+    rates = split_coincidences(1.0, x, chain.eta1, chain.eta2, chain.eta3)
     out["pair12"] = rates.cc12
     out["pair13"] = rates.cc13
     out["triple123"] = rates.cc123

@@ -9,7 +9,9 @@ where x is the per-pulse emission parameter.  A pulsed attenuated laser
 emits single photons with a Poisson distribution of mean nu.  Everything
 downstream (click models, rate inversion, correlation functions) is built
 on these two distributions, so this module also owns the series-truncation
-policy used whenever an infinite sum over n is evaluated numerically.
+policy used whenever an infinite sum over n is evaluated numerically, the
+one Poisson table (``poisson_pmf``) and the one log-binomial helper
+(``log_binomial_half``) the rest of the package shares.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .errors import ResourceLimitError
 
@@ -38,6 +39,37 @@ def validate_emission_parameter(x: float) -> float:
     if not 0.0 <= x < 1.0 or math.isnan(x):
         raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
     return x
+
+
+def poisson_pmf(nu: float, n_max: int, n_min: int = 0) -> np.ndarray:
+    """Poisson(nu) probabilities for n = n_min .. n_max.
+
+    One anchor at the mode (clipped to the range) is evaluated in log
+    space; every other entry follows from it by the recurrence
+    Pr(n + 1) = Pr(n) nu / (n + 1), run outward in both directions.
+    """
+    if nu == 0.0:
+        out = np.zeros(n_max - n_min + 1)
+        if n_min == 0:
+            out[0] = 1.0
+        return out
+    m = min(max(int(nu), n_min), n_max)
+    up = np.cumprod(nu / np.arange(m + 1, n_max + 1, dtype=np.float64))
+    down = np.cumprod(np.arange(m, n_min, -1, dtype=np.float64) / nu)
+    anchor = math.exp(m * math.log(nu) - nu - math.lgamma(m + 1.0))
+    return anchor * np.concatenate((down[::-1], [1.0], up))
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """log(k!) for k = 0 .. n_max."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+
+
+def log_binomial_half(n: int, log_fact: np.ndarray) -> np.ndarray:
+    """log(C(n, k) / 2**n) for k = 0 .. n, given log_fact = log_factorials(m)
+    for some m >= n."""
+    head = log_fact[: n + 1]
+    return head[n] - head - head[::-1] - n * math.log(2.0)
 
 
 def pair_probability(n, x: float):
@@ -238,20 +270,14 @@ class CoherentDistribution:
             raise ValueError(f"mean photon number nu must be >= 0, got {nu!r}")
         object.__setattr__(self, "nu", nu)
         if nu == 0.0:
-            n_max = 1
+            n_max, tail = 1, 0.0
         else:
-            n_max = max(1, int(stats.poisson.isf(self.eps_trunc, nu)) + 1)
-        if n_max > N_MAX_CAP:
-            raise ResourceLimitError(
-                f"Poisson truncation order {n_max} exceeds cap {N_MAX_CAP}"
-            )
-        tail = float(stats.poisson.sf(n_max, nu))
+            n_max, tail = _poisson_truncation(nu, self.eps_trunc)
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "tail_mass", tail)
 
     def probabilities(self) -> np.ndarray:
-        n = np.arange(self.n_max + 1)
-        return stats.poisson.pmf(n, self.nu)
+        return poisson_pmf(self.nu, self.n_max)
 
     def pmf(self, n):
         n_arr = np.asarray(n)
@@ -259,7 +285,41 @@ class CoherentDistribution:
             raise ValueError("photon count n must be integer")
         if np.any(n_arr < 0):
             raise ValueError("photon count n must be non-negative")
-        out = stats.poisson.pmf(n_arr, self.nu)
+        # past nu + 40 sqrt(nu) + 800 every probability underflows to 0.0
+        top = int(self.nu + 40.0 * math.sqrt(self.nu) + 800.0)
+        top = min(top, int(n_arr.max(initial=0)))
+        table = np.append(poisson_pmf(self.nu, top), 0.0)
+        out = table[np.minimum(n_arr, top + 1)]
         if np.isscalar(n) or n_arr.ndim == 0:
             return float(out)
         return out
+
+
+def _poisson_truncation(nu: float, eps_trunc: float) -> tuple[int, float]:
+    """(n_max, Pr(n > n_max)) for Poisson(nu > 0): n_max is one past the
+    smallest k with Pr(n > k) <= eps_trunc, and at least 1."""
+    if not 0.0 < eps_trunc < 1.0:
+        raise ValueError(f"eps_trunc must lie in (0, 1), got {eps_trunc!r}")
+    # 12 standard deviations below the mean, Pr(n > k) is 1 to double precision
+    if nu - 12.0 * math.sqrt(nu) > N_MAX_CAP:
+        raise ResourceLimitError(
+            f"Poisson truncation order exceeds cap {N_MAX_CAP} (nu={nu})"
+        )
+    margin = 12.0 * math.sqrt(nu) + 40.0
+    while True:
+        n_hi = int(nu + margin)
+        pmf = poisson_pmf(nu, n_hi)
+        # from n_hi on the terms fall faster than a geometric of ratio
+        # nu / (n_hi + 1), which bounds the mass the table leaves out
+        beyond = pmf[-1] / (1.0 - nu / (n_hi + 1.0))
+        if beyond <= eps_trunc * 2.0**-53:
+            break
+        margin *= 2.0
+    # sf[k] = Pr(n > k), summed from the small end of the tail up
+    sf = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)
+    n_max = max(1, int(np.argmax(sf <= eps_trunc)) + 1)
+    if n_max > N_MAX_CAP:
+        raise ResourceLimitError(
+            f"Poisson truncation order {n_max} exceeds cap {N_MAX_CAP}"
+        )
+    return n_max, float(sf[n_max])

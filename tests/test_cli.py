@@ -1,8 +1,11 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +318,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "spdc-stats: error:" in err and "mean" in err
 
+    def test_split_at_tiny_x(self, tmp_path):
+        # the three-fold rate at x = 1e-9 is ~6e-21 per pulse; it must come
+        # out positive, not as a rounding residue below zero
+        out = tmp_path / "tiny.json"
+        code = main([
+            "simulate", "--mode", "heralded_split", "--x", "1e-9",
+            "--eta1", "0.215", "--eta2", "0.198", "--eta3", "0.163",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["comparison"]["triple123"]["analytic"] > 0
+
     def test_five_sigma_gate(self, tmp_path, monkeypatch, capsys):
         import spdc_stats.cli as cli_module
 
@@ -379,3 +394,21 @@ class TestEntryPoint:
             [exe, "bogus"], capture_output=True, text=True
         )
         assert proc.returncode == 1
+
+
+def test_import_path_has_no_scipy():
+    # importing scipy.stats alone costs about a second per CLI run
+    import spdc_stats
+
+    src = Path(spdc_stats.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, spdc_stats, spdc_stats.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

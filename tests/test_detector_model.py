@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +35,22 @@ def brute_coincidence(f, x, eta1, eta2, n_max=400):
     pr = (1.0 - x) * x**ns
     both = (1.0 - (1.0 - eta1) ** ns) * (1.0 - (1.0 - eta2) ** ns)
     return f * float(np.sum(pr * both))
+
+
+def exact_split(x, eta1, eta2, eta3):
+    """Per-pulse (cc12, cc13, cc123) as exact rationals, from the
+    generating function G(z) = (1 - x) / (1 - z x) by inclusion-exclusion."""
+    x, eta1, eta2, eta3 = map(Fraction, (x, eta1, eta2, eta3))
+
+    def g(z):
+        return (1 - x) / (1 - z * x)
+
+    z1, a, b = 1 - eta1, 1 - eta2 / 2, 1 - eta3 / 2
+    c = a + b - 1
+    cc12 = 1 - g(z1) - g(a) + g(z1 * a)
+    cc13 = 1 - g(z1) - g(b) + g(z1 * b)
+    cc123 = (1 - g(a) - g(b) + g(c)) - (g(z1) - g(z1 * a) - g(z1 * b) + g(z1 * c))
+    return cc12, cc13, cc123
 
 
 def brute_split(f, x, eta1, eta2, eta3, n_max=200):
@@ -180,12 +198,32 @@ class TestSplitCoincidences:
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135])
     def test_closed_form_cross_check_small_x(self, x):
-        # the closed form subtracts near-equal generating-function values,
-        # so at small x only per-pulse absolute agreement is guaranteed
+        # the closed form subtracts nothing near-equal, so it keeps
+        # relative precision at small x
         series = split_coincidences(1.0, x, 0.215, 0.198, 0.163, method="series")
         closed = split_coincidences(1.0, x, 0.215, 0.198, 0.163, method="closed")
         for field in ("cc12", "cc13", "cc123"):
-            assert abs(getattr(closed, field) - getattr(series, field)) < 1e-12
+            assert getattr(closed, field) == pytest.approx(
+                getattr(series, field), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize(
+        "x", [1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9]
+    )
+    def test_closed_form_matches_exact_rational(self, x):
+        # the inclusion-exclusion sum over the generating function,
+        # evaluated in exact rational arithmetic on the same float inputs
+        for etas in itertools.product([1e-9, 0.163, 0.215, 0.5, 1.0], repeat=3):
+            pred = split_coincidences(1.0, x, *etas)
+            for field, ref in zip(("cc12", "cc13", "cc123"), exact_split(x, *etas)):
+                got = getattr(pred, field)
+                assert got > 0.0, (field, x, etas)
+                assert abs(Fraction(got) / ref - 1) <= 1e-12, (field, x, etas)
+
+    @pytest.mark.parametrize("x, eta1", [(0.0, 0.3), (0.2, 0.0)])
+    def test_closed_form_no_pairs_or_dead_herald(self, x, eta1):
+        pred = split_coincidences(F, x, eta1, 0.4, 0.5)
+        assert (pred.cc12, pred.cc13, pred.cc123) == (0.0, 0.0, 0.0)
 
     def test_branch_two_composes_with_pair_coincidence(self):
         # a 50/50 split followed by a detector of efficiency eta is one
@@ -252,7 +290,7 @@ class TestSplitCoincidences:
 
     def test_truncation_cap(self):
         with pytest.raises(ResourceLimitError):
-            split_coincidences(F, 0.999, 0.2, 0.2, 0.2)
+            split_coincidences(F, 0.999, 0.2, 0.2, 0.2, method="series")
 
 
 class TestDetectedVsIncident:

@@ -16,9 +16,25 @@ from spdc_stats import (
     resolve_threads,
     simulate,
 )
-from spdc_stats.montecarlo import DEFAULT_CHUNK_PULSES, _event_photon_sampler
+from spdc_stats.montecarlo import (
+    DEFAULT_CHUNK_PULSES,
+    _binomial_half,
+    _event_photon_sampler,
+    _uniforms,
+)
 
 CHAIN10 = DetectorChain(eta1=0.215, eta2=0.198, eta3=0.163)
+
+BINOMIAL_HALF_PINNED = [
+    35, 34, 37, 37, 34, 37, 35, 34, 31, 38, 35, 41, 41, 39, 36, 37, 32, 40,
+    45, 46, 35, 36, 49, 39, 46, 40, 50, 39, 45, 52, 43, 49, 52, 44, 49, 40,
+    47, 48, 47, 58, 63, 60, 58, 62, 54, 54, 50, 51, 48, 54, 51, 57, 63, 65,
+    62, 51, 53, 57, 70, 64, 64, 72, 60, 74, 58, 69, 62, 72, 61, 69, 69, 50,
+    71, 66, 71, 78, 69, 69, 79, 80, 73, 70, 64, 59, 71, 75, 82, 76, 90, 69,
+    80, 76, 72, 70, 74, 81, 77, 83, 80, 84, 78, 89, 85, 82, 93, 77, 76, 83,
+    87, 80, 89, 82, 89, 89, 82, 93, 83, 94, 95, 85, 90, 99, 102, 100, 89, 88,
+    97, 96, 107, 101, 110, 82, 91, 94, 97, 99, 99,
+]
 
 
 def two_arm(x, pulses, seed=12345):
@@ -189,6 +205,31 @@ class TestEventSampler:
             p = scale * mean**k / math.factorial(k)
             freq = np.count_nonzero(n == k) / n.size
             assert abs(freq - p) < 5.0 * math.sqrt(p * (1.0 - p) / n.size)
+
+    def test_binomial_half_slow_path_pinned(self):
+        # k for n = 64 .. 200, one word each from Philox key 2024, as the
+        # scipy.special.gammaln implementation of the slow path gave them
+        ns = np.arange(64, 201, dtype=np.int64)
+        words = np.random.Philox(key=2024).random_raw(ns.size)
+        assert _binomial_half(ns, words).tolist() == BINOMIAL_HALF_PINNED
+
+    def test_binomial_half_slow_path_matches_gammaln(self):
+        special = pytest.importorskip("scipy.special")
+        ns = np.repeat(np.arange(64, 201, dtype=np.int64), 50)
+        words = np.random.Philox(key=7).random_raw(ns.size)
+        u = _uniforms(words)
+        expected = np.empty_like(ns)
+        for nv in np.unique(ns):
+            kk = np.arange(nv + 1, dtype=np.float64)
+            logpmf = (
+                special.gammaln(nv + 1.0) - special.gammaln(kk + 1.0)
+                - special.gammaln(nv - kk + 1.0) - nv * math.log(2.0)
+            )
+            cdf = np.cumsum(np.exp(logpmf))
+            cdf[-1] = 1.0
+            sel = ns == nv
+            expected[sel] = np.searchsorted(cdf, u[sel], side="left")
+        assert np.array_equal(_binomial_half(ns, words), expected)
 
     @pytest.mark.parametrize(
         "config",

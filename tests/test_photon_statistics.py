@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -130,6 +131,39 @@ class TestCoherentDistribution:
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
             CoherentDistribution(-1.0)
+
+    # (nu, n_max, tail_mass) as scipy.stats.poisson gave them: n_max from
+    # isf(1e-12, nu) + 1, tail_mass from sf(n_max, nu)
+    PINNED = [
+        (0.0, 1, 0.0),
+        (0.1, 8, 2.5186528355301156e-15),
+        (2.0, 19, 6.443731393112101e-14),
+        (10.0, 40, 1.7773417493499637e-13),
+        (100.0, 179, 4.1048515842012357e-13),
+    ]
+
+    @pytest.mark.parametrize("nu, n_max, tail", PINNED)
+    def test_truncation_pinned(self, nu, n_max, tail):
+        dist = CoherentDistribution(nu)
+        assert dist.n_max == n_max
+        assert dist.tail_mass == pytest.approx(tail, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("nu", [0.1, 2.0, 10.0, 100.0])
+    def test_probabilities_exact(self, nu):
+        # reference: exp(n ln nu - nu - ln n!) in 50-digit decimal
+        # arithmetic (scipy's own pmf is 1.9e-13 off at nu = 100)
+        dist = CoherentDistribution(nu)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d = Decimal(nu)
+            ref = np.array([
+                float((d.ln() * n - d - Decimal(math.factorial(n)).ln()).exp())
+                for n in range(dist.n_max + 1)
+            ])
+        got = dist.probabilities()
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+        assert dist.pmf(np.arange(dist.n_max + 1)).tolist() == got.tolist()
+        assert dist.pmf(10**12) == 0.0
 
 
 class TestMeanAndMoments:
