@@ -18,6 +18,19 @@ by pulse or worker.  Event i always consumes the same fixed window of that
 stream, so identical configurations produce bit-identical tallies
 regardless of chunk size or thread count.  Chunk boundaries are kept at
 multiples of four events because the generator seeks in four-word blocks.
+
+The chunk kernel is table-driven; its tables are built once per simulate
+call and reproduce the float computations exactly.  A detector reached by
+n photons clicks when its uniform u = ((w >> 11) + 1) / 2**53 falls below
+p[n] = 1 - (1 - eta)**n.  Scaling by 2**53 is exact, so that test is the
+integer test (w >> 11) < thr[n] with thr[n] = max(ceil(p[n] 2**53) - 1, 0),
+tabulated for every n the sampler can return.  The coherent source's
+zero-truncated Poisson cdf is searched through a 4096-bucket guide table,
+which returns exactly what a binary search would.  Emission moments come
+from a histogram of n, and coincidences from counts of the click masks.
+Chunks default to 2**15 events: a heralded_split chunk's words are then
+1.3 MB and stay in cache, where 2**17 and more ran slower and raised the
+peak memory.
 """
 
 from __future__ import annotations
@@ -49,7 +62,10 @@ from .photon_statistics import (
 
 MODES = ("two_arm", "heralded_split", "saturation")
 
-DEFAULT_CHUNK_PULSES = 1 << 20
+DEFAULT_CHUNK_PULSES = 1 << 15
+
+# buckets of the guide table over the truncated Poisson cdf
+_GUIDE_BUCKETS = 4096
 
 # words of the key stream consumed per event, by mode
 _STRIDE = {"two_arm": 3, "heralded_split": 5, "saturation": 2}
@@ -181,6 +197,10 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     ) / _TWO53
 
 
+# _LOW_BITS[n] keeps the low n bits of a word, n = 0 .. 63
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+
+
 def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
     """k ~ Binomial(n, 1/2) for each n, driven by one word per draw.
 
@@ -189,12 +209,12 @@ def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
     inversion on the uniform derived from the same word, so the result
     stays a pure function of (n, word).
     """
+    if n.size and n.max() <= 63:
+        return np.bitwise_count(words & _LOW_BITS[n])
     k = np.zeros_like(n)
     fast = n <= 63
     if fast.any():
-        nf = n[fast].astype(np.uint64)
-        mask = (np.uint64(1) << nf) - np.uint64(1)
-        k[fast] = np.bitwise_count(words[fast] & mask).astype(np.int64)
+        k[fast] = np.bitwise_count(words[fast] & _LOW_BITS[n[fast]])
     if not fast.all():
         slow = np.nonzero(~fast)[0]
         u = _uniforms(words[slow])
@@ -233,14 +253,40 @@ def _truncated_poisson_cdf(mean: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def _guided_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """searchsorted(cdf, u, side="left") for u in [0, 1], through a guide table.
+
+    Bucket b holds u in [b, b + 1) / _GUIDE_BUCKETS (one more bucket holds
+    u = 1), and lo[b] is the answer at the bucket's lower edge.  The answer
+    inside the bucket is lo[b] or lo[b] + 1 when at most one cdf entry lies
+    in the bucket, so one comparison with cdf[lo[b]] settles it.  Crowded
+    buckets, where the cdf piles up near 1, fall back to the binary search.
+    """
+    edges = np.arange(_GUIDE_BUCKETS + 2) / _GUIDE_BUCKETS
+    first = np.searchsorted(cdf, edges, side="left")
+    lo = first[:-1]
+    crowded = first[1:] - lo > 1
+
+    def search(u: np.ndarray) -> np.ndarray:
+        b = (u * _GUIDE_BUCKETS).astype(np.intp)
+        i = lo[b]
+        i += cdf[i] < u
+        slow = np.flatnonzero(crowded[b])
+        if slow.size:
+            i[slow] = np.searchsorted(cdf, u[slow], side="left")
+        return i
+
+    return search
+
+
 def _event_photon_sampler(config: SimConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Map uniforms on (0, 1] to pair numbers of emitting pulses (n >= 1)."""
     x = _geometric_parameter(config)
     if x is not None:
         log_x = math.log(x)
         return lambda u: 1 + np.floor(np.log(u) / log_x).astype(np.int64)
-    cdf = _truncated_poisson_cdf(config.mean)
-    return lambda u: 1 + np.searchsorted(cdf, u, side="left").astype(np.int64)
+    search = _guided_search(_truncated_poisson_cdf(config.mean))
+    return lambda u: 1 + search(u)
 
 
 def _event_count(config: SimConfig) -> int:
@@ -250,47 +296,81 @@ def _event_count(config: SimConfig) -> int:
     return int(rng.binomial(config.pulses, _emission_probability(config)))
 
 
+def _detector_etas(config: SimConfig) -> tuple[float, ...]:
+    """Efficiencies of the detectors the mode reads, in tally order."""
+    chain = config.chain
+    return {
+        "saturation": (chain.eta1,),
+        "two_arm": (chain.eta1, chain.eta2),
+        "heralded_split": (chain.eta1, chain.eta2, chain.eta3),
+    }[config.mode]
+
+
+def _click_thresholds(eta: float, top: int) -> np.ndarray:
+    """thr[n] = max(ceil(p[n] * 2**53) - 1, 0) for n = 0 .. top, where
+    p[n] = click_probability(n, eta).
+
+    A word w clicks for n photons iff (w >> 11) < thr[n].  This is exactly
+    the float test u < p[n] with u = ((w >> 11) + 1) / 2**53 from
+    _uniforms: scaling by 2**53 is exact, so u < p <=> (w >> 11) + 1 < p *
+    2**53, and for an integer a, a + 1 < P <=> a < ceil(P) - 1.
+    """
+    p = click_probability(np.arange(top + 1), eta)
+    return np.maximum(np.ceil(p * _TWO53) - 1.0, 0.0).astype(np.uint64)
+
+
+def _clicks(words: np.ndarray, thr: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Click indicator of a detector reached by n photons, one word each."""
+    return (words >> np.uint64(11)) < thr[n]
+
+
 def _run_chunk(
     config: SimConfig,
     draw_n: Callable[[np.ndarray], np.ndarray],
+    thr: list[np.ndarray],
     start: int,
     m: int,
 ) -> np.ndarray:
-    """Tallies of events start .. start + m - 1."""
+    """Tallies of events start .. start + m - 1; thr holds the click
+    thresholds of the mode's detectors (_click_thresholds)."""
     stride = _STRIDE[config.mode]
     bit = np.random.Philox(key=config.seed)
     bit.advance((stride * start) // 4)
     words = bit.random_raw(stride * m).reshape(m, stride)
     tally = dict.fromkeys(_TALLY_FIELDS, 0)
-    chain = config.chain
     n = draw_n(_uniforms(words[:, 0]))
 
     if config.mode == "saturation":
-        clicked = _uniforms(words[:, 1]) < click_probability(n, chain.eta1)
-        tally["clicks1"] = int(clicked.sum())
-        tally["clicked_photons"] = int(n[clicked].sum())
+        c1 = _clicks(words[:, 1], thr[0], n)
+        tally["clicks1"] = np.count_nonzero(c1)
+        tally["clicked_photons"] = n.sum(where=c1)
     elif config.mode == "two_arm":
-        c1 = _uniforms(words[:, 1]) < click_probability(n, chain.eta1)
-        c2 = _uniforms(words[:, 2]) < click_probability(n, chain.eta2)
-        tally["clicks1"] = int(c1.sum())
-        tally["clicks2"] = int(c2.sum())
-        tally["pair12"] = int((c1 & c2).sum())
+        c1 = _clicks(words[:, 1], thr[0], n)
+        c2 = _clicks(words[:, 2], thr[1], n)
+        tally["clicks1"] = np.count_nonzero(c1)
+        tally["clicks2"] = np.count_nonzero(c2)
+        tally["pair12"] = np.count_nonzero(c1 & c2)
     else:
         k3 = _binomial_half(n, words[:, 1])
-        k2 = n - k3
-        c1 = _uniforms(words[:, 2]) < click_probability(n, chain.eta1)
-        c2 = _uniforms(words[:, 3]) < click_probability(k2, chain.eta2)
-        c3 = _uniforms(words[:, 4]) < click_probability(k3, chain.eta3)
-        tally["clicks1"] = int(c1.sum())
-        tally["clicks2"] = int(c2.sum())
-        tally["clicks3"] = int(c3.sum())
-        tally["pair12"] = int((c1 & c2).sum())
-        tally["pair13"] = int((c1 & c3).sum())
-        tally["triple123"] = int((c1 & c2 & c3).sum())
+        c1 = _clicks(words[:, 2], thr[0], n)
+        c2 = _clicks(words[:, 3], thr[1], n - k3)
+        c3 = _clicks(words[:, 4], thr[2], k3)
+        c12 = c1 & c2
+        c13 = c1 & c3
+        tally["clicks1"] = np.count_nonzero(c1)
+        tally["clicks2"] = np.count_nonzero(c2)
+        tally["clicks3"] = np.count_nonzero(c3)
+        tally["pair12"] = np.count_nonzero(c12)
+        tally["pair13"] = np.count_nonzero(c13)
+        tally["triple123"] = np.count_nonzero(c12 & c3)
 
-    tally["emitted"] = int(n.sum())
-    tally["emitted_sq"] = int((n * n).sum())
-    tally["emitted_cu"] = int((n * n * n).sum())
+    # emission moments from the histogram of n, exact in int64 under the
+    # overflow guard of simulate
+    hist = np.bincount(n)
+    k = np.arange(hist.size, dtype=np.int64)
+    tally["emitted"] = hist @ k
+    tally["emitted_sq"] = hist @ (k * k)
+    tally["emitted_cu"] = hist @ (k * k * k)
     tally["pulses_with_emission"] = m
     return np.array([tally[f] for f in _TALLY_FIELDS], dtype=np.int64)
 
@@ -328,7 +408,10 @@ def simulate(
 
     threads and chunk_pulses affect speed only, never the result.
     chunk_pulses counts emitting pulses per work chunk and must be a
-    positive multiple of 4 (stream-seek alignment).
+    positive multiple of 4 (stream-seek alignment).  The default, 2**15,
+    keeps a chunk's random words (at most 1.3 MB) and temporaries in cache
+    and the peak memory small; the click thresholds and the guide table of
+    the module docstring are built here, once per call.
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
@@ -347,9 +430,10 @@ def simulate(
     parts = []
     if jobs:
         draw_n = _event_photon_sampler(config)
+        thr = [_click_thresholds(eta, worst) for eta in _detector_etas(config)]
 
         def run(job):
-            return _run_chunk(config, draw_n, *job)
+            return _run_chunk(config, draw_n, thr, *job)
 
         if nthreads == 1 or len(jobs) == 1:
             parts = [run(job) for job in jobs]

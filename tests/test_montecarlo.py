@@ -16,10 +16,17 @@ from spdc_stats import (
     resolve_threads,
     simulate,
 )
+from spdc_stats.detector_model import click_probability
 from spdc_stats.montecarlo import (
     DEFAULT_CHUNK_PULSES,
+    _GUIDE_BUCKETS,
     _binomial_half,
+    _click_thresholds,
+    _clicks,
     _event_photon_sampler,
+    _guided_search,
+    _max_draw,
+    _truncated_poisson_cdf,
     _uniforms,
 )
 
@@ -239,6 +246,67 @@ class TestEventSampler:
     )
     def test_no_emission_all_zero(self, config):
         assert simulate(config) == SimCounts(pulses=10_000)
+
+
+class TestKernelTables:
+    """The table-driven kernel against the float computations it replaces."""
+
+    TOP = _max_draw(heralded(0.99, 1))
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 0.125, 0.6, 1.0])
+    def test_integer_threshold_is_float_compare(self, eta):
+        # (w >> 11) < thr[n] against u < p[n] on the words around every
+        # threshold, with the discarded low bits set
+        thr = _click_thresholds(eta, self.TOP)
+        n = np.repeat(np.arange(self.TOP + 1), 3)
+        a = thr.astype(np.int64)[n] + np.tile([-1, 0, 1], self.TOP + 1)
+        a = np.clip(a, 0, 2**53 - 1).astype(np.uint64)
+        words = (a << np.uint64(11)) | np.uint64(0x7FF)
+        p = click_probability(n, eta)
+        assert np.array_equal(_clicks(words, thr, n), _uniforms(words) < p)
+
+    def test_threshold_limits(self):
+        assert _click_thresholds(0.0, 5).tolist() == [0] * 6
+        assert _click_thresholds(1.0, 5).tolist() == [0] + [2**53 - 1] * 5
+        assert _click_thresholds(0.6, 5)[0] == 0
+
+    @staticmethod
+    def _bucket_words():
+        """The first and last word of every guide bucket, as uniforms."""
+        b = np.arange(_GUIDE_BUCKETS + 1, dtype=np.uint64)
+        step = np.uint64(1 << 53) // np.uint64(_GUIDE_BUCKETS)
+        first = np.maximum(b * step, np.uint64(1)) - np.uint64(1)
+        last = np.minimum((b + np.uint64(1)) * step, np.uint64(1 << 53))
+        a = np.concatenate((first, last - np.uint64(2), last - np.uint64(1)))
+        return _uniforms(a << np.uint64(11))
+
+    @pytest.mark.parametrize("mean", [0.1, 10.0, 100.0, 1000.0])
+    def test_guide_table_is_searchsorted(self, mean):
+        cdf = _truncated_poisson_cdf(mean)
+        search = _guided_search(cdf)
+        words = np.random.Philox(key=int(mean * 10)).random_raw(1_000_000)
+        ties = np.concatenate(
+            (cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0))
+        )
+        for u in (self._bucket_words(), _uniforms(words), ties[ties <= 1.0]):
+            expected = np.searchsorted(cdf, u, side="left")
+            assert np.array_equal(search(u), expected)
+
+    @pytest.mark.parametrize("mean", [0.1, 300.0])
+    def test_coherent_sampler_is_searchsorted(self, mean):
+        draw = _event_photon_sampler(saturation("coherent", mean, 1))
+        u = _uniforms(np.random.Philox(key=5).random_raw(100_000))
+        cdf = _truncated_poisson_cdf(mean)
+        assert np.array_equal(draw(u), 1 + np.searchsorted(cdf, u, "left"))
+
+    def test_binomial_half_fast_path_is_popcount(self):
+        ns = np.random.default_rng(4).integers(0, 64, 5000)
+        words = np.random.Philox(key=9).random_raw(ns.size)
+        expected = [
+            bin(int(w) & ((1 << int(k)) - 1)).count("1")
+            for w, k in zip(words, ns)
+        ]
+        assert _binomial_half(ns, words).tolist() == expected
 
 
 class TestTallies:
