@@ -28,9 +28,8 @@ tabulated for every n the sampler can return.  The coherent source's
 zero-truncated Poisson cdf is searched through a 4096-bucket guide table,
 which returns exactly what a binary search would.  Emission moments come
 from a histogram of n, and coincidences from counts of the click masks.
-Chunks default to 2**15 events: a heralded_split chunk's words are then
-1.3 MB and stay in cache, where 2**17 and more ran slower and raised the
-peak memory.
+Chunks default to 2**15 events, so a heralded_split chunk's words take
+1.3 MB and the peak memory stays low.
 """
 
 from __future__ import annotations
@@ -409,9 +408,9 @@ def simulate(
     threads and chunk_pulses affect speed only, never the result.
     chunk_pulses counts emitting pulses per work chunk and must be a
     positive multiple of 4 (stream-seek alignment).  The default, 2**15,
-    keeps a chunk's random words (at most 1.3 MB) and temporaries in cache
-    and the peak memory small; the click thresholds and the guide table of
-    the module docstring are built here, once per call.
+    holds a chunk's random words to 1.3 MB at most, and the peak memory
+    with them.  The click thresholds and the guide table of the module
+    docstring are built here, once per call.
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")

@@ -292,13 +292,6 @@ class TestKernelTables:
             expected = np.searchsorted(cdf, u, side="left")
             assert np.array_equal(search(u), expected)
 
-    @pytest.mark.parametrize("mean", [0.1, 300.0])
-    def test_coherent_sampler_is_searchsorted(self, mean):
-        draw = _event_photon_sampler(saturation("coherent", mean, 1))
-        u = _uniforms(np.random.Philox(key=5).random_raw(100_000))
-        cdf = _truncated_poisson_cdf(mean)
-        assert np.array_equal(draw(u), 1 + np.searchsorted(cdf, u, "left"))
-
     def test_binomial_half_fast_path_is_popcount(self):
         ns = np.random.default_rng(4).integers(0, 64, 5000)
         words = np.random.Philox(key=9).random_raw(ns.size)
