@@ -19,17 +19,29 @@ stream, so identical configurations produce bit-identical tallies
 regardless of chunk size or thread count.  Chunk boundaries are kept at
 multiples of four events because the generator seeks in four-word blocks.
 
-The chunk kernel is table-driven; its tables are built once per simulate
-call and reproduce the float computations exactly.  A detector reached by
-n photons clicks when its uniform u = ((w >> 11) + 1) / 2**53 falls below
-p[n] = 1 - (1 - eta)**n.  Scaling by 2**53 is exact, so that test is the
-integer test (w >> 11) < thr[n] with thr[n] = max(ceil(p[n] 2**53) - 1, 0),
-tabulated for every n the sampler can return.  The coherent source's
-zero-truncated Poisson cdf is searched through a 4096-bucket guide table,
-which returns exactly what a binary search would.  Emission moments come
-from a histogram of n, and coincidences from counts of the click masks.
-Chunks default to 2**15 events, so a heralded_split chunk's words take
-1.3 MB and the peak memory stays low.
+The chunk kernel reads the raw 64-bit words w through tables built once per
+simulate call, and reproduces exactly the float computations on the uniform
+u = ((w >> 11) + 1) / 2**53 that defined it.  Two identities carry it:
+
+- Clicks.  A detector reached by n photons clicks when u < p[n] =
+  1 - (1 - eta)**n.  Scaling by 2**53 is exact, so that is (w >> 11) <
+  thr[n] with thr[n] = max(ceil(p[n] 2**53) - 1, 0); and (w >> 11) < T <=>
+  w < T 2**11, so the test is w < (thr << 11)[n] with no shift of the word.
+- Coherent draws.  searchsorted(cdf, u, "left") counts the entries cdf_j <
+  u, and cdf_j < u <=> w >= floor(cdf_j 2**53) 2**11, so the zero-truncated
+  Poisson draw counts integer word thresholds, through a 4096-bucket guide
+  table indexed by w >> 52.
+
+The geometric draw keeps the float steps of u, log and division in their
+order.  Emission moments come from a histogram of n, and coincidences from
+counts of the click masks.
+
+Each worker thread runs every T-th chunk through one set of scratch arrays
+sized to a chunk: three 8-byte arrays and three bool masks.  Every ufunc
+and gather writes into them through out=, so a chunk allocates no array but
+its random words.  Chunks default to 2**15 events, so a heralded_split
+chunk's words take 1.3 MB; 2**16 ran a few per cent faster but raised the
+benchmark's peak memory by ~8 MB.
 """
 
 from __future__ import annotations
@@ -190,7 +202,11 @@ def geometric_sampler(x: float, rng: np.random.Generator, size=None):
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to floats in (0, 1]."""
+    """Map raw 64-bit words to floats in (0, 1]: ((w >> 11) + 1) / 2**53.
+
+    The chunk kernel reads the words through identities that are exact for
+    every word, so only the rare n >= 64 split path forms these floats.
+    """
     return (
         np.right_shift(words, np.uint64(11)).astype(np.float64) + 1.0
     ) / _TWO53
@@ -200,31 +216,35 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
-def _binomial_half(n: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """k ~ Binomial(n, 1/2) for each n, driven by one word per draw.
+def _binomial_half(
+    n: np.ndarray, words: np.ndarray, top: int, out: np.ndarray
+) -> np.ndarray:
+    """k ~ Binomial(n, 1/2) for each n into the int64 array out, driven by
+    one word per draw; top is n.max().
 
     For n <= 63 the k value is the popcount of the low n bits, which is an
-    exact fair-coin count per photon.  Larger n (rare) fall back to CDF
-    inversion on the uniform derived from the same word, so the result
-    stays a pure function of (n, word).
+    exact fair-coin count per photon; that path works in out alone.  Larger
+    n (rare) fall back to CDF inversion on the uniform derived from the same
+    word, so the result stays a pure function of (n, word).
     """
-    if n.size and n.max() <= 63:
-        return np.bitwise_count(words & _LOW_BITS[n])
-    k = np.zeros_like(n)
+    if top <= 63:
+        bits = out.view(np.uint64)
+        np.take(_LOW_BITS, n, out=bits, mode="clip")
+        np.bitwise_and(bits, words, out=bits)
+        np.bitwise_count(bits, out=bits)
+        return out
     fast = n <= 63
-    if fast.any():
-        k[fast] = np.bitwise_count(words[fast] & _LOW_BITS[n[fast]])
-    if not fast.all():
-        slow = np.nonzero(~fast)[0]
-        u = _uniforms(words[slow])
-        ns = n[slow]
-        log_fact = log_factorials(int(ns.max()))
-        for nv in np.unique(ns):
-            sel = ns == nv
-            cdf = np.cumsum(np.exp(log_binomial_half(int(nv), log_fact)))
-            cdf[-1] = 1.0
-            k[slow[sel]] = np.searchsorted(cdf, u[sel], side="left")
-    return k
+    out[fast] = np.bitwise_count(words[fast] & _LOW_BITS[n[fast]])
+    slow = np.flatnonzero(~fast)
+    u = _uniforms(words[slow])
+    ns = n[slow]
+    log_fact = log_factorials(int(ns.max()))
+    for nv in np.unique(ns):
+        sel = ns == nv
+        cdf = np.cumsum(np.exp(log_binomial_half(int(nv), log_fact)))
+        cdf[-1] = 1.0
+        out[slow[sel]] = np.searchsorted(cdf, u[sel], side="left")
+    return out
 
 
 def _geometric_parameter(config: SimConfig) -> float | None:
@@ -252,40 +272,91 @@ def _truncated_poisson_cdf(mean: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _guided_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """searchsorted(cdf, u, side="left") for u in [0, 1], through a guide table.
+# A draw maps one word per event to its pair number n >= 1.  draw(w, a, n,
+# mask) writes n for the words w and returns n.max(); a (uint64) and mask
+# (bool) are scratch of the same length that it may overwrite.
+_Draw = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
 
-    Bucket b holds u in [b, b + 1) / _GUIDE_BUCKETS (one more bucket holds
-    u = 1), and lo[b] is the answer at the bucket's lower edge.  The answer
-    inside the bucket is lo[b] or lo[b] + 1 when at most one cdf entry lies
-    in the bucket, so one comparison with cdf[lo[b]] settles it.  Crowded
-    buckets, where the cdf piles up near 1, fall back to the binary search.
+
+def _geometric_draw(x: float) -> _Draw:
+    """n = 1 + floor(log(u) / log(x)) with u = ((w >> 11) + 1) * 2**-53.
+
+    The float steps are those of geometric_sampler on _uniforms, in the same
+    order, so every n is identical: a + 1 <= 2**53 converts exactly, the
+    scaling by a power of two is exact, log, then a true division by log(x)
+    (a multiply by 1 / log(x) would round differently), then a truncating
+    cast, which is floor because the ratio is >= 0 or -0.0.  u lives in a's
+    buffer.
     """
-    edges = np.arange(_GUIDE_BUCKETS + 2) / _GUIDE_BUCKETS
-    first = np.searchsorted(cdf, edges, side="left")
-    lo = first[:-1]
-    crowded = first[1:] - lo > 1
+    log_x = math.log(x)
 
-    def search(u: np.ndarray) -> np.ndarray:
-        b = (u * _GUIDE_BUCKETS).astype(np.intp)
-        i = lo[b]
-        i += cdf[i] < u
-        slow = np.flatnonzero(crowded[b])
-        if slow.size:
-            i[slow] = np.searchsorted(cdf, u[slow], side="left")
-        return i
+    def draw(w, a, n, mask):
+        u = a.view(np.float64)
+        np.right_shift(w, 11, out=a)
+        np.add(a, 1, out=a)
+        np.copyto(u, a)
+        np.multiply(u, 1.0 / _TWO53, out=u)
+        np.log(u, out=u)
+        np.divide(u, log_x, out=u)
+        np.copyto(n, u, casting="unsafe")
+        np.add(n, 1, out=n)
+        return int(n.max())
 
-    return search
+    return draw
 
 
-def _event_photon_sampler(config: SimConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Map uniforms on (0, 1] to pair numbers of emitting pulses (n >= 1)."""
+def _poisson_draw(cdf: np.ndarray) -> _Draw:
+    """n = 1 + searchsorted(cdf, u, side="left") on raw words, through an
+    integer guide table.
+
+    With a = w >> 11 and u = (a + 1) / 2**53, cdf_j < u <=> a >= C_j, where
+    C_j = floor(cdf_j * 2**53), <=> w >= C_j * 2**11.  So the draw counts the
+    word thresholds C_j * 2**11 at or below w; entries with C_j = 2**53 never
+    count and are dropped, which keeps every threshold below 2**64.
+
+    Bucket b = w >> 52 holds the words b * 2**52 .. (b + 1) * 2**52 - 1, and
+    hi[b] is the count at its last word.  With at most one threshold inside
+    the bucket the count is hi[b] - (w < edge[b]), edge[b] being the largest
+    threshold at or below that last word (0 when there is none).  Crowded
+    buckets, where the cdf piles up near 1, carry a count past the table;
+    the words that land there are recounted by binary search.
+    """
+    c = np.floor(cdf * _TWO53)
+    thresholds = c[c < _TWO53].astype(np.uint64) << np.uint64(11)
+    first = np.arange(_GUIDE_BUCKETS, dtype=np.uint64) << np.uint64(52)
+    lo = np.searchsorted(thresholds, first, side="right")
+    hi = np.searchsorted(
+        thresholds, first | np.uint64((1 << 52) - 1), side="right"
+    )
+    edge = np.concatenate(([np.uint64(0)], thresholds))[hi]
+    n_max = cdf.size
+    # n = n_count[b] - (w < edge[b]); past n_max in crowded buckets
+    n_count = np.where(hi - lo > 1, n_max + 2, hi + 1).astype(np.int64)
+
+    def draw(w, a, n, mask):
+        b = a.view(np.int64)
+        np.right_shift(w, 52, out=a)
+        np.take(edge, b, out=n.view(np.uint64), mode="clip")
+        np.less(w, n.view(np.uint64), out=mask)
+        np.take(n_count, b, out=n, mode="clip")
+        np.subtract(n, mask, out=n)
+        top = int(n.max())
+        if top > n_max:
+            np.greater(n, n_max, out=mask)
+            slow = np.flatnonzero(mask)
+            n[slow] = 1 + np.searchsorted(thresholds, w[slow], side="right")
+            top = int(n.max())
+        return top
+
+    return draw
+
+
+def _event_photon_sampler(config: SimConfig) -> _Draw:
+    """The draw of pair numbers of emitting pulses (n >= 1) for config."""
     x = _geometric_parameter(config)
     if x is not None:
-        log_x = math.log(x)
-        return lambda u: 1 + np.floor(np.log(u) / log_x).astype(np.int64)
-    search = _guided_search(_truncated_poisson_cdf(config.mean))
-    return lambda u: 1 + search(u)
+        return _geometric_draw(x)
+    return _poisson_draw(_truncated_poisson_cdf(config.mean))
 
 
 def _event_count(config: SimConfig) -> int:
@@ -306,72 +377,123 @@ def _detector_etas(config: SimConfig) -> tuple[float, ...]:
 
 
 def _click_thresholds(eta: float, top: int) -> np.ndarray:
-    """thr[n] = max(ceil(p[n] * 2**53) - 1, 0) for n = 0 .. top, where
-    p[n] = click_probability(n, eta).
+    """Word thresholds W[n] = thr[n] * 2**11 for n = 0 .. top, where
+    thr[n] = max(ceil(p[n] * 2**53) - 1, 0) and p[n] = click_probability(n,
+    eta).
 
-    A word w clicks for n photons iff (w >> 11) < thr[n].  This is exactly
-    the float test u < p[n] with u = ((w >> 11) + 1) / 2**53 from
-    _uniforms: scaling by 2**53 is exact, so u < p <=> (w >> 11) + 1 < p *
-    2**53, and for an integer a, a + 1 < P <=> a < ceil(P) - 1.
+    A word w clicks for n photons iff w < W[n].  This is exactly the float
+    test u < p[n] with u = ((w >> 11) + 1) / 2**53 from _uniforms: scaling
+    by 2**53 is exact, so u < p <=> (w >> 11) + 1 < p * 2**53, and for an
+    integer a, a + 1 < P <=> a < ceil(P) - 1.  Then (w >> 11) < T <=> w <
+    T * 2**11, which stays below 2**64 because T <= 2**53 - 1.
     """
     p = click_probability(np.arange(top + 1), eta)
-    return np.maximum(np.ceil(p * _TWO53) - 1.0, 0.0).astype(np.uint64)
+    thr = np.maximum(np.ceil(p * _TWO53) - 1.0, 0.0).astype(np.uint64)
+    return thr << np.uint64(11)
 
 
-def _clicks(words: np.ndarray, thr: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Click indicator of a detector reached by n photons, one word each."""
-    return (words >> np.uint64(11)) < thr[n]
-
-
-def _run_chunk(
-    config: SimConfig,
-    draw_n: Callable[[np.ndarray], np.ndarray],
-    thr: list[np.ndarray],
-    start: int,
-    m: int,
+def _clicks(
+    words: np.ndarray,
+    thr: np.ndarray,
+    n: np.ndarray,
+    gathered: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Tallies of events start .. start + m - 1; thr holds the click
-    thresholds of the mode's detectors (_click_thresholds)."""
-    stride = _STRIDE[config.mode]
-    bit = np.random.Philox(key=config.seed)
-    bit.advance((stride * start) // 4)
-    words = bit.random_raw(stride * m).reshape(m, stride)
-    tally = dict.fromkeys(_TALLY_FIELDS, 0)
-    n = draw_n(_uniforms(words[:, 0]))
+    """Click mask (into out) of a detector reached by n photons, one word
+    each; thr is from _click_thresholds and gathered is uint64 scratch.
 
-    if config.mode == "saturation":
-        c1 = _clicks(words[:, 1], thr[0], n)
-        tally["clicks1"] = np.count_nonzero(c1)
-        tally["clicked_photons"] = n.sum(where=c1)
-    elif config.mode == "two_arm":
-        c1 = _clicks(words[:, 1], thr[0], n)
-        c2 = _clicks(words[:, 2], thr[1], n)
-        tally["clicks1"] = np.count_nonzero(c1)
-        tally["clicks2"] = np.count_nonzero(c2)
-        tally["pair12"] = np.count_nonzero(c1 & c2)
-    else:
-        k3 = _binomial_half(n, words[:, 1])
-        c1 = _clicks(words[:, 2], thr[0], n)
-        c2 = _clicks(words[:, 3], thr[1], n - k3)
-        c3 = _clicks(words[:, 4], thr[2], k3)
-        c12 = c1 & c2
-        c13 = c1 & c3
-        tally["clicks1"] = np.count_nonzero(c1)
-        tally["clicks2"] = np.count_nonzero(c2)
-        tally["clicks3"] = np.count_nonzero(c3)
-        tally["pair12"] = np.count_nonzero(c12)
-        tally["pair13"] = np.count_nonzero(c13)
-        tally["triple123"] = np.count_nonzero(c12 & c3)
+    The gather clips instead of raising: with mode "raise" numpy buffers
+    out, which allocates, so the caller bounds n against the table.
+    """
+    np.take(thr, n, out=gathered, mode="clip")
+    return np.less(words, gathered, out=out)
 
-    # emission moments from the histogram of n, exact in int64 under the
-    # overflow guard of simulate
-    hist = np.bincount(n)
-    k = np.arange(hist.size, dtype=np.int64)
-    tally["emitted"] = hist @ k
-    tally["emitted_sq"] = hist @ (k * k)
-    tally["emitted_cu"] = hist @ (k * k * k)
-    tally["pulses_with_emission"] = m
-    return np.array([tally[f] for f in _TALLY_FIELDS], dtype=np.int64)
+
+_COL = {name: i for i, name in enumerate(_TALLY_FIELDS)}
+
+
+class _ChunkKernel:
+    """The tables of one simulate call and the chunk loop that reads them.
+
+    Tables: the event draw, the click thresholds of each detector for every
+    n up to worst, and n, n**2, n**3 for the emission moments.
+    """
+
+    def __init__(self, config: SimConfig, worst: int):
+        self.seed = config.seed
+        self.mode = config.mode
+        self.stride = _STRIDE[config.mode]
+        self.worst = worst
+        self.draw = _event_photon_sampler(config)
+        self.thr = [
+            _click_thresholds(eta, worst) for eta in _detector_etas(config)
+        ]
+        k = np.arange(worst + 1, dtype=np.int64)
+        self.powers = np.stack((k, k * k, k * k * k))
+
+    def run_stripe(self, jobs: list[tuple[int, int]], size: int) -> np.ndarray:
+        """Summed tallies of the chunks (start, m) in jobs, m <= size.
+
+        One set of scratch arrays serves every chunk: a (uint64: uniforms,
+        bucket indices, gathered thresholds), n and k (int64: pair numbers,
+        the split's k3 and n - k3) and three click masks.
+        """
+        a = np.empty(size, dtype=np.uint64)
+        n = np.empty(size, dtype=np.int64)
+        k = np.empty(size, dtype=np.int64)
+        masks = np.empty((3, size), dtype=bool)
+        row = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
+        for start, m in jobs:
+            self._run_chunk(start, a[:m], n[:m], k[:m], masks[:, :m], row)
+        return row
+
+    def _run_chunk(self, start, a, n, k, masks, row):
+        """Add the tallies of events start .. start + len(n) - 1 to row."""
+        m = n.size
+        bit = np.random.Philox(key=self.seed)
+        bit.advance((self.stride * start) // 4)
+        words = bit.random_raw(self.stride * m).reshape(m, self.stride)
+        c1, c2, c3 = masks
+        thr = self.thr
+        top = self.draw(words[:, 0], a, n, c1)
+        if top > self.worst:
+            raise IndexError(
+                f"photon number {top} is past the click tables "
+                f"(0 .. {self.worst})"
+            )
+
+        if self.mode == "saturation":
+            _clicks(words[:, 1], thr[0], n, a, c1)
+            row[_COL["clicks1"]] += np.count_nonzero(c1)
+            row[_COL["clicked_photons"]] += np.multiply(n, c1, out=k).sum()
+        elif self.mode == "two_arm":
+            _clicks(words[:, 1], thr[0], n, a, c1)
+            _clicks(words[:, 2], thr[1], n, a, c2)
+            row[_COL["clicks1"]] += np.count_nonzero(c1)
+            row[_COL["clicks2"]] += np.count_nonzero(c2)
+            c12 = np.bitwise_and(c1, c2, out=c2)
+            row[_COL["pair12"]] += np.count_nonzero(c12)
+        else:
+            k3 = _binomial_half(n, words[:, 1], top, k)
+            _clicks(words[:, 2], thr[0], n, a, c1)
+            _clicks(words[:, 4], thr[2], k3, a, c3)
+            np.subtract(n, k3, out=k)
+            _clicks(words[:, 3], thr[1], k, a, c2)
+            row[_COL["clicks1"]] += np.count_nonzero(c1)
+            row[_COL["clicks2"]] += np.count_nonzero(c2)
+            row[_COL["clicks3"]] += np.count_nonzero(c3)
+            c12 = np.bitwise_and(c1, c2, out=c2)
+            c13 = np.bitwise_and(c1, c3, out=c3)
+            row[_COL["pair12"]] += np.count_nonzero(c12)
+            row[_COL["pair13"]] += np.count_nonzero(c13)
+            c123 = np.bitwise_and(c12, c13, out=c13)
+            row[_COL["triple123"]] += np.count_nonzero(c123)
+
+        # emission moments from the histogram of n, exact in int64 under the
+        # overflow guard of simulate
+        e = _COL["emitted"]
+        row[e : e + 3] += self.powers[:, : top + 1] @ np.bincount(n)
+        row[_COL["pulses_with_emission"]] += m
 
 
 def _max_draw(config: SimConfig) -> int:
@@ -407,10 +529,13 @@ def simulate(
 
     threads and chunk_pulses affect speed only, never the result.
     chunk_pulses counts emitting pulses per work chunk and must be a
-    positive multiple of 4 (stream-seek alignment).  The default, 2**15,
-    holds a chunk's random words to 1.3 MB at most, and the peak memory
-    with them.  The click thresholds and the guide table of the module
-    docstring are built here, once per call.
+    positive multiple of 4 (stream-seek alignment).  Worker w of T runs
+    the chunks w, w + T, w + 2T, ... through its own scratch arrays, sized
+    to one chunk, and returns one tally row; the rows are summed.  The
+    default chunk, 2**15, holds a heralded_split chunk's random words to
+    1.3 MB; 2**16 ran no faster here and raised the peak memory.  The
+    click thresholds and the guide table of the module docstring are built
+    here, once per call.
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
@@ -425,21 +550,18 @@ def simulate(
         (start, min(chunk_pulses, events - start))
         for start in range(0, events, chunk_pulses)
     ]
-    nthreads = resolve_threads(threads)
-    parts = []
+    total = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
     if jobs:
-        draw_n = _event_photon_sampler(config)
-        thr = [_click_thresholds(eta, worst) for eta in _detector_etas(config)]
-
-        def run(job):
-            return _run_chunk(config, draw_n, thr, *job)
-
-        if nthreads == 1 or len(jobs) == 1:
-            parts = [run(job) for job in jobs]
+        kernel = _ChunkKernel(config, worst)
+        size = jobs[0][1]
+        workers = min(resolve_threads(threads), len(jobs))
+        if workers == 1:
+            total = kernel.run_stripe(jobs, size)
         else:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                parts = list(pool.map(run, jobs))
-    total = sum(parts, np.zeros(len(_TALLY_FIELDS), dtype=np.int64))
+            stripes = [jobs[w::workers] for w in range(workers)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = pool.map(lambda s: kernel.run_stripe(s, size), stripes)
+                total = np.sum(list(rows), axis=0)
     return SimCounts(
         pulses=config.pulses, **dict(zip(_TALLY_FIELDS, total.tolist()))
     )

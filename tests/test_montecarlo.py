@@ -20,12 +20,14 @@ from spdc_stats.detector_model import click_probability
 from spdc_stats.montecarlo import (
     DEFAULT_CHUNK_PULSES,
     _GUIDE_BUCKETS,
+    _ChunkKernel,
     _binomial_half,
     _click_thresholds,
     _clicks,
     _event_photon_sampler,
-    _guided_search,
+    _geometric_draw,
     _max_draw,
+    _poisson_draw,
     _truncated_poisson_cdf,
     _uniforms,
 )
@@ -73,6 +75,19 @@ SAMPLER_CASES = [
     pytest.param(saturation("coherent", 2.0, 10_000, seed=3),
                  -math.expm1(-2.0), id="coherent"),
 ]
+
+
+def draw_words(draw, words):
+    """Pair numbers a kernel draw gives for the words, on fresh scratch."""
+    n = np.empty(words.size, dtype=np.int64)
+    mask = np.empty(words.size, dtype=bool)
+    top = draw(words, np.empty_like(words), n, mask)
+    assert top == n.max()
+    return n
+
+
+def binomial_half(ns, words):
+    return _binomial_half(ns, words, ns.max(), np.empty_like(ns))
 
 
 class TestGeometricSampler:
@@ -204,8 +219,7 @@ class TestEventSampler:
     @pytest.mark.parametrize("mean", [0.1, 10.0])
     def test_zero_truncated_poisson_law(self, mean):
         draw = _event_photon_sampler(saturation("coherent", mean, 1))
-        u = 1.0 - np.random.default_rng(8).random(1_000_000)
-        n = draw(u)
+        n = draw_words(draw, np.random.Philox(key=8).random_raw(1_000_000))
         assert n.min() >= 1
         scale = math.exp(-mean) / -math.expm1(-mean)
         for k in (1, 2):
@@ -218,7 +232,7 @@ class TestEventSampler:
         # scipy.special.gammaln implementation of the slow path gave them
         ns = np.arange(64, 201, dtype=np.int64)
         words = np.random.Philox(key=2024).random_raw(ns.size)
-        assert _binomial_half(ns, words).tolist() == BINOMIAL_HALF_PINNED
+        assert binomial_half(ns, words).tolist() == BINOMIAL_HALF_PINNED
 
     def test_binomial_half_slow_path_matches_gammaln(self):
         special = pytest.importorskip("scipy.special")
@@ -236,7 +250,7 @@ class TestEventSampler:
             cdf[-1] = 1.0
             sel = ns == nv
             expected[sel] = np.searchsorted(cdf, u[sel], side="left")
-        assert np.array_equal(_binomial_half(ns, words), expected)
+        assert np.array_equal(binomial_half(ns, words), expected)
 
     @pytest.mark.parametrize(
         "config",
@@ -248,49 +262,104 @@ class TestEventSampler:
         assert simulate(config) == SimCounts(pulses=10_000)
 
 
+# coherent mean 300 lands words in crowded guide buckets, and x = 0.99 sends
+# the split through the n >= 64 path of _binomial_half
+CROWDED_GUIDE = saturation("coherent", 300.0, 20_000, seed=17)
+SLOW_SPLIT = heralded(0.99, 10_000, seed=17)
+
+
+class TestScratchReuse:
+    """Per-worker scratch arrays carry nothing between chunks or calls."""
+
+    def test_no_state_between_calls(self):
+        first = simulate(CROWDED_GUIDE)
+        simulate(SLOW_SPLIT)
+        assert simulate(CROWDED_GUIDE) == first
+
+    @pytest.mark.parametrize(
+        "config", [CROWDED_GUIDE, SLOW_SPLIT], ids=["crowded", "slow_split"]
+    )
+    def test_thread_count_invariance(self, config):
+        a = simulate(config, threads=1, chunk_pulses=256)
+        b = simulate(config, threads=3, chunk_pulses=256)
+        assert a == b
+
+
 class TestKernelTables:
-    """The table-driven kernel against the float computations it replaces."""
+    """The word-domain kernel against the float computations it replaces."""
 
     TOP = _max_draw(heralded(0.99, 1))
+    LOW = np.uint64(0x7FF)
 
     @pytest.mark.parametrize("eta", [0.0, 1e-12, 0.125, 0.6, 1.0])
-    def test_integer_threshold_is_float_compare(self, eta):
-        # (w >> 11) < thr[n] against u < p[n] on the words around every
-        # threshold, with the discarded low bits set
+    def test_word_threshold_is_float_compare(self, eta):
+        # w < (thr << 11)[n] against u < p[n] on the words around every
+        # threshold, with the discarded low bits all clear and all set
         thr = _click_thresholds(eta, self.TOP)
-        n = np.repeat(np.arange(self.TOP + 1), 3)
-        a = thr.astype(np.int64)[n] + np.tile([-1, 0, 1], self.TOP + 1)
+        n = np.repeat(np.arange(self.TOP + 1), 6)
+        a = (thr >> np.uint64(11)).astype(np.int64)[n]
+        a = a + np.tile([-1, -1, 0, 0, 1, 1], self.TOP + 1)
         a = np.clip(a, 0, 2**53 - 1).astype(np.uint64)
-        words = (a << np.uint64(11)) | np.uint64(0x7FF)
+        low = np.tile([np.uint64(0), self.LOW], 3 * (self.TOP + 1))
+        words = (a << np.uint64(11)) | low
+        clicks = _clicks(
+            words, thr, n, np.empty_like(words), np.empty(n.size, dtype=bool)
+        )
         p = click_probability(n, eta)
-        assert np.array_equal(_clicks(words, thr, n), _uniforms(words) < p)
+        assert np.array_equal(clicks, _uniforms(words) < p)
 
     def test_threshold_limits(self):
+        top = (2**53 - 1) << 11
         assert _click_thresholds(0.0, 5).tolist() == [0] * 6
-        assert _click_thresholds(1.0, 5).tolist() == [0] + [2**53 - 1] * 5
+        assert _click_thresholds(1.0, 5).tolist() == [0] + [top] * 5
         assert _click_thresholds(0.6, 5)[0] == 0
 
     @staticmethod
     def _bucket_words():
-        """The first and last word of every guide bucket, as uniforms."""
-        b = np.arange(_GUIDE_BUCKETS + 1, dtype=np.uint64)
-        step = np.uint64(1 << 53) // np.uint64(_GUIDE_BUCKETS)
-        first = np.maximum(b * step, np.uint64(1)) - np.uint64(1)
-        last = np.minimum((b + np.uint64(1)) * step, np.uint64(1 << 53))
-        a = np.concatenate((first, last - np.uint64(2), last - np.uint64(1)))
-        return _uniforms(a << np.uint64(11))
+        """The first and last word of every w >> 52 bucket."""
+        first = np.arange(_GUIDE_BUCKETS, dtype=np.uint64) << np.uint64(52)
+        return np.concatenate((first, first | np.uint64((1 << 52) - 1)))
+
+    @staticmethod
+    def _threshold_words(cdf):
+        """The words C_j * 2**11, C_j = floor(cdf_j * 2**53) < 2**53, their
+        neighbours +-1, and the ends of the runs of words sharing their
+        w >> 11 and the one below it."""
+        c = np.floor(cdf * 2.0**53)
+        w = c[c < 2.0**53].astype(np.uint64) << np.uint64(11)
+        w = w[w >= np.uint64(1 << 11)]
+        one = np.uint64(1)
+        return np.concatenate(
+            (w - one, w, w + one, w + np.uint64(0x7FF), w - np.uint64(1 << 11))
+        )
 
     @pytest.mark.parametrize("mean", [0.1, 10.0, 100.0, 1000.0])
     def test_guide_table_is_searchsorted(self, mean):
         cdf = _truncated_poisson_cdf(mean)
-        search = _guided_search(cdf)
-        words = np.random.Philox(key=int(mean * 10)).random_raw(1_000_000)
-        ties = np.concatenate(
-            (cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0))
+        draw = _poisson_draw(cdf)
+        philox = np.random.Philox(key=int(mean * 10)).random_raw(1_000_000)
+        ends = self._bucket_words()
+        for words in (ends, philox, self._threshold_words(cdf)):
+            expected = 1 + np.searchsorted(cdf, _uniforms(words), side="left")
+            assert np.array_equal(draw_words(draw, words), expected)
+
+    @pytest.mark.parametrize("x", [1e-6, 0.0135, 0.392, 0.5, 0.99])
+    def test_geometric_draw_is_float_formula(self, x):
+        edges = np.array(
+            [0, 0x7FF, 0x800, 2**63, 2**64 - 0x800, 2**64 - 1], dtype=np.uint64
         )
-        for u in (self._bucket_words(), _uniforms(words), ties[ties <= 1.0]):
-            expected = np.searchsorted(cdf, u, side="left")
-            assert np.array_equal(search(u), expected)
+        philox = np.random.Philox(key=5).random_raw(1_000_000)
+        for words in (edges, philox):
+            u = _uniforms(words)
+            expected = 1 + np.floor(np.log(u) / math.log(x)).astype(np.int64)
+            n = draw_words(_geometric_draw(x), words)
+            assert np.array_equal(n, expected)
+
+    def test_photon_number_past_tables_raises(self):
+        # the clipped gathers never see an n beyond the tables
+        config = saturation("thermal", 10.0, 1_000, seed=1)
+        with pytest.raises(IndexError, match="past the click tables"):
+            _ChunkKernel(config, 3).run_stripe([(0, 512)], 512)
 
     def test_binomial_half_fast_path_is_popcount(self):
         ns = np.random.default_rng(4).integers(0, 64, 5000)
@@ -299,7 +368,7 @@ class TestKernelTables:
             bin(int(w) & ((1 << int(k)) - 1)).count("1")
             for w, k in zip(words, ns)
         ]
-        assert _binomial_half(ns, words).tolist() == expected
+        assert binomial_half(ns, words).tolist() == expected
 
 
 class TestTallies:
