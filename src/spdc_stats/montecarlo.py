@@ -361,8 +361,13 @@ def _event_photon_sampler(config: SimConfig) -> _Draw:
 
 def _event_count(config: SimConfig) -> int:
     """K ~ Binomial(pulses, P(n >= 1)) from the seed's second stream, which
-    shares the seed but not the key word of the event stream."""
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
+    shares the seed but not the key word of the event stream.
+
+    The key is built as uint64: from a list, numpy would make seeds >= 2**63
+    float64 and round them to 53 bits.
+    """
+    key = np.array([config.seed, 1], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     return int(rng.binomial(config.pulses, _emission_probability(config)))
 
 

@@ -196,6 +196,26 @@ class TestDeterminism:
             simulate(two_arm(0.1, 100), chunk_pulses=6)
 
 
+class TestEventCountKey:
+    """K comes from a Philox stream keyed by the exact uint64 pair (seed, 1)."""
+
+    @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1])
+    def test_key_is_the_exact_seed(self, seed):
+        config = two_arm(0.392, 1_000_000, seed=seed)
+        bit = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
+        assert bit.state["state"]["key"].tolist() == [seed, 1]
+        k = np.random.Generator(bit).binomial(config.pulses, config.x)
+        assert simulate(config).pulses_with_emission == k
+
+    def test_neighbouring_high_seeds_differ(self):
+        # rounded to 53 bits, as a float64 key, both seeds read 2**63
+        counts = [
+            simulate(two_arm(0.392, 1_000_000, seed=seed)).pulses_with_emission
+            for seed in (2**63 + 1, 2**63 + 2)
+        ]
+        assert counts == [391464, 392430]
+
+
 class TestEventSampler:
     @pytest.mark.parametrize("config,p_emit", SAMPLER_CASES)
     def test_chunk_size_invariance(self, config, p_emit):
