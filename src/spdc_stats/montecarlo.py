@@ -448,15 +448,19 @@ class _ChunkKernel:
         k = np.empty(size, dtype=np.int64)
         masks = np.empty((3, size), dtype=bool)
         row = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
+        # a new Philox(key=...) first draws OS entropy for a seed sequence it
+        # never uses (~17 us), so one generator is reset for every chunk
+        bit = np.random.Philox(key=self.seed)
+        origin = bit.state
         for start, m in jobs:
-            self._run_chunk(start, a[:m], n[:m], k[:m], masks[:, :m], row)
+            bit.state = origin
+            bit.advance((self.stride * start) // 4)
+            self._run_chunk(bit, a[:m], n[:m], k[:m], masks[:, :m], row)
         return row
 
-    def _run_chunk(self, start, a, n, k, masks, row):
-        """Add the tallies of events start .. start + len(n) - 1 to row."""
+    def _run_chunk(self, bit, a, n, k, masks, row):
+        """Add the tallies of the next len(n) events of bit to row."""
         m = n.size
-        bit = np.random.Philox(key=self.seed)
-        bit.advance((self.stride * start) // 4)
         words = bit.random_raw(self.stride * m).reshape(m, self.stride)
         c1, c2, c3 = masks
         thr = self.thr
@@ -538,9 +542,9 @@ def simulate(
     the chunks w, w + T, w + 2T, ... through its own scratch arrays, sized
     to one chunk, and returns one tally row; the rows are summed.  The
     default chunk, 2**15, holds a heralded_split chunk's random words to
-    1.3 MB; 2**16 ran no faster here and raised the peak memory.  The
-    click thresholds and the guide table of the module docstring are built
-    here, once per call.
+    1.3 MB; larger chunks save little per chunk and raise the peak memory.
+    The click thresholds and the guide table of the module docstring are
+    built here, once per call.
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
