@@ -197,7 +197,7 @@ class TestDeterminism:
 
 
 class TestEventCountKey:
-    """K comes from a Philox stream keyed by the exact uint64 pair (seed, 1)."""
+    """K's Philox stream is keyed by the exact uint64 pair (seed, 1)."""
 
     @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1])
     def test_key_is_the_exact_seed(self, seed):
@@ -309,10 +309,9 @@ class TestKernelTables:
     """The word-domain kernel against the float computations it replaces."""
 
     TOP = _max_draw(heralded(0.99, 1))
-    LOW = np.uint64(0x7FF)
 
     @pytest.mark.parametrize("eta", [0.0, 1e-12, 0.125, 0.6, 1.0])
-    def test_word_threshold_is_float_compare(self, eta):
+    def test_integer_threshold_is_float_compare(self, eta):
         # w < (thr << 11)[n] against u < p[n] on the words around every
         # threshold, with the discarded low bits all clear and all set
         thr = _click_thresholds(eta, self.TOP)
@@ -320,7 +319,7 @@ class TestKernelTables:
         a = (thr >> np.uint64(11)).astype(np.int64)[n]
         a = a + np.tile([-1, -1, 0, 0, 1, 1], self.TOP + 1)
         a = np.clip(a, 0, 2**53 - 1).astype(np.uint64)
-        low = np.tile([np.uint64(0), self.LOW], 3 * (self.TOP + 1))
+        low = np.array([0, 0x7FF] * 3 * (self.TOP + 1), dtype=np.uint64)
         words = (a << np.uint64(11)) | low
         clicks = _clicks(
             words, thr, n, np.empty_like(words), np.empty(n.size, dtype=bool)
@@ -342,9 +341,9 @@ class TestKernelTables:
 
     @staticmethod
     def _threshold_words(cdf):
-        """The words C_j * 2**11, C_j = floor(cdf_j * 2**53) < 2**53, their
-        neighbours +-1, and the ends of the runs of words sharing their
-        w >> 11 and the one below it."""
+        """The words C_j * 2**11 (C_j = floor(cdf_j * 2**53) < 2**53) and
+        their neighbours +-1, plus C_j * 2**11 + 0x7FF and (C_j - 1) * 2**11,
+        the last word with w >> 11 = C_j and the first with C_j - 1."""
         c = np.floor(cdf * 2.0**53)
         w = c[c < 2.0**53].astype(np.uint64) << np.uint64(11)
         w = w[w >= np.uint64(1 << 11)]
