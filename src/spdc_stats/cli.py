@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-invert        sweep.csv -> table1.csv + table1.json (count-rate inversion)
+invert        sweep.csv -> table1.csv + table1.json (exact count-rate inversion)
 correlations  table1.json -> table2.csv (correlation-function table)
 saturation    -> curves.csv (thermal vs coherent detector response)
 simulate      -> simcounts.json (Monte Carlo with analytic comparison)
@@ -23,7 +23,7 @@ from pathlib import Path
 from .correlation import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, build_table_two
 from .detector_model import DetectorChain
 from .errors import ResourceLimitError, SweepFormatError
-from .inversion import MAX_ITER_DEFAULT, TOL_INV_DEFAULT, FailedRow, build_table
+from .inversion import FailedRow, build_table
 from .montecarlo import (
     DEFAULT_CHUNK_PULSES,
     SimConfig,
@@ -68,19 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser(
         "invert",
         help="recover (tau, eta1, eta2) and generation rates from a sweep CSV",
+        description="Invert each sweep row's singles and coincidences in "
+        "closed form; rows no (tau, eta1, eta2) can produce are reported "
+        "and skipped.",
     )
     p_inv.add_argument("sweep", type=Path, help="input sweep CSV")
     p_inv.add_argument(
         "--rep-rate", type=float, default=REP_RATE_DEFAULT,
         help="pulse repetition rate in Hz (default %(default)s)",
-    )
-    p_inv.add_argument(
-        "--tol-inv", type=float, default=TOL_INV_DEFAULT,
-        help="relative residual tolerance of the solver (default %(default)s)",
-    )
-    p_inv.add_argument(
-        "--max-iter", type=int, default=MAX_ITER_DEFAULT,
-        help="iteration cap of the solver (default %(default)s)",
     )
     p_inv.add_argument(
         "--out", type=Path, default=Path("."),
@@ -166,9 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_invert(args) -> int:
     records = read_sweep(args.sweep)
-    rows = build_table(
-        records, args.rep_rate, tol_inv=args.tol_inv, max_iter=args.max_iter
-    )
+    rows = build_table(records, args.rep_rate)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "table1.csv"
     json_path = args.out / "table1.json"

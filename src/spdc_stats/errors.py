@@ -4,8 +4,8 @@ Plain ``ValueError`` is raised for ordinary argument-domain violations
 (probabilities outside [0, 1), negative rates, and so on).  The types here
 mark conditions a caller may want to handle specially: quantities whose
 defining ratio diverges, measured tables that no parameter set can
-reproduce, solver failures, and computations that would exceed hard
-resource caps.
+reproduce, inversions whose forward residual fails its gate, and
+computations that would exceed hard resource caps.
 """
 
 
@@ -22,12 +22,16 @@ class DataInconsistencyError(ValueError):
 
 
 class InversionError(RuntimeError):
-    """The count-rate inversion failed to converge.
+    """The count-rate inversion's forward residual exceeds its gate.
+
+    The inversion is explicit, so this marks rounding gone wrong, not a
+    solver that stopped early: the forward rates at the solution miss the
+    measured ones by more than ``inversion.RESIDUAL_MAX`` (relative).
 
     Attributes
     ----------
     residual : float
-        Best relative residual reached before giving up.
+        The largest relative miss of the three forward rates.
     """
 
     def __init__(self, message: str, residual: float = float("nan")):

@@ -7,11 +7,37 @@ per-pulse emission parameter at pump power p.  This module solves that
 system, derives the generation-rate columns that follow from x, and
 calibrates detector efficiency from an attenuated-laser measurement.
 
-The production solver is a damped Newton iteration in logit coordinates
-(logit eta1, logit eta2, logit x), which keeps every iterate inside the
-physical box (0,1)^3.  If Newton stalls, a bisection of the equivalent
-one-dimensional problem in x (eta1 and eta2 eliminated through the singles
-equations) provides a guaranteed-bracketed fallback.
+The system has an exact solution.  Write s_i = SC_i/f and c = CC/f for
+the per-pulse click probabilities and z_i = 1 - eta_i.  A geometric
+source with Pr(n) = (1 - x) x^n leaves detector i dark with probability
+(1 - x)/(1 - z_i x) and both detectors dark with (1 - x)/(1 - z1 z2 x), so
+
+    1 - s_i            = (1 - x) / (1 - z_i x)
+    1 - s1 - s2 + c    = (1 - x) / (1 - z1 z2 x).
+
+The first pair gives z_i x = (x - s_i)/(1 - s_i).  Putting both into the
+second and dividing by 1 - x leaves an equation linear in x:
+
+    x   = s1 s2 (1 - s1 - s2 + c) / (c - s1 s2)
+    eta_i = s_i (1 - x) / ((1 - s_i) x).
+
+Feasibility is explicit.  Beyond positive rates, cc <= min(sc1, sc2) and
+singles below f, a solution needs
+
+- c > s1 s2: coincidences above the accidental floor, which makes x > 0;
+- 0 < x < 1: x < 1 is the same as eta_i > 0, and x = 0 can only come
+  from s1 s2 underflowing at rates near 1e-170 counts/s.
+
+Each raises DataInconsistencyError naming the inequality.  eta_i <= 1
+needs no test of its own: exactly, 1 - eta1 = (1 - s2)(s2 - c) /
+((1 - s1) s2 (1 - s1 - s2 + c)), so cc <= sc2 implies it.  In floating
+point a row with cc == sc2 rounds to eta1 = 1 + 2.2e-16, so each eta is
+clamped to 1.
+
+The returned residual is the largest relative miss of the forward rates
+(singles_rate, coincidence_rate) at the solution.  It sits near machine
+precision; a result above RESIDUAL_MAX raises InversionError instead of
+being returned.
 """
 
 from __future__ import annotations
@@ -21,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector_model import coincidence_rate, singles_rate
 from .errors import DataInconsistencyError, InversionError
 from .photon_statistics import mean_pairs_per_pulse, one_pair_rate, pair_rate
 
@@ -28,10 +55,8 @@ from .photon_statistics import mean_pairs_per_pulse, one_pair_rate, pair_rate
 _PLANCK = 6.62607015e-34  # J s
 _SPEED_OF_LIGHT = 299792458.0  # m/s
 
-TOL_INV_DEFAULT = 1e-9
-MAX_ITER_DEFAULT = 200
-
-_LOGIT_CLAMP = 34.0
+# largest relative forward residual a returned inversion may carry
+RESIDUAL_MAX = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,7 +99,11 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Solution of the three-rate system with convergence diagnostics."""
+    """Solution of the three-rate system with its forward residual.
+
+    iterations is always 0: the solution is explicit.  The field stays so
+    that table1.json keeps its schema.
+    """
 
     tau: float
     eta1: float
@@ -82,7 +111,6 @@ class InversionResult:
     x: float
     residual: float
     iterations: int
-    solver: str
     tau_sigma: float | None = None
     eta1_sigma: float | None = None
     eta2_sigma: float | None = None
@@ -118,15 +146,6 @@ class FailedRow:
     error: str
 
 
-def _model_rates(x: float, eta1: float, eta2: float) -> tuple[float, float, float]:
-    """Per-pulse click probabilities (sc1/f, sc2/f, cc/f)."""
-    z1, z2 = 1.0 - eta1, 1.0 - eta2
-    r1 = (1.0 - x) / (1.0 - z1 * x)
-    r2 = (1.0 - x) / (1.0 - z2 * x)
-    r12 = (1.0 - x) / (1.0 - z1 * z2 * x)
-    return 1.0 - r1, 1.0 - r2, 1.0 - r1 - r2 + r12
-
-
 def _jacobian(x: float, eta1: float, eta2: float) -> np.ndarray:
     """d(model rates)/d(eta1, eta2, x), rows in (m1, m2, mc) order."""
     z1, z2 = 1.0 - eta1, 1.0 - eta2
@@ -145,106 +164,22 @@ def _jacobian(x: float, eta1: float, eta2: float) -> np.ndarray:
     return j
 
 
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return math.log(p / (1.0 - p))
-
-
-def _expit(u: float) -> float:
-    u = min(max(u, -_LOGIT_CLAMP), _LOGIT_CLAMP)
-    return 1.0 / (1.0 + math.exp(-u))
-
-
-def _residual_vec(theta: np.ndarray, targets: tuple[float, float, float]) -> np.ndarray:
-    eta1, eta2, x = (_expit(u) for u in theta)
-    m = _model_rates(x, eta1, eta2)
-    return np.array([m[i] / targets[i] - 1.0 for i in range(3)])
-
-
-def _newton(targets, theta0, tol_inv, max_iter):
-    theta = np.array(theta0, dtype=float)
-    r = _residual_vec(theta, targets)
-    res = float(np.max(np.abs(r)))
-    for it in range(1, max_iter + 1):
-        if res <= tol_inv:
-            return theta, res, it - 1
-        eta1, eta2, x = (_expit(u) for u in theta)
-        j = _jacobian(x, eta1, eta2)
-        # chain rule to logit coordinates and to relative residuals
-        scale = np.array([eta1 * (1 - eta1), eta2 * (1 - eta2), x * (1 - x)])
-        jl = (j * scale[None, :]) / np.array(targets)[:, None]
-        try:
-            step = np.linalg.solve(jl, -r)
-        except np.linalg.LinAlgError:
-            return theta, res, it - 1
-        lam = 1.0
-        for _ in range(25):
-            trial = np.clip(theta + lam * step, -_LOGIT_CLAMP, _LOGIT_CLAMP)
-            r_trial = _residual_vec(trial, targets)
-            res_trial = float(np.max(np.abs(r_trial)))
-            if res_trial < res * (1.0 - 1e-4 * lam) or res_trial <= tol_inv:
-                theta, r, res = trial, r_trial, res_trial
-                break
-            lam *= 0.5
-        else:
-            return theta, res, it
-    return theta, res, max_iter
-
-
-def _bisect_x(s1: float, s2: float, c: float, iterations: int = 200):
-    """Solve the 1-D reduction for x with the eta's eliminated.
-
-    Substituting the singles equations into the coincidence equation gives
-    h(x) = (1-x) / (1 - A(x) B(x) / x) - (1 - s1 - s2 + c) with
-    A = (x - s1)/(1 - s1) = (1-eta1) x and B likewise for arm 2.  h is
-    positive at x = max(s1, s2) and negative at x -> 1 for consistent
-    data, so plain bisection cannot miss the root.
-    """
-    target = 1.0 - s1 - s2 + c
-
-    def h(x):
-        a = (x - s1) / (1.0 - s1)
-        b = (x - s2) / (1.0 - s2)
-        return (1.0 - x) / (1.0 - a * b / x) - target
-
-    lo = max(s1, s2) * (1.0 + 1e-15)
-    hi = 1.0 - 1e-15
-    if h(lo) < 0 or h(hi) > 0:
-        raise DataInconsistencyError(
-            "count rates admit no solution with 0 < x < 1"
-        )
-    count = 0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        count += 1
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * hi:
-            break
-    x = 0.5 * (lo + hi)
-    eta1 = 1.0 - (x - s1) / ((1.0 - s1) * x)
-    eta2 = 1.0 - (x - s2) / ((1.0 - s2) * x)
-    return x, eta1, eta2, count
-
-
 def invert_counts(
     f: float,
     power_mw: float,
     sc1: float,
     sc2: float,
     cc: float,
-    tol_inv: float = TOL_INV_DEFAULT,
-    max_iter: int = MAX_ITER_DEFAULT,
     with_sigma: bool = False,
     integration_time: float = 1.0,
 ) -> InversionResult:
     """Solve (sc1, sc2, cc) for (tau, eta1, eta2) at pump power power_mw.
 
-    Optionally propagates Poissonian counting noise (sqrt of the counts
-    accumulated over ``integration_time`` seconds, the three rates treated
-    as independent) through the linearized system into 1-sigma bands.
+    Optionally propagates counting noise through the linearized system into
+    1-sigma bands.  The noise model is per-pulse multinomial over the
+    f * integration_time pulses counted: every coincidence is also a
+    single in both arms, so the three rates are correlated, not
+    independent Poisson counts.
     """
     if f <= 0:
         raise ValueError(f"repetition rate must be positive, got {f!r}")
@@ -264,33 +199,37 @@ def invert_counts(
             f"singles rate exceeds the repetition rate {f}"
         )
     s1, s2, c = sc1 / f, sc2 / f, cc / f
-    targets = (s1, s2, c)
+    excess = c - s1 * s2
+    if not excess > 0:
+        raise DataInconsistencyError(
+            "count rates admit no solution: c > s1*s2 fails, coincidences "
+            f"{cc} are at or below the accidental floor sc1*sc2/f = "
+            f"{sc1 * sc2 / f:.6g}"
+        )
+    x = s1 * s2 * ((1.0 - s1 - s2) + c) / excess
+    if not 0.0 < x < 1.0:
+        raise DataInconsistencyError(
+            f"count rates admit no solution: 0 < x < 1 fails, x = {x:.6g}"
+        )
+    eta1 = min(s1 * (1.0 - x) / ((1.0 - s1) * x), 1.0)
+    eta2 = min(s2 * (1.0 - x) / ((1.0 - s2) * x), 1.0)
 
-    theta0 = (
-        _logit(cc / sc2),
-        _logit(cc / sc1),
-        _logit(sc1 * sc2 / (cc * f)),
+    res = max(
+        abs(singles_rate(f, x, eta1) / sc1 - 1.0),
+        abs(singles_rate(f, x, eta2) / sc2 - 1.0),
+        abs(coincidence_rate(f, x, eta1, eta2) / cc - 1.0),
     )
-    theta, res, iters = _newton(targets, theta0, tol_inv, max_iter)
-    solver = "newton"
-    if res > tol_inv:
-        x, eta1, eta2, bis_iters = _bisect_x(s1, s2, c)
-        theta = np.array([_logit(eta1), _logit(eta2), _logit(x)])
-        res = float(np.max(np.abs(_residual_vec(theta, targets))))
-        iters += bis_iters
-        solver = "bisection"
-        if res > tol_inv:
-            raise InversionError(
-                f"inversion did not converge: residual {res:.3e} "
-                f"after {iters} iterations",
-                residual=res,
-            )
-    eta1, eta2, x = (_expit(u) for u in theta)
+    if not res <= RESIDUAL_MAX:
+        raise InversionError(
+            f"forward residual {res:.3e} of the explicit solution exceeds "
+            f"{RESIDUAL_MAX:g}",
+            residual=res,
+        )
 
     sigmas = (None, None, None)
     if with_sigma:
         sigmas = _propagate_sigma(
-            f, power_mw, (sc1, sc2, cc), (eta1, eta2, x), integration_time
+            f, power_mw, (s1, s2, c), (eta1, eta2, x), integration_time
         )
     return InversionResult(
         tau=x / power_mw,
@@ -298,15 +237,14 @@ def invert_counts(
         eta2=eta2,
         x=x,
         residual=res,
-        iterations=iters,
-        solver=solver,
+        iterations=0,
         tau_sigma=sigmas[0],
         eta1_sigma=sigmas[1],
         eta2_sigma=sigmas[2],
     )
 
 
-def _propagate_sigma(f, power_mw, rates, params, integration_time):
+def _propagate_sigma(f, power_mw, probs, params, integration_time):
     eta1, eta2, x = params
     if integration_time <= 0:
         raise ValueError("integration_time must be positive")
@@ -315,9 +253,15 @@ def _propagate_sigma(f, power_mw, rates, params, integration_time):
         jinv = np.linalg.inv(j)
     except np.linalg.LinAlgError:
         return None, None, None
-    # sigma of each per-pulse probability from Poisson counts over T
-    sig_rates = np.array([math.sqrt(r / integration_time) / f for r in rates])
-    cov = jinv @ np.diag(sig_rates**2) @ jinv.T
+    # multinomial covariance of the per-pulse click indicators: a
+    # coincidence pulse is a click pulse in both arms
+    s1, s2, c = probs
+    cov_rates = np.array([
+        [s1 * (1.0 - s1), c - s1 * s2, c * (1.0 - s1)],
+        [c - s1 * s2, s2 * (1.0 - s2), c * (1.0 - s2)],
+        [c * (1.0 - s1), c * (1.0 - s2), c * (1.0 - c)],
+    ]) / (f * integration_time)
+    cov = jinv @ cov_rates @ jinv.T
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return sig[2] / power_mw, sig[0], sig[1]
 
@@ -368,19 +312,13 @@ def row_from_inversion(
 
 
 def build_table(
-    records: list[CountRecord],
-    f: float,
-    tol_inv: float = TOL_INV_DEFAULT,
-    max_iter: int = MAX_ITER_DEFAULT,
+    records: list[CountRecord], f: float
 ) -> list[TableOneRow | FailedRow]:
     """Invert every sweep row, collecting failures instead of aborting."""
     out: list[TableOneRow | FailedRow] = []
     for rec in records:
         try:
-            inv = invert_counts(
-                f, rec.power_mw, rec.sc1, rec.sc2, rec.cc,
-                tol_inv=tol_inv, max_iter=max_iter,
-            )
+            inv = invert_counts(f, rec.power_mw, rec.sc1, rec.sc2, rec.cc)
         except (ValueError, InversionError) as exc:
             out.append(FailedRow(record=rec, error=str(exc)))
             continue

@@ -690,7 +690,9 @@ def analytic_expectations(config: SimConfig) -> dict[str, float]:
     out["pair12"] = rates.cc12
     out["pair13"] = rates.cc13
     out["triple123"] = rates.cc123
-    if x > 0:
+    # the same rule compare_with_analytic applies to the observed pairs:
+    # with no pair coincidences the g2 estimator is undefined
+    if rates.cc12 + rates.cc13 > 0:
         out["g2"] = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
     return out
 

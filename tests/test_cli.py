@@ -330,6 +330,18 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.read_text())["comparison"]["triple123"]["analytic"] > 0
 
+    @pytest.mark.parametrize("eta1,eta23", [("0", "0.2"), ("0.2", "0")])
+    def test_split_with_dark_detectors(self, tmp_path, eta1, eta23):
+        # no pair coincidences can occur, so there is no g2 to compare
+        out = tmp_path / "dark.json"
+        code = main([
+            "simulate", "--mode", "heralded_split", "--x", "0.1",
+            "--eta1", eta1, "--eta2", eta23, "--eta3", eta23,
+            "--pulses", "10000", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert "g2" not in json.loads(out.read_text())["comparison"]
+
     def test_five_sigma_gate(self, tmp_path, monkeypatch, capsys):
         import spdc_stats.cli as cli_module
 
@@ -373,6 +385,12 @@ class TestSweepRoundTrip:
         f, rows = read_table1_json(path)
         assert f == 76e6
         assert rows == inverted_rows
+        # tables written while the inversion was iterative carry a solver key
+        payload = json.loads(path.read_text())
+        for row in payload["rows"]:
+            row["solver"] = "newton"
+        path.write_text(json.dumps(payload))
+        assert read_table1_json(path) == (76e6, inverted_rows)
 
 
 class TestEntryPoint:

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spdc_stats import (
     CountRecord,
     DataInconsistencyError,
+    DetectorChain,
     FailedRow,
+    InversionError,
+    SimConfig,
     TableOneRow,
     build_table,
     coincidence_rate,
     invert_counts,
     naive_pair_rate,
     sde_from_attenuated_laser,
+    simulate,
     singles_rate,
     two_arm_rates,
 )
+from spdc_stats import inversion
 from checks import within_printed
 
 F = 76e6
@@ -76,8 +83,49 @@ class TestInvertCounts:
     def test_rejects_anticorrelated_counts(self):
         # bucket clicks on a shared pair number are positively correlated,
         # so cc * f < sc1 * sc2 admits no solution
-        with pytest.raises(DataInconsistencyError, match="no solution"):
+        with pytest.raises(DataInconsistencyError, match=r"c > s1\*s2"):
             invert_counts(F, 10, 1e6, 1e6, 1.0)
+
+    def test_rejects_counts_that_need_zero_efficiency(self):
+        # above the accidental floor and below both singles, yet the only
+        # solution has x >= 1, i.e. eta <= 0
+        with pytest.raises(DataInconsistencyError, match="0 < x < 1"):
+            invert_counts(F, 10, 0.5 * F, 0.5 * F, 0.26 * F)
+
+    @pytest.mark.parametrize(
+        "sc1,sc2,cc,saturated",
+        [(223e3, 205e3, 205e3, "eta1"), (205e3, 223e3, 205e3, "eta2")],
+    )
+    def test_coincidences_equal_to_a_singles_rate(self, sc1, sc2, cc, saturated):
+        # the exact solution is eta = 1; unclamped it rounds to 1 + 2.2e-16
+        res = invert_counts(F, 10, sc1, sc2, cc)
+        assert getattr(res, saturated) == 1.0
+
+    def test_residual_gate(self, monkeypatch):
+        monkeypatch.setattr(inversion, "RESIDUAL_MAX", 0.0)
+        with pytest.raises(InversionError, match="residual") as info:
+            invert_counts(F, 10, 223e3, 205e3, 45e3)
+        assert info.value.residual > 0
+        (row,) = build_table([CountRecord(10, 223e3, 205e3, 45e3)], F)
+        assert isinstance(row, FailedRow)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_x=st.floats(np.log(1e-9), np.log(0.99)),
+        eta1=st.floats(1e-6, 1.0),
+        eta2=st.floats(1e-6, 1.0),
+    )
+    def test_forward_then_inverse_is_identity(self, log_x, eta1, eta2):
+        x = float(np.exp(log_x))
+        pred = two_arm_rates(F, x, eta1, eta2)
+        # within ~1e-14 of eta = 1 the forward closed forms can round cc
+        # above the other arm's singles, which no count record can show
+        assume(pred.cc <= min(pred.sc1, pred.sc2))
+        res = invert_counts(F, 1.0, pred.sc1, pred.sc2, pred.cc)
+        assert res.x == pytest.approx(x, rel=1e-11)
+        assert res.eta1 == pytest.approx(eta1, rel=1e-11)
+        assert res.eta2 == pytest.approx(eta2, rel=1e-11)
+        assert res.residual <= 1e-13
 
     @pytest.mark.parametrize(
         "sc1,sc2,cc",
@@ -96,6 +144,31 @@ class TestInvertCounts:
         assert banded.eta2_sigma > 0
         # a counting experiment this long pins tau to better than a percent
         assert banded.tau_sigma / banded.tau < 0.01
+
+    def test_sigma_bands_cover_monte_carlo_runs(self, inverted_rows):
+        # 10 ms of pulses at the 10 mW row's parameters, 200 fixed seeds:
+        # about 68 % of runs must invert to within their own 1-sigma band
+        # (0.68 +- 0.13 is four binomial sigmas)
+        truth = inverted_rows[0]
+        pulses = 760_000
+        t = pulses / F
+        chain = DetectorChain(eta1=truth.eta1, eta2=truth.eta2)
+        inside = np.zeros(3)
+        for seed in range(200):
+            counts = simulate(SimConfig(
+                mode="two_arm", pulses=pulses, seed=seed, x=truth.x, chain=chain,
+            ))
+            res = invert_counts(
+                F, truth.power_mw, counts.clicks1 / t, counts.clicks2 / t,
+                counts.pair12 / t, with_sigma=True, integration_time=t,
+            )
+            inside += [
+                abs(res.tau - truth.tau) <= res.tau_sigma,
+                abs(res.eta1 - truth.eta1) <= res.eta1_sigma,
+                abs(res.eta2 - truth.eta2) <= res.eta2_sigma,
+            ]
+        share = inside / 200
+        assert np.all(np.abs(share - 0.68) <= 0.13), share
 
 
 class TestNaivePairRate:
