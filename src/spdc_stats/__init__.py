@@ -19,7 +19,6 @@ from .correlation import (
     g2_unheralded,
     g3_signal_idler,
     g3_unheralded,
-    pooled_moment_check,
     report_for_row,
 )
 from .detector_model import (
@@ -55,20 +54,14 @@ from .montecarlo import (
     analytic_expectations,
     compare_with_analytic,
     g2_with_stderr,
-    geometric_sampler,
     resolve_threads,
     simulate,
 )
 from .photon_statistics import (
-    CoherentDistribution,
-    PairDistribution,
-    factorial_moment,
     mean_pairs_per_pulse,
     one_pair_rate,
-    pair_probability,
     pair_rate,
     truncation_order,
-    weighted_pair_sum,
 )
 from .saturation import (
     GAP_PEAK_Z,
@@ -93,7 +86,6 @@ from .sweepio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoherentDistribution",
     "CorrelationReport",
     "CountRecord",
     "DataInconsistencyError",
@@ -103,7 +95,6 @@ __all__ = [
     "GAP_PEAK_Z",
     "InversionError",
     "InversionResult",
-    "PairDistribution",
     "RatePrediction",
     "ResourceLimitError",
     "SaturationCurve",
@@ -122,7 +113,6 @@ __all__ = [
     "curve",
     "default_mean_grid",
     "detected_vs_incident",
-    "factorial_moment",
     "g2_from_counts",
     "g2_heralded_ideal",
     "g2_heralded_predicted",
@@ -131,16 +121,13 @@ __all__ = [
     "g2_with_stderr",
     "g3_signal_idler",
     "g3_unheralded",
-    "geometric_sampler",
     "invert_counts",
     "load_bundled_csv",
     "load_bundled_sweep",
     "mean_pairs_per_pulse",
     "naive_pair_rate",
     "one_pair_rate",
-    "pair_probability",
     "pair_rate",
-    "pooled_moment_check",
     "read_sweep",
     "read_table1_json",
     "report_for_row",
@@ -152,7 +139,6 @@ __all__ = [
     "split_coincidences",
     "truncation_order",
     "two_arm_rates",
-    "weighted_pair_sum",
     "write_sweep",
     "write_table1_csv",
     "write_table1_json",

@@ -15,9 +15,9 @@ the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
   rate predictions for a given (x, eta1, eta2, eta3), which accounts for
   multi-pair emission seen through lossy bucket detectors.
 
-Closed forms are the default and the production path; ``method="series"``
-evaluates the defining photon-number sums and ``method="moments"`` (where
-offered) goes through raw moments, for cross-checking.
+Each value has one closed form and no other path.  The photon-number
+series and raw-moment formulas that define them are test references in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,17 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detector_model import split_coincidences, validate_efficiency
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
-from .photon_statistics import (
-    EPS_TRUNC_DEFAULT,
-    factorial_moment,
-    validate_emission_parameter,
-    weighted_pair_sum,
-)
+from .photon_statistics import validate_emission_parameter
 
 # Branch efficiencies after the balanced splitter, relative to the full
 # signal-arm efficiency recovered by the inversion.  The transmitted
@@ -81,69 +74,31 @@ def g2_from_counts(
     return value, math.sqrt(var)
 
 
-def g2_unheralded(
-    x: float, method: str = "closed", eps_trunc: float = EPS_TRUNC_DEFAULT
-) -> float:
+def g2_unheralded(x: float) -> float:
     """Single-arm g2(0); exactly 2 for the geometric distribution."""
-    x = validate_emission_parameter(x)
-    if method == "closed":
-        return 2.0
-    if method == "series":
-        return _series_ratio(x, order=2, eps_trunc=eps_trunc)
-    raise ValueError(f"unknown method {method!r}")
+    validate_emission_parameter(x)
+    return 2.0
 
 
-def g3_unheralded(
-    x: float, method: str = "closed", eps_trunc: float = EPS_TRUNC_DEFAULT
-) -> float:
+def g3_unheralded(x: float) -> float:
     """Single-arm g3(0); exactly 6 for the geometric distribution."""
     x = validate_emission_parameter(x)
     if x == 0.0:
         raise DivergenceError("g3 undefined at x = 0 (no photons)")
-    if method == "closed":
-        return 6.0
-    if method == "series":
-        return _series_ratio(x, order=3, eps_trunc=eps_trunc)
-    raise ValueError(f"unknown method {method!r}")
+    return 6.0
 
 
-def _series_ratio(x: float, order: int, eps_trunc: float) -> float:
-    if x == 0.0:
-        raise DivergenceError("correlation series undefined at x = 0")
-    num = factorial_moment(x, order, method="series", eps_trunc=eps_trunc)
-    mean = factorial_moment(x, 1, method="series", eps_trunc=eps_trunc)
-    return num / mean**order
-
-
-def g2_heralded_ideal(
-    x: float, method: str = "closed", eps_trunc: float = EPS_TRUNC_DEFAULT
-) -> float:
+def g2_heralded_ideal(x: float) -> float:
     """g2(0) of the signal arm under a perfect herald; equals 2x.
 
     The heralded pair-number distribution is the source distribution
     conditioned on n >= 1.  At x = 0 the heralded state is a single pair
     with certainty in the limit, so 0 is returned.
     """
-    x = validate_emission_parameter(x)
-    if method == "closed":
-        return 2.0 * x
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
-    if x == 0.0:
-        return 0.0
-    # conditional moments: E[w(n) | n >= 1] = sum w(n) Pr(n) / x
-    num = weighted_pair_sum(
-        x, lambda n: (n * (n - 1.0)), eps_trunc, n_start=2
-    ) / x
-    mean = weighted_pair_sum(
-        x, lambda n: n.astype(float), eps_trunc, n_start=1
-    ) / x
-    return num / mean**2
+    return 2.0 * validate_emission_parameter(x)
 
 
-def g2_signal_idler(
-    x: float, method: str = "closed", eps_trunc: float = EPS_TRUNC_DEFAULT
-) -> float:
+def g2_signal_idler(x: float) -> float:
     """g2(0) of the pooled signal+idler field (2n photons per pulse).
 
     Equals 1/(2x) + 3/2; diverges as x -> 0.
@@ -151,50 +106,15 @@ def g2_signal_idler(
     x = validate_emission_parameter(x)
     if x == 0.0:
         raise DivergenceError("g2 of the pooled field diverges at x = 0")
-    if method == "closed":
-        return 1.0 / (2.0 * x) + 1.5
-    if method == "series":
-        num = weighted_pair_sum(
-            x, lambda n: 2.0 * n * (2.0 * n - 1.0), eps_trunc, n_start=1
-        )
-        mean = weighted_pair_sum(
-            x, lambda n: 2.0 * n.astype(float), eps_trunc, n_start=1
-        )
-        return num / mean**2
-    if method == "moments":
-        mu = x / (1.0 - x)
-        m1, m2 = 2.0 * mu, 4.0 * (2.0 * mu**2 + mu)
-        return (m2 - m1) / m1**2
-    raise ValueError(f"unknown method {method!r}")
+    return 1.0 / (2.0 * x) + 1.5
 
 
-def g3_signal_idler(
-    x: float, method: str = "closed", eps_trunc: float = EPS_TRUNC_DEFAULT
-) -> float:
+def g3_signal_idler(x: float) -> float:
     """g3(0) of the pooled signal+idler field; equals 3 (1 + x) / x."""
     x = validate_emission_parameter(x)
     if x == 0.0:
         raise DivergenceError("g3 of the pooled field diverges at x = 0")
-    if method == "closed":
-        return 3.0 * (1.0 + x) / x
-    if method == "series":
-        num = weighted_pair_sum(
-            x,
-            lambda n: 2.0 * n * (2.0 * n - 1.0) * (2.0 * n - 2.0),
-            eps_trunc,
-            n_start=1,
-        )
-        mean = weighted_pair_sum(
-            x, lambda n: 2.0 * n.astype(float), eps_trunc, n_start=1
-        )
-        return num / mean**3
-    if method == "moments":
-        mu = x / (1.0 - x)
-        m1 = 2.0 * mu
-        m2 = 4.0 * (2.0 * mu**2 + mu)
-        m3 = 8.0 * (6.0 * mu**3 + 6.0 * mu**2 + mu)
-        return (m3 - 3.0 * m2 + 2.0 * m1) / m1**3
-    raise ValueError(f"unknown method {method!r}")
+    return 3.0 * (1.0 + x) / x
 
 
 def g2_heralded_predicted(
@@ -203,8 +123,6 @@ def g2_heralded_predicted(
     eta2: float,
     eta3: float,
     f: float = 1.0,
-    method: str = "closed",
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> float:
     """g2 the splitter measurement would report, from the rate model.
 
@@ -212,8 +130,7 @@ def g2_heralded_predicted(
     parameter x seen by the heralding detector eta1 and the two
     post-splitter branches eta2, eta3.  The repetition rate cancels in
     the estimator; f is accepted only for interface symmetry.  The rates
-    come from the closed forms of ``split_coincidences`` by default;
-    ``method="series"`` (truncated at ``eps_trunc``) is a cross-check.
+    come from the closed forms of ``split_coincidences``.
 
     At x = 0 the limit 0 is returned (one pair at most, no accidentals).
     """
@@ -223,9 +140,7 @@ def g2_heralded_predicted(
     validate_efficiency(eta3, "eta3")
     if x == 0.0:
         return 0.0
-    rates = split_coincidences(
-        f, x, eta1, eta2, eta3, method=method, eps_trunc=eps_trunc
-    )
+    rates = split_coincidences(f, x, eta1, eta2, eta3)
     return g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
 
 
@@ -303,14 +218,3 @@ def build_table_two(
         )
     return out
 
-
-def pooled_moment_check(x: float) -> tuple[float, float]:
-    """Raw-moment identity values (g2, g3) of the pooled field.
-
-    Convenience wrapper used by cross-checks; both entries must agree
-    with the closed forms.
-    """
-    return (
-        g2_signal_idler(x, method="moments"),
-        g3_signal_idler(x, method="moments"),
-    )

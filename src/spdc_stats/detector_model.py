@@ -7,12 +7,11 @@ coincidence rates, and the rates seen when one arm is divided by a
 balanced splitter onto two detectors.
 
 Closed forms exist for every rate here because the geometric distribution
-has the probability generating function G(z) = (1 - x) / (1 - z x).  They
-are the default and the production path, written as sums and products of
-positive terms so they keep full relative precision down to x -> 0 and
-eta -> 0.  Every function also offers an explicit series path
-(``method="series"``) that evaluates the defining sums term by term; it is
-a cross-check for the tests, not a production path.
+has the probability generating function G(z) = (1 - x) / (1 - z x).  Each
+rate has one closed form and no other path, written as sums and products
+of positive terms so it keeps full relative precision down to x -> 0 and
+eta -> 0.  The series sums that define the rates are test references in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,18 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_statistics import (
-    EPS_TRUNC_DEFAULT,
-    CoherentDistribution,
-    log_binomial_half,
-    log_factorials,
-    validate_emission_parameter,
-    weighted_pair_sum,
-)
-
-# Exact integer binomials are used up to this n; beyond it the weights
-# C(n, k) / 2**n are formed in log space to avoid overflow.
-_EXACT_BINOM_MAX_N = 60
+from .photon_statistics import validate_emission_parameter
 
 
 def validate_efficiency(eta: float, name: str = "eta") -> float:
@@ -102,56 +90,37 @@ class RatePrediction:
     sc1h: float | None = None
 
 
-def singles_rate(
-    f: float,
-    x: float,
-    eta: float,
-    method: str = "closed",
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
-) -> float:
+def singles_rate(f: float, x: float, eta: float) -> float:
     """Singles click rate of one bucket detector on one arm, counts/s."""
     _validate_rep_rate(f)
     x = validate_emission_parameter(x)
     eta = validate_efficiency(eta)
-    if method == "closed":
-        # algebraically equal to 1 - E[(1-eta)**n] but free of the
-        # subtractive cancellation that form suffers at small eta*x
-        return f * eta * x / (1.0 - (1.0 - eta) * x)
-    if method == "series":
-        return f * weighted_pair_sum(
-            x, lambda n: click_probability(n, eta), eps_trunc
-        )
-    raise ValueError(f"unknown method {method!r}")
+    # algebraically equal to 1 - E[(1-eta)**n] but free of the
+    # subtractive cancellation that form suffers at small eta*x
+    return f * eta * x / (1.0 - (1.0 - eta) * x)
 
 
-def coincidence_rate(
-    f: float,
-    x: float,
-    eta1: float,
-    eta2: float,
-    method: str = "closed",
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
-) -> float:
-    """Two-detector coincidence rate with one detector per arm, counts/s."""
+def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
+    """Two-detector coincidence rate with one detector per arm, counts/s.
+
+    Never above ``singles_rate`` of either arm, as no coincidence can be.
+    """
     _validate_rep_rate(f)
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
     z1, z2 = 1.0 - eta1, 1.0 - eta2
-    if method == "closed":
-        # positive-term rearrangement of
-        # 1 - E[z1**n] - E[z2**n] + E[(z1 z2)**n]; exact algebra, but
-        # with every term positive it stays accurate at small eta*x
-        a = 1.0 - z1 * x
-        b = 1.0 - z2 * x
-        c = 1.0 - z1 * z2 * x
-        bracket = z1 * x / (a * c) + z2 * x / (b * c) + 1.0 / c
-        return f * x * eta1 * eta2 * bracket
-    if method == "series":
-        def weight(n):
-            return click_probability(n, eta1) * click_probability(n, eta2)
-        return f * weighted_pair_sum(x, weight, eps_trunc)
-    raise ValueError(f"unknown method {method!r}")
+    # positive-term rearrangement of
+    # 1 - E[z1**n] - E[z2**n] + E[(z1 z2)**n]; exact algebra, but
+    # with every term positive it stays accurate at small eta*x
+    a = 1.0 - z1 * x
+    b = 1.0 - z2 * x
+    c = 1.0 - z1 * z2 * x
+    bracket = z1 * x / (a * c) + z2 * x / (b * c) + 1.0 / c
+    cc = f * x * eta1 * eta2 * bracket
+    # within ~1e-13 of eta = 1, where cc equals a singles rate, rounding
+    # can put cc an ulp or two above it
+    return min(cc, singles_rate(f, x, eta1), singles_rate(f, x, eta2))
 
 
 def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePrediction:
@@ -163,56 +132,34 @@ def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePredictio
     )
 
 
-def _split_weights(n: int) -> np.ndarray:
-    """Binomial weights C(n, k) / 2**n for k = 0 .. n."""
-    if n <= _EXACT_BINOM_MAX_N:
-        return np.array([math.comb(n, j) for j in range(n + 1)]) * 2.0 ** (-n)
-    return np.exp(log_binomial_half(n, log_factorials(n)))
-
-
 def split_coincidences(
     f: float,
     x: float,
     eta1: float,
     eta2: float,
     eta3: float,
-    method: str = "closed",
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> RatePrediction:
     """Rates when one arm feeds a balanced splitter onto two detectors.
 
     The n photons reaching the splitter divide binomially between the two
     output branches; detector 2 sees k photons with branch efficiency eta2
-    and detector 3 sees n - k with eta3.  The default closed form follows
-    from the generating function and is accurate to near machine precision
-    relative to each rate, for every x in [0, 1) and every efficiency in
-    [0, 1].  ``method="series"`` evaluates the binomial average explicitly
-    for each n, to within ``eps_trunc``, as a cross-check.
+    and detector 3 sees n - k with eta3.  The closed form follows from the
+    generating function and is accurate to near machine precision relative
+    to each rate, for every x in [0, 1) and every efficiency in [0, 1].
     """
     _validate_rep_rate(f)
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
     eta3 = validate_efficiency(eta3, "eta3")
-    sc1h = singles_rate(f, x, eta1)
-    if method == "series":
-        cc12, cc13, cc123 = (
-            f * weighted_pair_sum(x, w, eps_trunc)
-            for w in (
-                _split_weight_fn(eta1, eta2, eta3, "12"),
-                _split_weight_fn(eta1, eta2, eta3, "13"),
-                _split_weight_fn(eta1, eta2, eta3, "123"),
-            )
-        )
-    elif method == "closed":
-        # a balanced split followed by a detector of efficiency eta is one
-        # detector of efficiency eta/2 as far as branch pairs go
-        cc12 = coincidence_rate(f, x, eta1, eta2 / 2.0)
-        cc13 = coincidence_rate(f, x, eta1, eta3 / 2.0)
-        cc123 = f * _triple_per_pulse(x, eta1, eta2 / 2.0, eta3 / 2.0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RatePrediction(cc12=cc12, cc13=cc13, cc123=cc123, sc1h=sc1h)
+    # a balanced split followed by a detector of efficiency eta is one
+    # detector of efficiency eta/2 as far as branch pairs go
+    return RatePrediction(
+        cc12=coincidence_rate(f, x, eta1, eta2 / 2.0),
+        cc13=coincidence_rate(f, x, eta1, eta3 / 2.0),
+        cc123=f * _triple_per_pulse(x, eta1, eta2 / 2.0, eta3 / 2.0),
+        sc1h=singles_rate(f, x, eta1),
+    )
 
 
 def _triple_per_pulse(x: float, eta1: float, p: float, q: float) -> float:
@@ -250,37 +197,11 @@ def _triple_per_pulse(x: float, eta1: float, p: float, q: float) -> float:
     return head * -math.expm1(-delta)
 
 
-def _split_weight_fn(eta1, eta2, eta3, which):
-    def weight(ns: np.ndarray) -> np.ndarray:
-        out = np.empty(len(ns), dtype=np.float64)
-        for i, n in enumerate(ns):
-            n = int(n)
-            herald = click_probability(n, eta1)
-            if herald == 0.0:
-                out[i] = 0.0
-                continue
-            w = _split_weights(n)
-            k = np.arange(n + 1)
-            p2 = click_probability(k, eta2)
-            p3 = click_probability(k[::-1], eta3)  # n - k photons
-            if which == "12":
-                inner = float((w * p2).sum())
-            elif which == "13":
-                inner = float((w * p3).sum())
-            else:
-                inner = float((w * p2 * p3).sum())
-            out[i] = herald * inner
-        return out
-    return weight
-
-
 def detected_vs_incident(
     source_kind: str,
     mean: float,
     eta: float,
     variant: str = "click",
-    method: str = "closed",
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
 ) -> float:
     """Per-pulse detected signal versus mean incident photon number.
 
@@ -298,34 +219,13 @@ def detected_vs_incident(
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
 
-    if method == "closed":
-        if source_kind == "thermal":
-            if variant == "click":
-                return eta * mean / (1.0 + eta * mean)
-            return mean - (1.0 - eta) * mean / (1.0 + eta * mean) ** 2
-        if variant == "click":
-            return -math.expm1(-eta * mean)
-        return mean - mean * (1.0 - eta) * math.exp(-eta * mean)
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
-
     if source_kind == "thermal":
-        x = mean / (1.0 + mean)
         if variant == "click":
-            weight = lambda n: click_probability(n, eta)
-        else:
-            weight = lambda n: n * click_probability(n, eta)
-        return weighted_pair_sum(x, weight, eps_trunc)
-    # Poisson: tighten the tail so the n-weighted sum stays within budget
-    dist = CoherentDistribution(mean, eps_trunc=eps_trunc)
-    dist = CoherentDistribution(
-        mean, eps_trunc=eps_trunc / (10.0 * (dist.n_max + 1))
-    )
-    n = np.arange(dist.n_max + 1)
-    terms = dist.probabilities() * click_probability(n, eta)
-    if variant == "literal":
-        terms = terms * n
-    return float(terms.sum())
+            return eta * mean / (1.0 + eta * mean)
+        return mean - (1.0 - eta) * mean / (1.0 + eta * mean) ** 2
+    if variant == "click":
+        return -math.expm1(-eta * mean)
+    return mean - mean * (1.0 - eta) * math.exp(-eta * mean)
 
 
 def _validate_rep_rate(f: float) -> None:

@@ -187,20 +187,6 @@ class SimCounts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def geometric_sampler(x: float, rng: np.random.Generator, size=None):
-    """Draw pair numbers from Pr(n) = (1 - x) x**n by CDF inversion.
-
-    n = floor(log(u) / log(x)) for u uniform on (0, 1]; always 0 at x = 0.
-    """
-    x = validate_emission_parameter(x)
-    u = 1.0 - rng.random(size)
-    if x == 0.0:
-        zero = np.zeros_like(np.asarray(u), dtype=np.int64)
-        return int(zero) if size is None else zero
-    n = np.floor(np.log(u) / math.log(x)).astype(np.int64)
-    return int(n) if size is None else n
-
-
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """Map raw 64-bit words to floats in (0, 1]: ((w >> 11) + 1) / 2**53.
 
@@ -281,12 +267,13 @@ _Draw = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
 def _geometric_draw(x: float) -> _Draw:
     """n = 1 + floor(log(u) / log(x)) with u = ((w >> 11) + 1) * 2**-53.
 
-    The float steps are those of geometric_sampler on _uniforms, in the same
-    order, so every n is identical: a + 1 <= 2**53 converts exactly, the
-    scaling by a power of two is exact, log, then a true division by log(x)
-    (a multiply by 1 / log(x) would round differently), then a truncating
-    cast, which is floor because the ratio is >= 0 or -0.0.  u lives in a's
-    buffer.
+    This inverts the cdf of the geometric law Pr(n) = (1 - x) x**(n - 1),
+    n >= 1, which is the pair number conditioned on n >= 1.  Every n equals
+    that float formula applied to _uniforms(w): a + 1 <= 2**53 converts
+    exactly, the scaling by a power of two is exact, log, then a true
+    division by log(x) (a multiply by 1 / log(x) would round differently),
+    then a truncating cast, which is floor because the ratio is >= 0 or
+    -0.0.  u lives in a's buffer.
     """
     log_x = math.log(x)
 

@@ -1,6 +1,11 @@
-"""Shared helpers for comparing computed values against printed references."""
+"""Shared test helpers: comparisons against printed references, and pair
+numbers drawn by the Monte Carlo kernel."""
 
 from __future__ import annotations
+
+import numpy as np
+
+from spdc_stats.montecarlo import _geometric_draw
 
 
 def half_ulp(literal: str) -> float:
@@ -32,3 +37,28 @@ def printed_deviation(computed: float, literal: str) -> float:
     """Signed relative deviation of computed from the printed literal."""
     ref = float(literal)
     return (computed - ref) / ref
+
+
+def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
+    """How often each pair number n = 0, 1, ... occurs in ``size`` draws
+    from Pr(n) = (1 - x) x**n.
+
+    The draws are the kernel's ``_geometric_draw`` on the words of
+    Philox(seed), taken a million at a time; that draw returns n + 1, the
+    pair number of a pulse known to emit.
+    """
+    draw = _geometric_draw(x)
+    bit_generator = np.random.Philox(seed)
+    block = 1 << 20
+    a = np.empty(block, dtype=np.uint64)
+    n = np.empty(block, dtype=np.int64)
+    mask = np.empty(block, dtype=bool)
+    counts = np.zeros(1, dtype=np.int64)
+    for start in range(0, size, block):
+        m = min(block, size - start)
+        draw(bit_generator.random_raw(m), a[:m], n[:m], mask[:m])
+        c = np.bincount(n[:m] - 1)
+        if c.size > counts.size:
+            counts = np.pad(counts, (0, c.size - counts.size))
+        counts[: c.size] += c
+    return counts

@@ -1,0 +1,375 @@
+"""Series references for the package's closed forms.
+
+Every rate and correlation value the package computes in closed form is
+defined by a sum over the per-pulse photon-number distribution.  This module
+evaluates those defining sums term by term, and the pooled signal-idler
+correlations also through raw moments, so the tests can check each closed
+form against an independent path.  It shares the package's truncation
+policy (``truncation_order``), its Poisson table (``poisson_pmf``) and its
+per-photon click law (``click_probability``), and calls none of its closed
+forms.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+from spdc_stats import RatePrediction, ResourceLimitError
+from spdc_stats.detector_model import click_probability
+from spdc_stats.photon_statistics import (
+    EPS_TRUNC_DEFAULT,
+    N_MAX_CAP,
+    log_binomial_half,
+    log_factorials,
+    poisson_pmf,
+    truncation_order,
+    validate_emission_parameter,
+)
+
+_SERIES_BLOCK = 256
+
+# Exact integer binomials are used up to this n; beyond it the weights
+# C(n, k) / 2**n are formed in log space to avoid overflow.
+_EXACT_BINOM_MAX_N = 60
+
+
+def pair_probability(n, x: float):
+    """Probability of emitting exactly n pairs in one pulse, (1 - x) x**n.
+
+    Vectorized over n; returns a scalar for scalar n.
+    """
+    x = validate_emission_parameter(x)
+    n_arr = np.asarray(n)
+    if not np.issubdtype(n_arr.dtype, np.integer):
+        raise ValueError("pair count n must be integer")
+    if np.any(n_arr < 0):
+        raise ValueError("pair count n must be non-negative")
+    out = (1.0 - x) * np.power(float(x), n_arr, dtype=np.float64)
+    if np.isscalar(n) or n_arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def weighted_pair_sum(
+    x: float,
+    weight: Callable[[np.ndarray], np.ndarray],
+    n_start: int = 0,
+) -> float:
+    """Evaluate sum_{n >= n_start} weight(n) * Pr(n) adaptively.
+
+    ``weight`` must be vectorized over an int64 array and polynomially
+    bounded in n.  Summation proceeds in blocks past the tail-mass
+    truncation order until the geometric tail bound of the weighted series
+    falls below EPS_TRUNC_DEFAULT relative to the accumulated sum, so the
+    result is accurate to ~1e-12 even when the weights grow with n or the
+    sum itself is small.
+    """
+    x = validate_emission_parameter(x)
+    if x == 0.0:
+        if n_start > 0:
+            return 0.0
+        return float(weight(np.array([0]))[0])
+    n_floor = truncation_order(x)
+    total = 0.0
+    n0 = n_start
+    prev_last = None
+    while True:
+        n1 = min(n0 + _SERIES_BLOCK, N_MAX_CAP + 1)
+        n = np.arange(n0, n1, dtype=np.int64)
+        terms = np.asarray(weight(n), dtype=np.float64) * (1.0 - x) * x ** n
+        total += float(terms.sum())
+        last = abs(float(terms[-1]))
+        if n1 > n_floor:
+            # empirical growth ratio over the block, with the previous
+            # block's last term included so single-block sums are covered
+            mags = np.abs(terms)
+            if prev_last is not None:
+                mags = np.concatenate(([prev_last], mags))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = mags[1:] / mags[:-1]
+            ratios = ratios[np.isfinite(ratios)]
+            r = float(ratios[-min(32, ratios.size):].max()) if ratios.size else x
+            if r < 1.0:
+                tail_bound = last * r / (1.0 - r)
+                if tail_bound <= EPS_TRUNC_DEFAULT * max(abs(total), 1e-300):
+                    return total
+                if last == 0.0:
+                    return total
+        if n1 > N_MAX_CAP:
+            raise ResourceLimitError(
+                f"series for x={x} did not converge within {N_MAX_CAP} terms"
+            )
+        prev_last = last
+        n0 = n1
+
+
+@dataclass(frozen=True)
+class PairDistribution:
+    """Geometric pair-number distribution truncated by ``truncation_order``.
+
+    Fields
+    ------
+    x : emission parameter.
+    n_max : truncation order (pmf kept for n = 0 .. n_max).
+    tail_mass : probability mass beyond n_max, x**(n_max+1).
+    """
+
+    x: float
+    n_max: int = field(init=False)
+    tail_mass: float = field(init=False)
+
+    def __post_init__(self):
+        x = validate_emission_parameter(self.x)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "n_max", truncation_order(x))
+        object.__setattr__(self, "tail_mass", x ** (self.n_max + 1))
+
+    def probabilities(self) -> np.ndarray:
+        """pmf values for n = 0 .. n_max as an array."""
+        n = np.arange(self.n_max + 1)
+        return (1.0 - self.x) * self.x ** n
+
+    def pmf(self, n):
+        return pair_probability(n, self.x)
+
+
+@dataclass(frozen=True)
+class CoherentDistribution:
+    """Poisson photon-number distribution of mean nu, truncated where its
+    tail mass falls to EPS_TRUNC_DEFAULT."""
+
+    nu: float
+    n_max: int = field(init=False)
+    tail_mass: float = field(init=False)
+
+    def __post_init__(self):
+        nu = float(self.nu)
+        if nu < 0 or math.isnan(nu):
+            raise ValueError(f"mean photon number nu must be >= 0, got {nu!r}")
+        object.__setattr__(self, "nu", nu)
+        if nu == 0.0:
+            n_max, tail = 1, 0.0
+        else:
+            n_max, tail = _poisson_truncation(nu, EPS_TRUNC_DEFAULT)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "tail_mass", tail)
+
+    def probabilities(self) -> np.ndarray:
+        return poisson_pmf(self.nu, self.n_max)
+
+    def pmf(self, n):
+        n_arr = np.asarray(n)
+        if not np.issubdtype(n_arr.dtype, np.integer):
+            raise ValueError("photon count n must be integer")
+        if np.any(n_arr < 0):
+            raise ValueError("photon count n must be non-negative")
+        # past nu + 40 sqrt(nu) + 800 every probability underflows to 0.0
+        top = int(self.nu + 40.0 * math.sqrt(self.nu) + 800.0)
+        top = min(top, int(n_arr.max(initial=0)))
+        table = np.append(poisson_pmf(self.nu, top), 0.0)
+        out = table[np.minimum(n_arr, top + 1)]
+        if np.isscalar(n) or n_arr.ndim == 0:
+            return float(out)
+        return out
+
+
+def _poisson_truncation(nu: float, eps_trunc: float) -> tuple[int, float]:
+    """(n_max, Pr(n > n_max)) for Poisson(nu > 0): n_max is one past the
+    smallest k with Pr(n > k) <= eps_trunc, and at least 1."""
+    # 12 standard deviations below the mean, Pr(n > k) is 1 to double precision
+    if nu - 12.0 * math.sqrt(nu) > N_MAX_CAP:
+        raise ResourceLimitError(
+            f"Poisson truncation order exceeds cap {N_MAX_CAP} (nu={nu})"
+        )
+    margin = 12.0 * math.sqrt(nu) + 40.0
+    while True:
+        n_hi = int(nu + margin)
+        pmf = poisson_pmf(nu, n_hi)
+        # from n_hi on the terms fall faster than a geometric of ratio
+        # nu / (n_hi + 1), which bounds the mass the table leaves out
+        beyond = pmf[-1] / (1.0 - nu / (n_hi + 1.0))
+        if beyond <= eps_trunc * 2.0**-53:
+            break
+        margin *= 2.0
+    # sf[k] = Pr(n > k), summed from the small end of the tail up
+    sf = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)
+    n_max = max(1, int(np.argmax(sf <= eps_trunc)) + 1)
+    if n_max > N_MAX_CAP:
+        raise ResourceLimitError(
+            f"Poisson truncation order {n_max} exceeds cap {N_MAX_CAP}"
+        )
+    return n_max, float(sf[n_max])
+
+
+# ----------------------------------------------------------- moments
+
+
+def mean_pairs_per_pulse(x: float) -> float:
+    """E[n] = sum n Pr(n)."""
+    return weighted_pair_sum(x, lambda n: n.astype(float))
+
+
+def factorial_moment(x: float, order: int) -> float:
+    """k-th factorial moment E[n (n-1) ... (n-k+1)] of the pair number."""
+    k = int(order)
+    if k < 1:
+        raise ValueError("moment order must be >= 1")
+
+    def weight(n):
+        w = np.ones(len(n), dtype=np.float64)
+        for j in range(k):
+            w *= n - j
+        return w
+
+    return weighted_pair_sum(x, weight, n_start=k)
+
+
+# ------------------------------------------------------------ rates
+
+
+def singles_rate(f: float, x: float, eta: float) -> float:
+    """f * E[P(click | n)] for one bucket detector on one arm."""
+    return f * weighted_pair_sum(x, lambda n: click_probability(n, eta))
+
+
+def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
+    """f * E[P(click1 | n) P(click2 | n)], one detector per arm."""
+    def weight(n):
+        return click_probability(n, eta1) * click_probability(n, eta2)
+    return f * weighted_pair_sum(x, weight)
+
+
+def _split_weights(n: int) -> np.ndarray:
+    """Binomial weights C(n, k) / 2**n for k = 0 .. n."""
+    if n <= _EXACT_BINOM_MAX_N:
+        return np.array([math.comb(n, j) for j in range(n + 1)]) * 2.0 ** (-n)
+    return np.exp(log_binomial_half(n, log_factorials(n)))
+
+
+def _split_weight_fn(eta1, eta2, eta3, which):
+    """Weight of n pairs for the heralded branch rate ``which`` ("12",
+    "13" or "123"): the herald click times the binomial average over the
+    k photons sent to detector 2 and the n - k sent to detector 3."""
+    def weight(ns: np.ndarray) -> np.ndarray:
+        out = np.empty(len(ns), dtype=np.float64)
+        for i, n in enumerate(ns):
+            n = int(n)
+            herald = click_probability(n, eta1)
+            if herald == 0.0:
+                out[i] = 0.0
+                continue
+            w = _split_weights(n)
+            k = np.arange(n + 1)
+            p2 = click_probability(k, eta2)
+            p3 = click_probability(k[::-1], eta3)  # n - k photons
+            if which == "12":
+                inner = float((w * p2).sum())
+            elif which == "13":
+                inner = float((w * p3).sum())
+            else:
+                inner = float((w * p2 * p3).sum())
+            out[i] = herald * inner
+        return out
+    return weight
+
+
+def split_coincidences(
+    f: float, x: float, eta1: float, eta2: float, eta3: float
+) -> RatePrediction:
+    """Heralding singles and branch coincidences behind a balanced
+    splitter, with the binomial photon split averaged explicitly for
+    each n."""
+    cc12, cc13, cc123 = (
+        f * weighted_pair_sum(x, _split_weight_fn(eta1, eta2, eta3, which))
+        for which in ("12", "13", "123")
+    )
+    return RatePrediction(
+        cc12=cc12, cc13=cc13, cc123=cc123, sc1h=singles_rate(f, x, eta1)
+    )
+
+
+def detected_vs_incident(
+    source_kind: str, mean: float, eta: float, variant: str = "click"
+) -> float:
+    """E[P(click | n)] ("click") or E[n P(click | n)] ("literal") for a
+    thermal (geometric) or coherent (Poisson) source of the given mean."""
+    if source_kind == "thermal":
+        x = mean / (1.0 + mean)
+        if variant == "click":
+            return weighted_pair_sum(x, lambda n: click_probability(n, eta))
+        return weighted_pair_sum(x, lambda n: n * click_probability(n, eta))
+    # Poisson: tighten the tail so the n-weighted sum stays within budget
+    n_max, _ = _poisson_truncation(mean, EPS_TRUNC_DEFAULT)
+    n_max, _ = _poisson_truncation(mean, EPS_TRUNC_DEFAULT / (10.0 * (n_max + 1)))
+    n = np.arange(n_max + 1)
+    terms = poisson_pmf(mean, n_max) * click_probability(n, eta)
+    if variant == "literal":
+        terms = terms * n
+    return float(terms.sum())
+
+
+# ----------------------------------------------------- correlations
+
+
+def g2_unheralded(x: float) -> float:
+    """Single-arm E[n(n-1)] / E[n]**2."""
+    return factorial_moment(x, 2) / factorial_moment(x, 1) ** 2
+
+
+def g3_unheralded(x: float) -> float:
+    """Single-arm E[n(n-1)(n-2)] / E[n]**3."""
+    return factorial_moment(x, 3) / factorial_moment(x, 1) ** 3
+
+
+def g2_heralded_ideal(x: float) -> float:
+    """g2 of the signal arm under a perfect herald, from the moments of
+    Pr(n | n >= 1); 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
+    # conditional moments: E[w(n) | n >= 1] = sum w(n) Pr(n) / x
+    num = weighted_pair_sum(x, lambda n: n * (n - 1.0), n_start=2) / x
+    mean = weighted_pair_sum(x, lambda n: n.astype(float), n_start=1) / x
+    return num / mean**2
+
+
+def g2_signal_idler(x: float) -> float:
+    """g2 of the pooled field, N = 2n photons per pulse, as a series."""
+    num = weighted_pair_sum(x, lambda n: 2.0 * n * (2.0 * n - 1.0), n_start=1)
+    mean = weighted_pair_sum(x, lambda n: 2.0 * n.astype(float), n_start=1)
+    return num / mean**2
+
+
+def g3_signal_idler(x: float) -> float:
+    """g3 of the pooled field, N = 2n photons per pulse, as a series."""
+    num = weighted_pair_sum(
+        x, lambda n: 2.0 * n * (2.0 * n - 1.0) * (2.0 * n - 2.0), n_start=1
+    )
+    mean = weighted_pair_sum(x, lambda n: 2.0 * n.astype(float), n_start=1)
+    return num / mean**3
+
+
+def _pooled_raw_moments(x: float) -> tuple[float, float, float]:
+    """E[N], E[N**2], E[N**3] of N = 2n from the geometric moments."""
+    mu = x / (1.0 - x)
+    return (
+        2.0 * mu,
+        4.0 * (2.0 * mu**2 + mu),
+        8.0 * (6.0 * mu**3 + 6.0 * mu**2 + mu),
+    )
+
+
+def g2_signal_idler_moments(x: float) -> float:
+    """Pooled g2 through raw moments: (E[N^2] - E[N]) / E[N]^2."""
+    m1, m2, _ = _pooled_raw_moments(x)
+    return (m2 - m1) / m1**2
+
+
+def g3_signal_idler_moments(x: float) -> float:
+    """Pooled g3 through raw moments:
+    (E[N^3] - 3 E[N^2] + 2 E[N]) / E[N]^3."""
+    m1, m2, m3 = _pooled_raw_moments(x)
+    return (m3 - 3.0 * m2 + 2.0 * m1) / m1**3

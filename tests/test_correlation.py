@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from spdc_stats import (
     CorrelationReport,
     DivergenceError,
@@ -14,7 +15,6 @@ from spdc_stats import (
     g2_unheralded,
     g3_signal_idler,
     g3_unheralded,
-    pooled_moment_check,
     report_for_row,
 )
 from checks import within_printed
@@ -55,42 +55,39 @@ class TestClosedFormIdentities:
     @pytest.mark.parametrize("x", IDENTITY_GRID)
     def test_unheralded_g2_is_two(self, x):
         assert g2_unheralded(x) == 2.0
-        assert g2_unheralded(x, method="series") == pytest.approx(2.0, rel=1e-8)
+        assert oracle.g2_unheralded(x) == pytest.approx(2.0, rel=1e-8)
 
     @pytest.mark.parametrize("x", [1e-6, 0.3, 0.5])
     def test_unheralded_g3_is_six(self, x):
         assert g3_unheralded(x) == 6.0
-        assert g3_unheralded(x, method="series") == pytest.approx(6.0, rel=1e-8)
+        assert oracle.g3_unheralded(x) == pytest.approx(6.0, rel=1e-8)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392, 0.6])
     def test_heralded_ideal_is_twice_x(self, x):
         assert g2_heralded_ideal(x) == 2.0 * x
-        assert g2_heralded_ideal(x, method="series") == pytest.approx(
+        assert oracle.g2_heralded_ideal(x) == pytest.approx(
             2.0 * x, rel=1e-8
         )
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392, 0.6])
     def test_signal_idler_closed_forms(self, x):
         assert g2_signal_idler(x) == pytest.approx(1.0 / (2 * x) + 1.5, rel=1e-14)
-        assert g2_signal_idler(x, method="series") == pytest.approx(
+        assert oracle.g2_signal_idler(x) == pytest.approx(
             g2_signal_idler(x), rel=1e-8
         )
         assert g3_signal_idler(x) == pytest.approx(3.0 * (1 + x) / x, rel=1e-14)
-        assert g3_signal_idler(x, method="series") == pytest.approx(
+        assert oracle.g3_signal_idler(x) == pytest.approx(
             g3_signal_idler(x), rel=1e-8
         )
 
     @pytest.mark.parametrize("x", [0.0135, 0.392])
     def test_moment_paths(self, x):
-        assert g2_signal_idler(x, method="moments") == pytest.approx(
+        assert oracle.g2_signal_idler_moments(x) == pytest.approx(
             g2_signal_idler(x), rel=1e-12
         )
-        assert g3_signal_idler(x, method="moments") == pytest.approx(
+        assert oracle.g3_signal_idler_moments(x) == pytest.approx(
             g3_signal_idler(x), rel=1e-12
         )
-        pooled_g2, pooled_g3 = pooled_moment_check(x)
-        assert pooled_g2 == pytest.approx(g2_signal_idler(x), rel=1e-12)
-        assert pooled_g3 == pytest.approx(g3_signal_idler(x), rel=1e-12)
 
     def test_signal_idler_limit_toward_full_saturation(self):
         # 1/(2x) + 3/2 -> 2 as x -> 1
@@ -148,6 +145,13 @@ class TestG2HeraldedPredicted:
         xs = [0.01, 0.05, 0.1, 0.2, 0.4]
         vals = [g2_heralded_predicted(x, 0.215, 0.198, 0.163) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392])
+    def test_matches_series_rates(self, x):
+        rates = oracle.split_coincidences(1.0, x, 0.215, 0.198, 0.163)
+        series = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
+        got = g2_heralded_predicted(x, 0.215, 0.198, 0.163)
+        assert got == pytest.approx(series, rel=1e-9)
 
 
 def _row(x, power=10.0, eta1=0.215, eta2=0.198, **kwargs):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
@@ -111,8 +112,8 @@ class TestSinglesRate:
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.128, 0.392, 0.5])
     @pytest.mark.parametrize("eta", [0.01, 0.215, 0.7, 0.99])
     def test_closed_matches_series(self, x, eta):
-        closed = singles_rate(F, x, eta, method="closed")
-        series = singles_rate(F, x, eta, method="series")
+        closed = singles_rate(F, x, eta)
+        series = oracle.singles_rate(F, x, eta)
         assert series == pytest.approx(closed, rel=1e-10)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392])
@@ -144,8 +145,8 @@ class TestCoincidenceRate:
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.128, 0.392, 0.5])
     @pytest.mark.parametrize("eta", [0.01, 0.215, 0.99])
     def test_closed_matches_series(self, x, eta):
-        closed = coincidence_rate(F, x, eta, 0.7, method="closed")
-        series = coincidence_rate(F, x, eta, 0.7, method="series")
+        closed = coincidence_rate(F, x, eta, 0.7)
+        series = oracle.coincidence_rate(F, x, eta, 0.7)
         assert series == pytest.approx(closed, rel=1e-10)
 
     def test_closed_matches_brute_force(self):
@@ -163,6 +164,17 @@ class TestCoincidenceRate:
         cc = coincidence_rate(F, x, 0.215, 0.198)
         assert cc <= singles_rate(F, x, 0.215)
         assert cc <= singles_rate(F, x, 0.198)
+
+    @pytest.mark.parametrize(
+        "x, eta1, eta2",
+        [(0.0014284350196418901, 1.0, 0.22188933727589555),
+         (2.937202339284036e-07, 0.9224462048429088, 1.0)],
+    )
+    def test_bounded_by_singles_at_unit_efficiency(self, x, eta1, eta2):
+        # here cc equals a singles rate, and the unclamped closed form
+        # rounds it an ulp above
+        pred = two_arm_rates(F, x, eta1, eta2)
+        assert pred.cc == min(pred.sc1, pred.sc2)
 
     def test_two_arm_rates_bundle(self):
         pred = two_arm_rates(F, X10, 0.215, 0.198)
@@ -189,8 +201,8 @@ class TestSplitCoincidences:
 
     @pytest.mark.parametrize("x", [0.128, 0.392])
     def test_closed_form_cross_check_moderate_x(self, x):
-        series = split_coincidences(F, x, 0.215, 0.198, 0.163, method="series")
-        closed = split_coincidences(F, x, 0.215, 0.198, 0.163, method="closed")
+        series = oracle.split_coincidences(F, x, 0.215, 0.198, 0.163)
+        closed = split_coincidences(F, x, 0.215, 0.198, 0.163)
         for field in ("cc12", "cc13", "cc123", "sc1h"):
             assert getattr(closed, field) == pytest.approx(
                 getattr(series, field), rel=1e-9
@@ -200,8 +212,8 @@ class TestSplitCoincidences:
     def test_closed_form_cross_check_small_x(self, x):
         # the closed form subtracts nothing near-equal, so it keeps
         # relative precision at small x
-        series = split_coincidences(1.0, x, 0.215, 0.198, 0.163, method="series")
-        closed = split_coincidences(1.0, x, 0.215, 0.198, 0.163, method="closed")
+        series = oracle.split_coincidences(1.0, x, 0.215, 0.198, 0.163)
+        closed = split_coincidences(1.0, x, 0.215, 0.198, 0.163)
         for field in ("cc12", "cc13", "cc123"):
             assert getattr(closed, field) == pytest.approx(
                 getattr(series, field), rel=1e-12, abs=0
@@ -280,8 +292,8 @@ class TestSplitCoincidences:
         assert pred.cc123 == pytest.approx(limit, rel=1e-2)
 
     def test_large_truncation_order_path(self):
-        # x = 0.7 needs more than 60 series terms, exercising the log-space
-        # binomial weights
+        # x = 0.7 needs more than 60 series terms, where the oracle's
+        # binomial weights go to log space
         assert truncation_order(0.7, 1e-12) > 60
         pred = split_coincidences(F, 0.7, 0.215, 0.198, 0.163)
         ref12, ref13, ref123 = brute_split(F, 0.7, 0.215, 0.198, 0.163, n_max=300)
@@ -290,7 +302,7 @@ class TestSplitCoincidences:
 
     def test_truncation_cap(self):
         with pytest.raises(ResourceLimitError):
-            split_coincidences(F, 0.999, 0.2, 0.2, 0.2, method="series")
+            oracle.split_coincidences(F, 0.999, 0.2, 0.2, 0.2)
 
 
 class TestDetectedVsIncident:
@@ -312,8 +324,8 @@ class TestDetectedVsIncident:
     @pytest.mark.parametrize("variant", ["click", "literal"])
     @pytest.mark.parametrize("mean", [0.01, 0.5, 2.0, 8.0])
     def test_closed_matches_series(self, kind, variant, mean):
-        closed = detected_vs_incident(kind, mean, 0.8, variant, method="closed")
-        series = detected_vs_incident(kind, mean, 0.8, variant, method="series")
+        closed = detected_vs_incident(kind, mean, 0.8, variant)
+        series = oracle.detected_vs_incident(kind, mean, 0.8, variant)
         assert series == pytest.approx(closed, rel=1e-9)
 
     def test_literal_formulas(self):

@@ -12,7 +12,6 @@ from spdc_stats import (
     compare_with_analytic,
     g2_heralded_predicted,
     g2_with_stderr,
-    geometric_sampler,
     resolve_threads,
     simulate,
 )
@@ -31,6 +30,7 @@ from spdc_stats.montecarlo import (
     _truncated_poisson_cdf,
     _uniforms,
 )
+from checks import geometric_counts
 
 CHAIN10 = DetectorChain(eta1=0.215, eta2=0.198, eta3=0.163)
 
@@ -91,33 +91,31 @@ def binomial_half(ns, words):
 
 
 class TestGeometricSampler:
-    def test_zero_x_all_vacuum(self):
-        rng = np.random.default_rng(1)
-        draws = geometric_sampler(0.0, rng, size=1000)
-        assert np.all(draws == 0)
+    """Distribution checks of the kernel's geometric draw on Philox words;
+    the draw gives 1 + n for a pair number n with Pr(n) = (1 - x) x**n."""
 
     def test_frequency_at_half(self):
-        rng = np.random.default_rng(99)
-        draws = geometric_sampler(0.5, rng, size=10_000_000)
+        size = 10_000_000
+        counts = geometric_counts(0.5, 99, size)
         p = 0.25
-        freq = np.count_nonzero(draws == 1) / draws.size
-        se = np.sqrt(p * (1 - p) / draws.size)
+        freq = counts[1] / size
+        se = np.sqrt(p * (1 - p) / size)
         assert abs(freq - p) <= 5 * se
 
     def test_mean_at_low_x(self):
-        x = 0.0135
-        rng = np.random.default_rng(7)
-        draws = geometric_sampler(x, rng, size=10_000_000)
+        x, size = 0.0135, 10_000_000
+        counts = geometric_counts(x, 7, size)
+        mean = float(np.arange(counts.size) @ counts) / size
         mu = x / (1 - x)
-        se = np.sqrt(x) / (1 - x) / np.sqrt(draws.size)
-        assert abs(draws.mean() - mu) <= 5 * se
-        assert abs(draws.mean() - 0.013685) <= 5 * se + 1e-6
+        se = np.sqrt(x) / (1 - x) / np.sqrt(size)
+        assert abs(mean - mu) <= 5 * se
+        assert abs(mean - 0.013685) <= 5 * se + 1e-6
 
     def test_integer_nonnegative(self):
-        rng = np.random.default_rng(3)
-        draws = geometric_sampler(0.7, rng, size=10_000)
-        assert np.issubdtype(draws.dtype, np.integer)
-        assert draws.min() >= 0
+        words = np.random.Philox(3).random_raw(10_000)
+        n = draw_words(_geometric_draw(0.7), words)
+        assert np.issubdtype(n.dtype, np.integer)
+        assert n.min() >= 1
 
 
 class TestSimConfigValidation:
