@@ -6,7 +6,8 @@ efficiency eta click with probability 1 - (1 - eta)**n.  The package
 inverts measured count rates into (tau, eta1, eta2), evaluates the g2/g3
 correlation-function family, models thermal-vs-coherent detector
 saturation, and validates everything against a deterministic Monte Carlo
-pulse simulator.
+pulse simulator.  Only the Monte Carlo imports numpy; its names load it on
+first use.
 """
 
 from .correlation import (
@@ -48,15 +49,6 @@ from .inversion import (
     naive_pair_rate,
     sde_from_attenuated_laser,
 )
-from .montecarlo import (
-    SimConfig,
-    SimCounts,
-    analytic_expectations,
-    compare_with_analytic,
-    g2_with_stderr,
-    resolve_threads,
-    simulate,
-)
 from .photon_statistics import (
     mean_pairs_per_pulse,
     one_pair_rate,
@@ -84,6 +76,30 @@ from .sweepio import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo is the one module that needs numpy, which takes longer to
+# import than the rest of the package; it loads on first use of these names.
+_MONTECARLO_NAMES = frozenset({
+    "SimConfig",
+    "SimCounts",
+    "analytic_expectations",
+    "compare_with_analytic",
+    "g2_with_stderr",
+    "resolve_threads",
+    "simulate",
+})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _MONTECARLO_NAMES)
 
 __all__ = [
     "CorrelationReport",

@@ -24,12 +24,6 @@ from .correlation import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, build_table_two
 from .detector_model import DetectorChain
 from .errors import ResourceLimitError, SweepFormatError
 from .inversion import FailedRow, build_table
-from .montecarlo import (
-    DEFAULT_CHUNK_PULSES,
-    SimConfig,
-    compare_with_analytic,
-    simulate,
-)
 from .saturation import curve, default_mean_grid
 from .sweepio import (
     read_sweep,
@@ -148,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "never depend on this)",
     )
     p_sim.add_argument(
-        "--chunk-pulses", type=int, default=DEFAULT_CHUNK_PULSES,
-        help="emitting pulses per work chunk, multiple of 4; results "
-        "never depend on this (default %(default)s)",
-    )
-    p_sim.add_argument(
         "--out", type=Path, default=Path("simcounts.json"),
         help="output JSON path (default %(default)s)",
     )
@@ -204,10 +193,13 @@ def cmd_saturation(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the one subcommand that needs numpy, so the only one that loads it
+    from . import montecarlo
+
     chain = None
     if args.eta1 is not None:
         chain = DetectorChain(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3)
-    config = SimConfig(
+    config = montecarlo.SimConfig(
         mode=args.mode,
         pulses=args.pulses,
         seed=args.seed,
@@ -216,10 +208,8 @@ def cmd_simulate(args) -> int:
         source_kind=args.source_kind,
         mean=args.mean,
     )
-    counts = simulate(
-        config, threads=args.threads, chunk_pulses=args.chunk_pulses
-    )
-    comparison = compare_with_analytic(config, counts)
+    counts = montecarlo.simulate(config, threads=args.threads)
+    comparison = montecarlo.compare_with_analytic(config, counts)
     sigmas = [entry["sigma"] for entry in comparison.values()]
     max_sigma = max(sigmas) if sigmas else 0.0
     payload = {

@@ -122,15 +122,14 @@ def g2_heralded_predicted(
     eta1: float,
     eta2: float,
     eta3: float,
-    f: float = 1.0,
 ) -> float:
     """g2 the splitter measurement would report, from the rate model.
 
     Applies the counting estimator to the predicted rates for emission
     parameter x seen by the heralding detector eta1 and the two
     post-splitter branches eta2, eta3.  The repetition rate cancels in
-    the estimator; f is accepted only for interface symmetry.  The rates
-    come from the closed forms of ``split_coincidences``.
+    the estimator, so the per-pulse rates of ``split_coincidences``
+    (f = 1) are used.
 
     At x = 0 the limit 0 is returned (one pair at most, no accidentals).
     """
@@ -140,7 +139,7 @@ def g2_heralded_predicted(
     validate_efficiency(eta3, "eta3")
     if x == 0.0:
         return 0.0
-    rates = split_coincidences(f, x, eta1, eta2, eta3)
+    rates = split_coincidences(1.0, x, eta1, eta2, eta3)
     return g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
 
 

@@ -17,9 +17,8 @@ eta -> 0.  The series sums that define the rates are test references in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .photon_statistics import validate_emission_parameter
 
@@ -31,23 +30,20 @@ def validate_efficiency(eta: float, name: str = "eta") -> float:
     return eta
 
 
-def click_probability(n, eta: float):
-    """P(click | n incident photons) = 1 - (1 - eta)**n.
-
-    Vectorized over n; returns a scalar for scalar n.
-    """
+def click_probability(n: int, eta: float) -> float:
+    """P(click | n incident photons) = 1 - (1 - eta)**n, for one integer n."""
     eta = validate_efficiency(eta)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer):
-        raise ValueError("photon count n must be integer")
-    if np.any(n_arr < 0):
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("photon count n must be integer") from None
+    if n < 0:
         raise ValueError("photon count n must be non-negative")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = -np.expm1(n_arr * np.log1p(-eta))
-    out = np.where(n_arr == 0, 0.0, out)
-    if np.isscalar(n) or n_arr.ndim == 0:
-        return float(out)
-    return out
+    if n == 0:
+        return 0.0
+    if eta == 1.0:
+        return 1.0  # log1p(-1) is a domain error
+    return -math.expm1(n * math.log1p(-eta))
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detector_model import coincidence_rate, singles_rate
 from .errors import DataInconsistencyError, InversionError
 from .photon_statistics import mean_pairs_per_pulse, one_pair_rate, pair_rate
@@ -146,22 +144,27 @@ class FailedRow:
     error: str
 
 
-def _jacobian(x: float, eta1: float, eta2: float) -> np.ndarray:
-    """d(model rates)/d(eta1, eta2, x), rows in (m1, m2, mc) order."""
+def _jacobian(
+    x: float, eta1: float, eta2: float
+) -> tuple[tuple[float, ...], ...]:
+    """d(model rates)/d(eta1, eta2, x), rows in (m1, m2, mc) order.
+
+    m1 does not depend on eta2, nor m2 on eta1, so J[0][1] = J[1][0] = 0.
+    """
     z1, z2 = 1.0 - eta1, 1.0 - eta2
     d1 = 1.0 - z1 * x
     d2 = 1.0 - z2 * x
     d12 = 1.0 - z1 * z2 * x
     gx = (1.0 - x) * x
-    j = np.zeros((3, 3))
-    j[0, 0] = gx / d1**2
-    j[0, 2] = eta1 / d1**2
-    j[1, 1] = gx / d2**2
-    j[1, 2] = eta2 / d2**2
-    j[2, 0] = gx / d1**2 - gx * z2 / d12**2
-    j[2, 1] = gx / d2**2 - gx * z1 / d12**2
-    j[2, 2] = eta1 / d1**2 + eta2 / d2**2 - (1.0 - z1 * z2) / d12**2
-    return j
+    return (
+        (gx / d1**2, 0.0, eta1 / d1**2),
+        (0.0, gx / d2**2, eta2 / d2**2),
+        (
+            gx / d1**2 - gx * z2 / d12**2,
+            gx / d2**2 - gx * z1 / d12**2,
+            eta1 / d1**2 + eta2 / d2**2 - (1.0 - z1 * z2) / d12**2,
+        ),
+    )
 
 
 def invert_counts(
@@ -245,25 +248,41 @@ def invert_counts(
 
 
 def _propagate_sigma(f, power_mw, probs, params, integration_time):
+    """1-sigma bands of (tau, eta1, eta2): the diagonal of J^-1 S J^-T for
+    the Jacobian J of _jacobian and the rate covariance S, or three Nones
+    when J is singular."""
     eta1, eta2, x = params
     if integration_time <= 0:
         raise ValueError("integration_time must be positive")
-    j = _jacobian(x, eta1, eta2)  # d(per-pulse rates)/d(eta1, eta2, x)
-    try:
-        jinv = np.linalg.inv(j)
-    except np.linalg.LinAlgError:
+    (a, _, b), (_, c, d), (e, g, h) = _jacobian(x, eta1, eta2)
+    # expand the determinant and the adjugate along the two zero entries
+    det = a * (c * h - d * g) - b * c * e
+    if det == 0.0:
         return None, None, None
+    jinv = [
+        [v / det for v in row]
+        for row in (
+            (c * h - d * g, b * g, -b * c),
+            (d * e, a * h - b * e, -a * d),
+            (-c * e, -a * g, a * c),
+        )
+    ]
     # multinomial covariance of the per-pulse click indicators: a
     # coincidence pulse is a click pulse in both arms
-    s1, s2, c = probs
-    cov_rates = np.array([
-        [s1 * (1.0 - s1), c - s1 * s2, c * (1.0 - s1)],
-        [c - s1 * s2, s2 * (1.0 - s2), c * (1.0 - s2)],
-        [c * (1.0 - s1), c * (1.0 - s2), c * (1.0 - c)],
-    ]) / (f * integration_time)
-    cov = jinv @ cov_rates @ jinv.T
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return sig[2] / power_mw, sig[0], sig[1]
+    s1, s2, cc = probs
+    cov_rates = (
+        (s1 * (1.0 - s1), cc - s1 * s2, cc * (1.0 - s1)),
+        (cc - s1 * s2, s2 * (1.0 - s2), cc * (1.0 - s2)),
+        (cc * (1.0 - s1), cc * (1.0 - s2), cc * (1.0 - cc)),
+    )
+    pulses = f * integration_time
+
+    def sigma(r):
+        var = sum(r[i] * cov_rates[i][j] * r[j] for i in range(3) for j in range(3))
+        return math.sqrt(max(var / pulses, 0.0))
+
+    sig_eta1, sig_eta2, sig_x = map(sigma, jinv)
+    return sig_x / power_mw, sig_eta1, sig_eta2
 
 
 def naive_pair_rate(sc1: float, sc2: float, cc: float) -> float:

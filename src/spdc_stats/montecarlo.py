@@ -42,6 +42,14 @@ and gather writes into them through out=, so a chunk allocates no array but
 its random words.  Chunks default to 2**15 events, so a heralded_split
 chunk's words take 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two
 threads, but raised the peak RSS of ten such runs from 45-48 to 51 MB.
+
+This is the one module of the package that imports numpy.  The package
+loads it on first use of a Monte Carlo name, and the CLI only for
+``simulate``, so the analytic paths start without numpy.  It therefore
+also holds the array tables only the sampler needs: the Poisson pmf
+(``poisson_pmf``) and the log-binomial weights of the n >= 64 split path
+(``log_factorials``, ``log_binomial_half``).  The click thresholds are
+built per n from the scalar law ``detector_model.click_probability``.
 """
 
 from __future__ import annotations
@@ -64,12 +72,7 @@ from .detector_model import (
 )
 from .correlation import g2_from_counts
 from .errors import ResourceLimitError
-from .photon_statistics import (
-    log_binomial_half,
-    log_factorials,
-    poisson_pmf,
-    validate_emission_parameter,
-)
+from .photon_statistics import validate_emission_parameter
 
 MODES = ("two_arm", "heralded_split", "saturation")
 
@@ -196,6 +199,37 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (
         np.right_shift(words, np.uint64(11)).astype(np.float64) + 1.0
     ) / _TWO53
+
+
+def poisson_pmf(nu: float, n_max: int, n_min: int = 0) -> np.ndarray:
+    """Poisson(nu) probabilities for n = n_min .. n_max.
+
+    One anchor at the mode (clipped to the range) is evaluated in log
+    space; every other entry follows from it by the recurrence
+    Pr(n + 1) = Pr(n) nu / (n + 1), run outward in both directions.
+    """
+    if nu == 0.0:
+        out = np.zeros(n_max - n_min + 1)
+        if n_min == 0:
+            out[0] = 1.0
+        return out
+    m = min(max(int(nu), n_min), n_max)
+    up = np.cumprod(nu / np.arange(m + 1, n_max + 1, dtype=np.float64))
+    down = np.cumprod(np.arange(m, n_min, -1, dtype=np.float64) / nu)
+    anchor = math.exp(m * math.log(nu) - nu - math.lgamma(m + 1.0))
+    return anchor * np.concatenate((down[::-1], [1.0], up))
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """log(k!) for k = 0 .. n_max."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+
+
+def log_binomial_half(n: int, log_fact: np.ndarray) -> np.ndarray:
+    """log(C(n, k) / 2**n) for k = 0 .. n, given log_fact = log_factorials(m)
+    for some m >= n."""
+    head = log_fact[: n + 1]
+    return head[n] - head - head[::-1] - n * math.log(2.0)
 
 
 # _LOW_BITS[n] keeps the low n bits of a word, n = 0 .. 63
@@ -379,7 +413,7 @@ def _click_thresholds(eta: float, top: int) -> np.ndarray:
     integer a, a + 1 < P <=> a < ceil(P) - 1.  Then (w >> 11) < T <=> w <
     T * 2**11, which stays below 2**64 because T <= 2**53 - 1.
     """
-    p = click_probability(np.arange(top + 1), eta)
+    p = np.array([click_probability(n, eta) for n in range(top + 1)])
     thr = np.maximum(np.ceil(p * _TWO53) - 1.0, 0.0).astype(np.uint64)
     return thr << np.uint64(11)
 

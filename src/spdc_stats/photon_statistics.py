@@ -11,15 +11,14 @@ downstream (click models, rate inversion, correlation functions) is built
 on these two distributions.  Each quantity has one exact closed form; the
 series sums that define them are test references in ``tests/oracle.py``.
 This module owns the one series-truncation policy (``truncation_order``)
-those references use, the one Poisson table (``poisson_pmf``) and the one
-log-binomial helper (``log_binomial_half``) the rest of the package shares.
+those references use.  It is scalar ``math`` code and does not import
+numpy; the Poisson and binomial tables the Monte Carlo draws from live in
+``montecarlo``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -36,37 +35,6 @@ def validate_emission_parameter(x: float) -> float:
     if not 0.0 <= x < 1.0 or math.isnan(x):
         raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
     return x
-
-
-def poisson_pmf(nu: float, n_max: int, n_min: int = 0) -> np.ndarray:
-    """Poisson(nu) probabilities for n = n_min .. n_max.
-
-    One anchor at the mode (clipped to the range) is evaluated in log
-    space; every other entry follows from it by the recurrence
-    Pr(n + 1) = Pr(n) nu / (n + 1), run outward in both directions.
-    """
-    if nu == 0.0:
-        out = np.zeros(n_max - n_min + 1)
-        if n_min == 0:
-            out[0] = 1.0
-        return out
-    m = min(max(int(nu), n_min), n_max)
-    up = np.cumprod(nu / np.arange(m + 1, n_max + 1, dtype=np.float64))
-    down = np.cumprod(np.arange(m, n_min, -1, dtype=np.float64) / nu)
-    anchor = math.exp(m * math.log(nu) - nu - math.lgamma(m + 1.0))
-    return anchor * np.concatenate((down[::-1], [1.0], up))
-
-
-def log_factorials(n_max: int) -> np.ndarray:
-    """log(k!) for k = 0 .. n_max."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-
-
-def log_binomial_half(n: int, log_fact: np.ndarray) -> np.ndarray:
-    """log(C(n, k) / 2**n) for k = 0 .. n, given log_fact = log_factorials(m)
-    for some m >= n."""
-    head = log_fact[: n + 1]
-    return head[n] - head - head[::-1] - n * math.log(2.0)
 
 
 def truncation_order(x: float, eps_trunc: float = EPS_TRUNC_DEFAULT) -> int:

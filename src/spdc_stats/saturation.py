@@ -15,9 +15,8 @@ deep in saturation for both sources and the gap shrinks again.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .detector_model import detected_vs_incident, validate_efficiency
 
@@ -25,9 +24,15 @@ from .detector_model import detected_vs_incident, validate_efficiency
 GAP_PEAK_Z = 2.5128624172523393
 
 
-def default_mean_grid() -> np.ndarray:
-    """Logarithmic mean-photon-number grid, 1e-2 to 1e2, 60 points."""
-    return np.logspace(-2.0, 2.0, 60)
+def default_mean_grid() -> tuple[float, ...]:
+    """Logarithmic mean-photon-number grid, 1e-2 to 1e2, 60 points.
+
+    The exponents are built as numpy's linspace builds them, k * (4/59) - 2
+    with the last one exactly 2.
+    """
+    step = 4.0 / 59
+    exponents = [k * step - 2.0 for k in range(59)] + [2.0]
+    return tuple(10.0 ** y for y in exponents)
 
 
 @dataclass(frozen=True)
@@ -37,29 +42,32 @@ class SaturationCurve:
     source_kind: str
     eta: float
     variant: str
-    means: np.ndarray
-    detected: np.ndarray
+    means: tuple[float, ...]
+    detected: tuple[float, ...]
 
     @property
     def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.means.tolist(), self.detected.tolist()))
+        return list(zip(self.means, self.detected))
 
 
 def curve(
     source_kind: str,
     eta: float,
     variant: str = "click",
-    mean_grid: np.ndarray | None = None,
+    mean_grid: Sequence[float] | None = None,
 ) -> SaturationCurve:
     """Evaluate the detected-vs-incident curve on a mean grid."""
     eta = validate_efficiency(eta)
-    means = default_mean_grid() if mean_grid is None else np.asarray(mean_grid, float)
-    if means.ndim != 1 or len(means) == 0:
-        raise ValueError("mean_grid must be a non-empty 1-D array")
-    if np.any(means < 0):
+    if mean_grid is None:
+        means = default_mean_grid()
+    else:
+        means = tuple(float(m) for m in mean_grid)
+    if not means:
+        raise ValueError("mean_grid must be non-empty")
+    if any(m < 0 for m in means):
         raise ValueError("mean photon numbers must be >= 0")
-    detected = np.array(
-        [detected_vs_incident(source_kind, m, eta, variant) for m in means]
+    detected = tuple(
+        detected_vs_incident(source_kind, m, eta, variant) for m in means
     )
     return SaturationCurve(
         source_kind=source_kind,
@@ -73,7 +81,7 @@ def curve(
 def saturation_gap(
     eta: float,
     variant: str = "click",
-    mean_grid: np.ndarray | None = None,
+    mean_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """Coherent-minus-thermal detected signal at each grid mean.
 
@@ -82,8 +90,10 @@ def saturation_gap(
     """
     coherent = curve("coherent", eta, variant, mean_grid)
     thermal = curve("thermal", eta, variant, mean_grid)
-    gap = coherent.detected - thermal.detected
-    return list(zip(coherent.means.tolist(), gap.tolist()))
+    return [
+        (m, c - t)
+        for m, c, t in zip(coherent.means, coherent.detected, thermal.detected)
+    ]
 
 
 def click_gap(z: float) -> float:

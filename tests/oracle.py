@@ -5,9 +5,9 @@ defined by a sum over the per-pulse photon-number distribution.  This module
 evaluates those defining sums term by term, and the pooled signal-idler
 correlations also through raw moments, so the tests can check each closed
 form against an independent path.  It shares the package's truncation
-policy (``truncation_order``), its Poisson table (``poisson_pmf``) and its
-per-photon click law (``click_probability``), and calls none of its closed
-forms.
+policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
+tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
+law in numpy itself, and calls none of the package's closed forms.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from typing import Callable
 import numpy as np
 
 from spdc_stats import RatePrediction, ResourceLimitError
-from spdc_stats.detector_model import click_probability
+from spdc_stats.montecarlo import log_binomial_half, log_factorials, poisson_pmf
 from spdc_stats.photon_statistics import (
     EPS_TRUNC_DEFAULT,
     N_MAX_CAP,
-    log_binomial_half,
-    log_factorials,
-    poisson_pmf,
     truncation_order,
     validate_emission_parameter,
 )
@@ -35,6 +32,16 @@ _SERIES_BLOCK = 256
 # Exact integer binomials are used up to this n; beyond it the weights
 # C(n, k) / 2**n are formed in log space to avoid overflow.
 _EXACT_BINOM_MAX_N = 60
+
+
+def click_probability(n, eta: float):
+    """P(click | n incident photons) = 1 - (1 - eta)**n over an integer
+    array n (or one integer n)."""
+    n = np.asarray(n)
+    # eta = 1 gives log1p(-1) = -inf and, at n = 0, 0 * -inf = nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = -np.expm1(n * np.log1p(-eta))
+    return np.where(n == 0, 0.0, p)
 
 
 def pair_probability(n, x: float):

@@ -212,7 +212,7 @@ def test_criterion_6_saturation_properties():
     # single interior peak; at fixed mean it grows with eta while the
     # largest product stays below that peak, which covers every mean up to
     # 2.5 for the full efficiency range (beyond it the ordering reverses)
-    pre_saturation = means[means <= 2.5]
+    pre_saturation = [m for m in means if m <= 2.5]
     monotone = True
     for mean in pre_saturation:
         gaps = [
@@ -230,7 +230,7 @@ def test_criterion_6_saturation_properties():
     report(
         6, "saturation properties", ok,
         f"coherent > thermal on 10x60 grid: {dominance}; gap grows with eta "
-        f"at fixed mean across {pre_saturation.size} pre-saturation means: "
+        f"at fixed mean across {len(pre_saturation)} pre-saturation means: "
         f"{monotone}; spot values at (0.8, 2) within 1e-12: {spot}",
     )
     assert ok

@@ -276,8 +276,7 @@ class TestSimulate:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert main(self.BASE + ["--out", str(a)]) == 0
-        assert main(self.BASE + ["--threads", "3", "--chunk-pulses", "65536",
-                                 "--out", str(b)]) == 0
+        assert main(self.BASE + ["--threads", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_payload_contents(self, tmp_path):
@@ -343,14 +342,14 @@ class TestSimulate:
         assert "g2" not in json.loads(out.read_text())["comparison"]
 
     def test_five_sigma_gate(self, tmp_path, monkeypatch, capsys):
-        import spdc_stats.cli as cli_module
+        import spdc_stats.montecarlo as montecarlo
 
         def fake_compare(config, counts):
             return {"clicks1": {
                 "mc": 0.5, "analytic": 0.4, "stderr": 0.001, "sigma": 100.0,
             }}
 
-        monkeypatch.setattr(cli_module, "compare_with_analytic", fake_compare)
+        monkeypatch.setattr(montecarlo, "compare_with_analytic", fake_compare)
         code = main(self.BASE[:-2] + ["--pulses", "10000",
                                       "--out", str(tmp_path / "x.json")])
         assert code == 3
@@ -430,3 +429,45 @@ def test_import_path_has_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analytic_commands_do_not_load_numpy(tmp_path, sweep_path):
+    # numpy's import is most of a fresh CLI run's wall time, and only the
+    # Monte Carlo needs it
+    import spdc_stats
+
+    src = Path(spdc_stats.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = f"""
+import contextlib, io, json, sys
+import spdc_stats
+from spdc_stats import cli
+after_import = "numpy" in sys.modules
+out = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["invert", {str(sweep_path)!r}, "--out", out]),
+        cli.main(["correlations", out + "/table1.json",
+                  "--out", out + "/table2.csv"]),
+        cli.main(["saturation", "--out", out + "/curves.csv"]),
+    ]
+after_commands = "numpy" in sys.modules
+from spdc_stats import simulate
+print(json.dumps({{
+    "after_import": after_import,
+    "codes": codes,
+    "after_commands": after_commands,
+    "lazy": [spdc_stats.SimConfig.__module__, simulate.__module__],
+    "missing_from_dir": sorted(set(spdc_stats.__all__) - set(dir(spdc_stats))),
+}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["after_import"] is False
+    assert result["codes"] == [0, 0, 0]
+    assert result["after_commands"] is False
+    assert result["lazy"] == ["spdc_stats.montecarlo"] * 2
+    assert result["missing_from_dir"] == []

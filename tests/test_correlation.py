@@ -126,11 +126,6 @@ class TestG2HeraldedPredicted:
         got = g2_heralded_predicted(X10, 0.215, 0.198, 0.198 * 0.56 / 0.68)
         assert within_printed(got, "0.023", 0.15)
 
-    def test_f_independence(self):
-        a = g2_heralded_predicted(0.128, 0.215, 0.198, 0.163, f=1.0)
-        b = g2_heralded_predicted(0.128, 0.215, 0.198, 0.163, f=76e6)
-        assert b == pytest.approx(a, rel=1e-12)
-
     def test_branch_swap_symmetry(self):
         a = g2_heralded_predicted(0.128, 0.215, 0.31, 0.11)
         b = g2_heralded_predicted(0.128, 0.215, 0.11, 0.31)

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +171,54 @@ class TestInvertCounts:
             ]
         share = inside / 200
         assert np.all(np.abs(share - 0.68) <= 0.13), share
+
+
+class TestPropagateSigma:
+    """The hand-expanded J^-1 S J^-T against numpy's matrix inverse."""
+
+    @staticmethod
+    def numpy_sigma(f, power_mw, probs, params, integration_time):
+        eta1, eta2, x = params
+        s1, s2, c = probs
+        jinv = np.linalg.inv(np.array(inversion._jacobian(x, eta1, eta2)))
+        cov_rates = np.array([
+            [s1 * (1.0 - s1), c - s1 * s2, c * (1.0 - s1)],
+            [c - s1 * s2, s2 * (1.0 - s2), c * (1.0 - s2)],
+            [c * (1.0 - s1), c * (1.0 - s2), c * (1.0 - c)],
+        ]) / (f * integration_time)
+        sig = np.sqrt(np.clip(np.diag(jinv @ cov_rates @ jinv.T), 0.0, None))
+        return sig[2] / power_mw, sig[0], sig[1]
+
+    def assert_matches_numpy(self, power_mw, probs, params, integration_time):
+        args = (F, power_mw, probs, params, integration_time)
+        got = inversion._propagate_sigma(*args)
+        want = self.numpy_sigma(*args)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0)
+
+    def test_bundled_rows(self, bundled_records):
+        for rec in bundled_records:
+            res = invert_counts(F, rec.power_mw, rec.sc1, rec.sc2, rec.cc)
+            self.assert_matches_numpy(
+                rec.power_mw, (rec.sc1 / F, rec.sc2 / F, rec.cc / F),
+                (res.eta1, res.eta2, res.x), 1.0,
+            )
+
+    def test_seeded_draws(self):
+        # x log-uniform over 1e-6 .. 0.9, efficiencies over 0.01 .. 0.99
+        rng = random.Random(20240611)
+        for _ in range(200):
+            x = math.exp(rng.uniform(math.log(1e-6), math.log(0.9)))
+            eta1, eta2 = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+            probs = (
+                singles_rate(1.0, x, eta1),
+                singles_rate(1.0, x, eta2),
+                coincidence_rate(1.0, x, eta1, eta2),
+            )
+            self.assert_matches_numpy(
+                rng.uniform(1.0, 400.0), probs, (eta1, eta2, x),
+                rng.uniform(1e-3, 10.0),
+            )
 
 
 class TestNaivePairRate:

@@ -322,8 +322,8 @@ class TestKernelTables:
         clicks = _clicks(
             words, thr, n, np.empty_like(words), np.empty(n.size, dtype=bool)
         )
-        p = click_probability(n, eta)
-        assert np.array_equal(clicks, _uniforms(words) < p)
+        p = np.array([click_probability(k, eta) for k in range(self.TOP + 1)])
+        assert np.array_equal(clicks, _uniforms(words) < p[n])
 
     def test_threshold_limits(self):
         top = (2**53 - 1) << 11

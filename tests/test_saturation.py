@@ -17,7 +17,7 @@ from spdc_stats import (
 class TestCurve:
     def test_default_grid(self):
         grid = default_mean_grid()
-        assert grid.shape == (60,)
+        assert len(grid) == 60
         assert grid[0] == pytest.approx(1e-2)
         assert grid[-1] == pytest.approx(1e2)
 
@@ -53,7 +53,7 @@ class TestCurve:
     def test_click_bounded_by_one(self):
         cv = curve("coherent", eta=0.99)
         assert max(cv.detected) <= 1.0
-        moderate = cv.detected[cv.means <= 10.0]
+        moderate = [d for m, d in cv.points if m <= 10.0]
         assert max(moderate) < 1.0
 
     def test_curve_is_frozen_record(self):
