@@ -20,19 +20,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .correlation import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, build_table_two
-from .detector_model import DetectorChain
-from .errors import ResourceLimitError, SweepFormatError
-from .inversion import FailedRow, build_table
-from .saturation import curve, default_mean_grid
-from .sweepio import (
-    read_sweep,
-    read_table1_json,
-    write_curves_csv,
-    write_table1_csv,
-    write_table1_json,
-    write_table2_csv,
-)
+# Each command imports the modules it runs, so a fresh process loads only
+# its own command's path; every command needs detector_model and errors.
+from .detector_model import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, DetectorChain
+from .errors import ResourceLimitError
 
 REP_RATE_DEFAULT = 76e6
 DEFAULT_SATURATION_ETAS = (0.3, 0.6, 0.9)
@@ -149,6 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_invert(args) -> int:
+    from .inversion import FailedRow, build_table
+    from .sweepio import read_sweep, write_table1_csv, write_table1_json
+
     records = read_sweep(args.sweep)
     rows = build_table(records, args.rep_rate)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -168,6 +162,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_correlations(args) -> int:
+    from .correlation import build_table_two
+    from .inversion import FailedRow
+    from .sweepio import read_table1_json, write_table2_csv
+
     _, rows = read_table1_json(args.table1)
     reports = build_table_two(
         rows, eta2_scale=args.eta2_scale, eta3_scale=args.eta3_scale
@@ -180,6 +178,9 @@ def cmd_correlations(args) -> int:
 
 
 def cmd_saturation(args) -> int:
+    from .saturation import curve, default_mean_grid
+    from .sweepio import write_curves_csv
+
     etas = args.etas if args.etas else list(DEFAULT_SATURATION_ETAS)
     grid = default_mean_grid()
     curves = [
@@ -246,10 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SweepFormatError, ResourceLimitError) as exc:
-        print(f"spdc-stats: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"spdc-stats: error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,18 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detector_model import split_coincidences, validate_efficiency
+from .detector_model import (
+    DEFAULT_ETA2_SCALE,
+    DEFAULT_ETA3_SCALE,
+    split_coincidences,
+    validate_efficiency,
+)
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
 from .photon_statistics import validate_emission_parameter
-
-# Branch efficiencies after the balanced splitter, relative to the full
-# signal-arm efficiency recovered by the inversion.  The transmitted
-# branch keeps the signal-arm detector; the reflected branch uses a
-# detector whose calibrated SDE is 0.56 against the signal arm's 0.68,
-# hence the default ratio.  Both are overridable wherever they are used.
-DEFAULT_ETA2_SCALE = 1.0
-DEFAULT_ETA3_SCALE = 0.56 / 0.68
 
 
 def g2_from_counts(

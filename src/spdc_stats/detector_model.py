@@ -22,6 +22,14 @@ from dataclasses import dataclass
 
 from .photon_statistics import validate_emission_parameter
 
+# Branch efficiencies after the balanced splitter, relative to the full
+# signal-arm efficiency recovered by the inversion.  The transmitted
+# branch keeps the signal-arm detector; the reflected branch uses a
+# detector whose calibrated SDE is 0.56 against the signal arm's 0.68,
+# hence the default ratio.  Both are overridable wherever they are used.
+DEFAULT_ETA2_SCALE = 1.0
+DEFAULT_ETA3_SCALE = 0.56 / 0.68
+
 
 def validate_efficiency(eta: float, name: str = "eta") -> float:
     eta = float(eta)

@@ -167,6 +167,13 @@ def _jacobian(
     )
 
 
+def _check_rep_rate(f: float) -> None:
+    if not 0 < f < math.inf:
+        raise ValueError(
+            f"repetition rate must be positive and finite, got {f!r}"
+        )
+
+
 def invert_counts(
     f: float,
     power_mw: float,
@@ -184,10 +191,9 @@ def invert_counts(
     single in both arms, so the three rates are correlated, not
     independent Poisson counts.
     """
-    if f <= 0:
-        raise ValueError(f"repetition rate must be positive, got {f!r}")
-    if power_mw <= 0:
-        raise ValueError(f"power must be positive, got {power_mw!r}")
+    _check_rep_rate(f)
+    if not 0 < power_mw < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power_mw!r}")
     if not (sc1 > 0 and sc2 > 0 and cc > 0):
         raise DataInconsistencyError(
             f"all rates must be positive, got sc1={sc1}, sc2={sc2}, cc={cc}"
@@ -333,7 +339,11 @@ def row_from_inversion(
 def build_table(
     records: list[CountRecord], f: float
 ) -> list[TableOneRow | FailedRow]:
-    """Invert every sweep row, collecting failures instead of aborting."""
+    """Invert every sweep row, collecting failures instead of aborting.
+
+    A bad repetition rate would fail every row, so it raises instead.
+    """
+    _check_rep_rate(f)
     out: list[TableOneRow | FailedRow] = []
     for rec in records:
         try:

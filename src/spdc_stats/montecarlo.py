@@ -538,6 +538,8 @@ def _max_draw(config: SimConfig) -> int:
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count, capped by the SPDC_STATS_THREADS environment variable."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     env = os.environ.get("SPDC_STATS_THREADS")
     cap = None
     if env is not None:
@@ -547,7 +549,7 @@ def resolve_threads(threads: int | None = None) -> int:
     t = threads if threads is not None else (os.cpu_count() or 1)
     if cap is not None:
         t = min(t, cap)
-    return max(1, int(t))
+    return int(t)
 
 
 def simulate(
@@ -569,6 +571,7 @@ def simulate(
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
+    threads = resolve_threads(threads)
     worst = _max_draw(config)
     if config.pulses * max(worst, 1) ** 3 >= 2**63:
         raise ResourceLimitError(
@@ -584,7 +587,7 @@ def simulate(
     if jobs:
         kernel = _ChunkKernel(config, worst)
         size = jobs[0][1]
-        workers = min(resolve_threads(threads), len(jobs))
+        workers = min(threads, len(jobs))
         if workers == 1:
             total = kernel.run_stripe(jobs, size)
         else:

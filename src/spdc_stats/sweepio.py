@@ -14,10 +14,15 @@ from __future__ import annotations
 import csv
 import json
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .correlation import CorrelationReport
 from .errors import SweepFormatError
 from .inversion import CountRecord, FailedRow, TableOneRow
+
+if TYPE_CHECKING:
+    # an annotation only; importing it would load the correlation module
+    # for subcommands that never build Table 2
+    from .correlation import CorrelationReport
 
 SWEEP_COLUMNS = ("power_mw", "sc1", "sc2", "cc")
 SWEEP_OPTIONAL = ("cc12", "cc13", "cc123")

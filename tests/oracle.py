@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from spdc_stats import RatePrediction, ResourceLimitError
+from spdc_stats import ResourceLimitError
+from spdc_stats.detector_model import RatePrediction
 from spdc_stats.montecarlo import log_binomial_half, log_factorials, poisson_pmf
 from spdc_stats.photon_statistics import (
     EPS_TRUNC_DEFAULT,

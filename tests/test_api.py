@@ -5,7 +5,11 @@ names defensively: when one goes missing, its metric turns null instead of
 the run failing.  These tests fail first.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,41 @@ import spdc_stats
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 F = 76e6
+
+# Run in a fresh interpreter: import the package, run one subcommand (or
+# none), then report what is loaded and which public names fail to resolve.
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+argv, extra_names = json.loads(sys.argv[1])
+import spdc_stats
+code = None
+if argv:
+    from spdc_stats import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "spdc_stats")
+numpy = "numpy" in sys.modules
+unresolved = []
+for dotted in spdc_stats.__all__ + extra_names:
+    obj = spdc_stats
+    try:
+        for part in dotted.split("."):
+            obj = getattr(obj, part)
+    except AttributeError:
+        unresolved.append(dotted)
+print(json.dumps({"code": code, "loaded": loaded, "numpy": numpy,
+                  "unresolved": unresolved}))
+"""
+
+# What each fresh run loads: a subcommand loads only the modules it runs.
+PATH_MODULES = {"cli", "detector_model", "errors", "photon_statistics"}
+LOADED = {
+    "import": set(),
+    "invert": PATH_MODULES | {"inversion", "sweepio"},
+    "correlations": PATH_MODULES | {"correlation", "inversion", "sweepio"},
+    "saturation": PATH_MODULES | {"inversion", "saturation", "sweepio"},
+    "simulate": PATH_MODULES | {"correlation", "inversion", "montecarlo"},
+}
 
 
 def bench_names() -> set[str]:
@@ -62,3 +101,52 @@ def test_benchmark_metric_sources():
     assert issubclass(spdc_stats.InversionError, Exception)
     result = spdc_stats.invert_counts(F, 10, 223e3, 205e3, 45e3)
     assert type(result.iterations) is int
+
+
+def test_lookups_are_cached_in_the_package():
+    value = spdc_stats.simulate
+    assert vars(spdc_stats)["simulate"] is value
+    assert spdc_stats.sweepio is sys.modules["spdc_stats.sweepio"]
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spdc_stats.no_such_name
+    assert "RatePrediction" not in spdc_stats.__all__
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory, bundled_records, inverted_rows):
+    d = tmp_path_factory.mktemp("fresh")
+    spdc_stats.write_sweep(bundled_records, d / "sweep.csv")
+    spdc_stats.write_table1_json(inverted_rows, F, d / "table1.json")
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_fresh_process_loads_only_its_path(command, cli_inputs, tmp_path):
+    argv = {
+        "import": [],
+        "invert": ["invert", str(cli_inputs / "sweep.csv"),
+                   "--out", str(tmp_path)],
+        "correlations": ["correlations", str(cli_inputs / "table1.json"),
+                         "--out", str(tmp_path / "table2.csv")],
+        "saturation": ["saturation", "--out", str(tmp_path / "curves.csv")],
+        "simulate": ["simulate", "--mode", "two_arm", "--x", "0.1",
+                     "--eta1", "0.2", "--eta2", "0.2", "--pulses", "10000",
+                     "--out", str(tmp_path / "sim.json")],
+    }[command]
+    extra = ["sweepio.write_curves_csv"] + sorted(bench_names())
+    src = Path(spdc_stats.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps([argv, extra])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == (0 if argv else None)
+    assert result["loaded"] == sorted(
+        {"spdc_stats"} | {f"spdc_stats.{m}" for m in LOADED[command]}
+    )
+    assert result["numpy"] is (command == "simulate")
+    assert result["unresolved"] == []

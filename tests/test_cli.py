@@ -136,6 +136,16 @@ class TestInvert:
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "table1.csv").exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+    def test_bad_rep_rate_rejected(self, tmp_path, capsys, sweep_path, rate):
+        code = main(["invert", str(sweep_path), "--rep-rate", rate,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("spdc-stats: error: repetition rate")
+        assert not (tmp_path / "table1.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["invert", str(tmp_path / "nope.csv")])
         assert code == 1
@@ -298,6 +308,14 @@ class TestSimulate:
         ])
         assert code == 1
         assert "pulses" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "x.json"
+        code = main(self.BASE + ["--threads", threads, "--out", str(out)])
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_detector_rejected(self, tmp_path, capsys):
         code = main([

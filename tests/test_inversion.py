@@ -137,6 +137,18 @@ class TestInvertCounts:
         with pytest.raises(DataInconsistencyError):
             invert_counts(F, 10, sc1, sc2, cc)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rep_rate(self, bad):
+        with pytest.raises(ValueError, match="repetition rate") as info:
+            invert_counts(bad, 10, 223e3, 205e3, 45e3)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_power(self, bad):
+        with pytest.raises(ValueError, match="power") as info:
+            invert_counts(F, bad, 223e3, 205e3, 45e3)
+        assert type(info.value) is ValueError
+
     def test_sigma_bands_optional(self):
         plain = invert_counts(F, 10, 223e3, 205e3, 45e3)
         assert plain.tau_sigma is None
@@ -286,6 +298,13 @@ class TestCountRecord:
 class TestBuildTable:
     def test_empty_input(self):
         assert build_table([], F) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_rep_rate_raises_before_any_row(self, bundled_records, bad):
+        # it would fail every row alike, so it is no per-row failure
+        for records in ([], bundled_records):
+            with pytest.raises(ValueError, match="repetition rate"):
+                build_table(records, bad)
 
     def test_full_sweep_infers_all_rows(self, inverted_rows):
         assert len(inverted_rows) == 16

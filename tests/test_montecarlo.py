@@ -534,3 +534,16 @@ class TestResolveThreads:
         monkeypatch.setenv("SPDC_STATS_THREADS", "0")
         with pytest.raises(ValueError):
             resolve_threads(4)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_count_must_be_positive(self, monkeypatch, threads):
+        monkeypatch.delenv("SPDC_STATS_THREADS", raising=False)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            resolve_threads(threads)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_simulate_rejects_nonpositive_count(self, threads):
+        config = SimConfig(mode="two_arm", pulses=1000, seed=1, x=0.1,
+                           chain=DetectorChain(eta1=0.2, eta2=0.2))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            simulate(config, threads=threads)
