@@ -36,13 +36,11 @@ _PUBLIC = {
     ),
     "inversion": (
         "CountRecord", "FailedRow", "InversionResult", "TableOneRow",
-        "build_table", "invert_counts", "naive_pair_rate",
-        "sde_from_attenuated_laser",
+        "build_table", "invert_counts",
     ),
     "montecarlo": (
         "SimConfig", "SimCounts", "analytic_expectations",
-        "compare_with_analytic", "g2_with_stderr", "resolve_threads",
-        "simulate",
+        "compare_with_analytic", "resolve_threads", "simulate",
     ),
     "photon_statistics": (
         "mean_pairs_per_pulse", "one_pair_rate", "pair_rate",
@@ -53,9 +51,9 @@ _PUBLIC = {
         "default_mean_grid", "saturation_gap",
     ),
     "sweepio": (
-        "bundled_path", "load_bundled_csv", "load_bundled_sweep",
-        "read_sweep", "read_table1_json", "write_sweep", "write_table1_csv",
-        "write_table1_json", "write_table2_csv",
+        "bundled_path", "load_bundled_sweep", "read_sweep",
+        "read_table1_json", "write_table1_csv", "write_table1_json",
+        "write_table2_csv",
     ),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -10,10 +10,19 @@ the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
 - g2_signal_idler / g3_signal_idler: both arms pooled, so each pulse
   carries N = 2n photons; equal 1/(2x) + 3/2 and 3(1 + x)/x.
 - g2_from_counts: the experimental estimator 2 * CC123 * SC1 /
-  (CC12 + CC13)**2 applied to measured counts.
+  (CC12 + CC13)**2 applied to measured counts; g2_stderr is its 1-sigma
+  band.
 - g2_heralded_predicted: the same estimator applied to the detector-model
   rate predictions for a given (x, eta1, eta2, eta3), which accounts for
   multi-pair emission seen through lossy bucket detectors.
+
+The counting estimator is normalized differently from g2_heralded_ideal.
+For balanced branches (CC12 = CC13) it is exactly half the product form
+CC123 * SC1 / (CC12 * CC13).  With ideal detectors the product form tends
+to g2_heralded_ideal = 2x as x -> 0, and the counting estimator to x.  So
+Table 2's g2_heralded column (2x) and its g2_measured and g2_predicted
+columns (the counting estimator, the paper's convention) are on different
+scales; the measured/predicted ratio does not depend on the choice.
 
 Each value has one closed form and no other path.  The photon-number
 series and raw-moment formulas that define them are test references in
@@ -33,42 +42,37 @@ from .detector_model import (
 )
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
-from .photon_statistics import validate_emission_parameter
+from .photon_statistics import validate_emission_parameter, validate_positive
 
 
-def g2_from_counts(
-    sc1: float,
-    cc12: float,
-    cc13: float,
-    cc123: float,
-    with_sigma: bool = False,
-    integration_time: float = 1.0,
-):
-    """Experimental zero-delay g2 estimator 2 * cc123 * sc1 / (cc12 + cc13)**2.
-
-    With ``with_sigma=True`` returns (value, sigma), propagating Poissonian
-    errors on the four counts accumulated over ``integration_time`` seconds.
-    """
+def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
+    """Experimental zero-delay g2 estimator 2 * cc123 * sc1 / (cc12 + cc13)**2."""
     for name, v in (("sc1", sc1), ("cc12", cc12), ("cc13", cc13), ("cc123", cc123)):
         if v < 0:
             raise ValueError(f"{name} must be non-negative, got {v!r}")
     denom = cc12 + cc13
     if denom == 0:
         raise DivergenceError("cc12 + cc13 = 0: g2 estimator undefined")
-    value = 2.0 * cc123 * sc1 / denom**2
-    if not with_sigma:
-        return value
-    if integration_time <= 0:
-        raise ValueError("integration_time must be positive")
-    # Var(rate) = rate / T for Poisson counts accumulated over T seconds
-    partials = (
-        (sc1, 2.0 * cc123 / denom**2),
-        (cc123, 2.0 * sc1 / denom**2),
-        (cc12, -2.0 * value / denom),
-        (cc13, -2.0 * value / denom),
-    )
-    var = sum(d**2 * rate / integration_time for rate, d in partials)
-    return value, math.sqrt(var)
+    return 2.0 * cc123 * sc1 / denom**2
+
+
+def g2_stderr(s: float, a: float, b: float, t: float, pulses: float) -> float:
+    """Standard error of the counting estimator over ``pulses`` pulses.
+
+    s, a, b, t are the per-pulse probabilities of click1, pair12, pair13
+    and triple123.  The error is the delta method under the per-pulse
+    multinomial covariance of those four nested indicators (a triple is
+    also a pair, a pair also a herald click); with u = a + b the quadratic
+    form reduces to
+
+        (2 s / u**2) sqrt(t (1 - t/s - 4t/u + 8t**2/u**2) / pulses).
+    """
+    validate_positive(pulses, "pulses")
+    u = a + b
+    if u == 0:
+        raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
+    var = t * (1.0 - t / s - 4.0 * t / u + 8.0 * (t / u) ** 2) / pulses
+    return 2.0 * s / u**2 * math.sqrt(max(var, 0.0))
 
 
 def g2_unheralded(x: float) -> float:

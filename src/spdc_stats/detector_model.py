@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .photon_statistics import validate_emission_parameter
+from .photon_statistics import validate_emission_parameter, validate_positive
 
 # Branch efficiencies after the balanced splitter, relative to the full
 # signal-arm efficiency recovered by the inversion.  The transmitted
@@ -96,7 +96,7 @@ class RatePrediction:
 
 def singles_rate(f: float, x: float, eta: float) -> float:
     """Singles click rate of one bucket detector on one arm, counts/s."""
-    _validate_rep_rate(f)
+    validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta = validate_efficiency(eta)
     # algebraically equal to 1 - E[(1-eta)**n] but free of the
@@ -109,7 +109,7 @@ def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
 
     Never above ``singles_rate`` of either arm, as no coincidence can be.
     """
-    _validate_rep_rate(f)
+    validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
@@ -151,7 +151,7 @@ def split_coincidences(
     generating function and is accurate to near machine precision relative
     to each rate, for every x in [0, 1) and every efficiency in [0, 1].
     """
-    _validate_rep_rate(f)
+    validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
@@ -230,8 +230,3 @@ def detected_vs_incident(
     if variant == "click":
         return -math.expm1(-eta * mean)
     return mean - mean * (1.0 - eta) * math.exp(-eta * mean)
-
-
-def _validate_rep_rate(f: float) -> None:
-    if not f > 0:
-        raise ValueError(f"repetition rate must be positive, got {f!r}")

@@ -47,7 +47,12 @@ from dataclasses import dataclass
 
 from .detector_model import coincidence_rate, singles_rate
 from .errors import DataInconsistencyError, InversionError
-from .photon_statistics import mean_pairs_per_pulse, one_pair_rate, pair_rate
+from .photon_statistics import (
+    mean_pairs_per_pulse,
+    one_pair_rate,
+    pair_rate,
+    validate_positive,
+)
 
 # exact SI values (2019 redefinition)
 _PLANCK = 6.62607015e-34  # J s
@@ -144,36 +149,6 @@ class FailedRow:
     error: str
 
 
-def _jacobian(
-    x: float, eta1: float, eta2: float
-) -> tuple[tuple[float, ...], ...]:
-    """d(model rates)/d(eta1, eta2, x), rows in (m1, m2, mc) order.
-
-    m1 does not depend on eta2, nor m2 on eta1, so J[0][1] = J[1][0] = 0.
-    """
-    z1, z2 = 1.0 - eta1, 1.0 - eta2
-    d1 = 1.0 - z1 * x
-    d2 = 1.0 - z2 * x
-    d12 = 1.0 - z1 * z2 * x
-    gx = (1.0 - x) * x
-    return (
-        (gx / d1**2, 0.0, eta1 / d1**2),
-        (0.0, gx / d2**2, eta2 / d2**2),
-        (
-            gx / d1**2 - gx * z2 / d12**2,
-            gx / d2**2 - gx * z1 / d12**2,
-            eta1 / d1**2 + eta2 / d2**2 - (1.0 - z1 * z2) / d12**2,
-        ),
-    )
-
-
-def _check_rep_rate(f: float) -> None:
-    if not 0 < f < math.inf:
-        raise ValueError(
-            f"repetition rate must be positive and finite, got {f!r}"
-        )
-
-
 def invert_counts(
     f: float,
     power_mw: float,
@@ -185,15 +160,15 @@ def invert_counts(
 ) -> InversionResult:
     """Solve (sc1, sc2, cc) for (tau, eta1, eta2) at pump power power_mw.
 
-    Optionally propagates counting noise through the linearized system into
-    1-sigma bands.  The noise model is per-pulse multinomial over the
-    f * integration_time pulses counted: every coincidence is also a
-    single in both arms, so the three rates are correlated, not
-    independent Poisson counts.
+    Optionally propagates counting noise through the explicit solution
+    (the delta method) into 1-sigma bands.  The noise model is per-pulse
+    multinomial over the f * integration_time pulses counted: every
+    coincidence is also a single in both arms, so the three rates are
+    correlated, not independent Poisson counts.
     """
-    _check_rep_rate(f)
-    if not 0 < power_mw < math.inf:
-        raise ValueError(f"power must be positive and finite, got {power_mw!r}")
+    validate_positive(f, "repetition rate")
+    validate_positive(power_mw, "power")
+    validate_positive(integration_time, "integration_time")
     if not (sc1 > 0 and sc2 > 0 and cc > 0):
         raise DataInconsistencyError(
             f"all rates must be positive, got sc1={sc1}, sc2={sc2}, cc={cc}"
@@ -254,40 +229,41 @@ def invert_counts(
 
 
 def _propagate_sigma(f, power_mw, probs, params, integration_time):
-    """1-sigma bands of (tau, eta1, eta2): the diagonal of J^-1 S J^-T for
-    the Jacobian J of _jacobian and the rate covariance S, or three Nones
-    when J is singular."""
+    """1-sigma bands of (tau, eta1, eta2): the delta method on the explicit
+    solution, with the gradients taken in (s1, s2, c)."""
     eta1, eta2, x = params
-    if integration_time <= 0:
-        raise ValueError("integration_time must be positive")
-    (a, _, b), (_, c, d), (e, g, h) = _jacobian(x, eta1, eta2)
-    # expand the determinant and the adjugate along the two zero entries
-    det = a * (c * h - d * g) - b * c * e
-    if det == 0.0:
-        return None, None, None
-    jinv = [
-        [v / det for v in row]
-        for row in (
-            (c * h - d * g, b * g, -b * c),
-            (d * e, a * h - b * e, -a * d),
-            (-c * e, -a * g, a * c),
-        )
-    ]
+    s1, s2, c = probs
+    d = c - s1 * s2
+    p = (1.0 - s1 - s2) + c
+    # x = s1 s2 p / d
+    dx = (
+        s2 * ((p - s1) * d + s1 * s2 * p) / d**2,
+        s1 * ((p - s2) * d + s1 * s2 * p) / d**2,
+        -s1 * s2 * (1.0 - s1) * (1.0 - s2) / d**2,
+    )
+    # d log eta_i = ds_i / (s_i (1 - s_i)) - dx / (x (1 - x))
+    dlogit = [v / (x * (1.0 - x)) for v in dx]
+    grads = (
+        [eta1 / (s1 * (1.0 - s1)) - eta1 * dlogit[0], -eta1 * dlogit[1],
+         -eta1 * dlogit[2]],
+        [-eta2 * dlogit[0], eta2 / (s2 * (1.0 - s2)) - eta2 * dlogit[1],
+         -eta2 * dlogit[2]],
+        dx,
+    )
     # multinomial covariance of the per-pulse click indicators: a
     # coincidence pulse is a click pulse in both arms
-    s1, s2, cc = probs
     cov_rates = (
-        (s1 * (1.0 - s1), cc - s1 * s2, cc * (1.0 - s1)),
-        (cc - s1 * s2, s2 * (1.0 - s2), cc * (1.0 - s2)),
-        (cc * (1.0 - s1), cc * (1.0 - s2), cc * (1.0 - cc)),
+        (s1 * (1.0 - s1), c - s1 * s2, c * (1.0 - s1)),
+        (c - s1 * s2, s2 * (1.0 - s2), c * (1.0 - s2)),
+        (c * (1.0 - s1), c * (1.0 - s2), c * (1.0 - c)),
     )
     pulses = f * integration_time
 
-    def sigma(r):
-        var = sum(r[i] * cov_rates[i][j] * r[j] for i in range(3) for j in range(3))
+    def sigma(g):
+        var = sum(g[i] * cov_rates[i][j] * g[j] for i in range(3) for j in range(3))
         return math.sqrt(max(var / pulses, 0.0))
 
-    sig_eta1, sig_eta2, sig_x = map(sigma, jinv)
+    sig_eta1, sig_eta2, sig_x = map(sigma, grads)
     return sig_x / power_mw, sig_eta1, sig_eta2
 
 
@@ -343,7 +319,7 @@ def build_table(
 
     A bad repetition rate would fail every row, so it raises instead.
     """
-    _check_rep_rate(f)
+    validate_positive(f, "repetition rate")
     out: list[TableOneRow | FailedRow] = []
     for rec in records:
         try:

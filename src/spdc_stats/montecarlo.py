@@ -70,7 +70,7 @@ from .detector_model import (
     singles_rate,
     split_coincidences,
 )
-from .correlation import g2_from_counts
+from .correlation import g2_from_counts, g2_stderr
 from .errors import ResourceLimitError
 from .photon_statistics import validate_emission_parameter
 
@@ -600,52 +600,6 @@ def simulate(
     )
 
 
-def _g2_stderr(s: float, a: float, b: float, t: float, pulses: int) -> float:
-    """Delta-method standard error of the counting estimator
-    2 s t / (a + b)**2 over pulses pulses, at per-pulse probabilities s, a,
-    b, t of click1, pair12, pair13, triple123.
-
-    The covariance of the per-pulse indicator vector uses the nesting
-    triple <= pair <= click, so the error is exact to O(1/pulses) without
-    resampling.
-    """
-    ab = a + b
-    grad = np.array(
-        [
-            2.0 * t / ab**2,
-            -4.0 * s * t / ab**3,
-            -4.0 * s * t / ab**3,
-            2.0 * s / ab**2,
-        ]
-    )
-    cov = np.array(
-        [
-            [s * (1 - s), a * (1 - s), b * (1 - s), t * (1 - s)],
-            [a * (1 - s), a * (1 - a), t - a * b, t * (1 - a)],
-            [b * (1 - s), t - a * b, b * (1 - b), t * (1 - b)],
-            [t * (1 - s), t * (1 - a), t * (1 - b), t * (1 - t)],
-        ]
-    )
-    var = float(grad @ cov @ grad) / pulses
-    return math.sqrt(max(var, 0.0))
-
-
-def g2_with_stderr(counts: SimCounts) -> tuple[float, float] | None:
-    """Counting-estimator g2 from split-mode tallies, with its delta-method
-    standard error taken at the observed rates.
-
-    Returns None when no pair coincidences were seen.
-    """
-    p = counts.pulses
-    s = counts.clicks1 / p
-    a = counts.pair12 / p
-    b = counts.pair13 / p
-    t = counts.triple123 / p
-    if a + b == 0:
-        return None
-    return 2.0 * s * t / (a + b) ** 2, _g2_stderr(s, a, b, t, p)
-
-
 def _raw_moment(kind: str, mean_param: float, k: int) -> float:
     """E[n^k] for the geometric (kind="thermal", param x) or Poisson
     (kind="coherent", param nu) distribution, k <= 6."""
@@ -765,7 +719,7 @@ def compare_with_analytic(
             )
             # the error at the analytic rates: taken at the observed ones, a
             # run that sees few triples gets too small an error
-            se = _g2_stderr(
+            se = g2_stderr(
                 expected["clicks1"], expected["pair12"], expected["pair13"],
                 expected["triple123"], counts.pulses,
             )

@@ -11,7 +11,8 @@ downstream (click models, rate inversion, correlation functions) is built
 on these two distributions.  Each quantity has one exact closed form; the
 series sums that define them are test references in ``tests/oracle.py``.
 This module owns the one series-truncation policy (``truncation_order``)
-those references use.  It is scalar ``math`` code and does not import
+those references use, and the one check (``validate_positive``) that every
+repetition rate, counting time and pulse count passes.  It is scalar ``math`` code and does not import
 numpy; the Poisson and binomial tables the Monte Carlo draws from live in
 ``montecarlo``.
 """
@@ -35,6 +36,12 @@ def validate_emission_parameter(x: float) -> float:
     if not 0.0 <= x < 1.0 or math.isnan(x):
         raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
     return x
+
+
+def validate_positive(value: float, name: str) -> None:
+    """Check 0 < value < inf, as a repetition rate or a counting time must be."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def truncation_order(x: float, eps_trunc: float = EPS_TRUNC_DEFAULT) -> int:
@@ -68,17 +75,12 @@ def mean_pairs_per_pulse(x: float) -> float:
 
 def pair_rate(f: float, x: float) -> float:
     """Total pair generation rate N = f * x / (1 - x), in pairs/s."""
-    _validate_rep_rate(f)
+    validate_positive(f, "repetition rate")
     return f * mean_pairs_per_pulse(x)
 
 
 def one_pair_rate(f: float, x: float) -> float:
     """Rate of pulses containing exactly one pair, N1 = f * (1-x) * x."""
-    _validate_rep_rate(f)
+    validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     return f * (1.0 - x) * x
-
-
-def _validate_rep_rate(f: float) -> None:
-    if not f > 0:
-        raise ValueError(f"repetition rate must be positive, got {f!r}")

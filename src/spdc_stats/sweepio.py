@@ -12,6 +12,7 @@ non-negative.  Derived tables are emitted as CSV (for diffing) and JSON
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -170,47 +171,34 @@ def write_table1_csv(rows: list[TableOneRow | FailedRow], path) -> None:
             writer.writerow(_table1_row_cells(item))
 
 
+def _as_json(item: CountRecord | TableOneRow, status: str) -> dict:
+    row = {f.name: getattr(item, f.name) for f in dataclasses.fields(item)}
+    row["status"] = status
+    return row
+
+
+def _from_json(cls, raw: dict):
+    """``cls`` built from the keys of ``raw`` that name its fields; a field
+    with a default may be absent, and other keys (such as an old table's
+    ``solver``) are ignored."""
+    return cls(**{
+        f.name: raw[f.name] if f.default is dataclasses.MISSING
+        else raw.get(f.name, f.default)
+        for f in dataclasses.fields(cls)
+    })
+
+
 def write_table1_json(
     rows: list[TableOneRow | FailedRow], f: float, path
 ) -> None:
-    payload = {"repetition_rate_hz": f, "rows": []}
-    for item in rows:
-        if isinstance(item, FailedRow):
-            r = item.record
-            payload["rows"].append(
-                {
-                    "status": f"failed: {item.error}",
-                    "power_mw": r.power_mw,
-                    "sc1": r.sc1,
-                    "sc2": r.sc2,
-                    "cc": r.cc,
-                    "cc12": r.cc12,
-                    "cc13": r.cc13,
-                    "cc123": r.cc123,
-                }
-            )
-            continue
-        payload["rows"].append(
-            {
-                "status": "ok",
-                "power_mw": item.power_mw,
-                "sc1": item.sc1,
-                "sc2": item.sc2,
-                "cc": item.cc,
-                "cc12": item.cc12,
-                "cc13": item.cc13,
-                "cc123": item.cc123,
-                "tau": item.tau,
-                "eta1": item.eta1,
-                "eta2": item.eta2,
-                "x": item.x,
-                "pair_rate": item.pair_rate,
-                "one_pair_rate": item.one_pair_rate,
-                "mean_pairs": item.mean_pairs,
-                "residual": item.residual,
-                "iterations": item.iterations,
-            }
-        )
+    payload = {
+        "repetition_rate_hz": f,
+        "rows": [
+            _as_json(item.record, f"failed: {item.error}")
+            if isinstance(item, FailedRow) else _as_json(item, "ok")
+            for item in rows
+        ],
+    }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -227,25 +215,12 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
     rows: list[TableOneRow | FailedRow] = []
     for raw in raw_rows:
         try:
-            record = CountRecord(
-                power_mw=raw["power_mw"], sc1=raw["sc1"], sc2=raw["sc2"],
-                cc=raw["cc"], cc12=raw.get("cc12"), cc13=raw.get("cc13"),
-                cc123=raw.get("cc123"),
-            )
+            # the record's checks run on every row, failed or not
+            record = _from_json(CountRecord, raw)
             if raw["status"] != "ok":
                 rows.append(FailedRow(record=record, error=raw["status"]))
                 continue
-            rows.append(
-                TableOneRow(
-                    power_mw=record.power_mw, sc1=record.sc1, sc2=record.sc2,
-                    cc=record.cc, tau=raw["tau"], eta1=raw["eta1"],
-                    eta2=raw["eta2"], pair_rate=raw["pair_rate"],
-                    one_pair_rate=raw["one_pair_rate"],
-                    mean_pairs=raw["mean_pairs"], x=raw["x"],
-                    residual=raw["residual"], iterations=raw["iterations"],
-                    cc12=record.cc12, cc13=record.cc13, cc123=record.cc123,
-                )
-            )
+            rows.append(_from_json(TableOneRow, raw))
         except (KeyError, ValueError) as exc:
             raise SweepFormatError(
                 f"invalid inversion table row: {exc}"

@@ -7,7 +7,9 @@ correlations also through raw moments, so the tests can check each closed
 form against an independent path.  It shares the package's truncation
 policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
 tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
-law in numpy itself, and calls none of the package's closed forms.
+law in numpy itself, and calls none of the package's closed forms.  The
+counting g2 estimator's standard error is here too, as the unreduced numpy
+quadratic form.
 """
 
 from __future__ import annotations
@@ -381,3 +383,24 @@ def g3_signal_idler_moments(x: float) -> float:
     (E[N^3] - 3 E[N^2] + 2 E[N]) / E[N]^3."""
     m1, m2, m3 = _pooled_raw_moments(x)
     return (m3 - 3.0 * m2 + 2.0 * m1) / m1**3
+
+
+def g2_stderr(s: float, a: float, b: float, t: float, pulses: float) -> float:
+    """Delta-method standard error of the counting estimator 2 s t / (a +
+    b)**2 as the full quadratic form grad @ cov @ grad, where cov is the
+    per-pulse covariance of the nested indicators click1 >= pair12,
+    pair13 >= triple123 and the four probabilities are s, a, b, t."""
+    ab = a + b
+    grad = np.array([
+        2.0 * t / ab**2,
+        -4.0 * s * t / ab**3,
+        -4.0 * s * t / ab**3,
+        2.0 * s / ab**2,
+    ])
+    cov = np.array([
+        [s * (1 - s), a * (1 - s), b * (1 - s), t * (1 - s)],
+        [a * (1 - s), a * (1 - a), t - a * b, t * (1 - a)],
+        [b * (1 - s), t - a * b, b * (1 - b), t * (1 - b)],
+        [t * (1 - s), t * (1 - a), t * (1 - b), t * (1 - t)],
+    ])
+    return math.sqrt(max(float(grad @ cov @ grad) / pulses, 0.0))

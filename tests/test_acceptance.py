@@ -27,12 +27,12 @@ from spdc_stats import (
     g2_unheralded,
     g3_unheralded,
     invert_counts,
-    load_bundled_csv,
     saturation_gap,
     simulate,
     split_coincidences,
     two_arm_rates,
 )
+from spdc_stats.sweepio import load_bundled_csv
 from checks import half_ulp
 
 F = 76e6

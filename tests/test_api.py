@@ -6,6 +6,7 @@ the run failing.  These tests fail first.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -103,6 +104,34 @@ def test_benchmark_metric_sources():
     assert type(result.iterations) is int
 
 
+# every public entry point that takes a repetition rate, a counting time or
+# a pulse count, with valid values for all its other arguments
+POSITIVE_FINITE = {
+    "pair_rate": lambda v: spdc_stats.pair_rate(v, 0.1),
+    "one_pair_rate": lambda v: spdc_stats.one_pair_rate(v, 0.1),
+    "singles_rate": lambda v: spdc_stats.singles_rate(v, 0.1, 0.2),
+    "coincidence_rate": lambda v: spdc_stats.coincidence_rate(v, 0.1, 0.2, 0.3),
+    "two_arm_rates": lambda v: spdc_stats.two_arm_rates(v, 0.1, 0.2, 0.3),
+    "split_coincidences": lambda v: spdc_stats.split_coincidences(
+        v, 0.1, 0.2, 0.3, 0.4),
+    "build_table": lambda v: spdc_stats.build_table([], v),
+    "invert_counts.f": lambda v: spdc_stats.invert_counts(
+        v, 10, 223e3, 205e3, 45e3),
+    "invert_counts.integration_time": lambda v: spdc_stats.invert_counts(
+        F, 10, 223e3, 205e3, 45e3, with_sigma=True, integration_time=v),
+    "g2_stderr.pulses": lambda v: spdc_stats.correlation.g2_stderr(
+        0.1, 0.01, 0.01, 0.001, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(POSITIVE_FINITE))
+def test_rates_and_times_must_be_positive_and_finite(entry, bad):
+    with pytest.raises(ValueError, match="must be positive and finite") as info:
+        POSITIVE_FINITE[entry](bad)
+    assert type(info.value) is ValueError
+
+
 def test_lookups_are_cached_in_the_package():
     value = spdc_stats.simulate
     assert vars(spdc_stats)["simulate"] is value
@@ -118,7 +147,7 @@ def test_unknown_names_raise_attribute_error():
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory, bundled_records, inverted_rows):
     d = tmp_path_factory.mktemp("fresh")
-    spdc_stats.write_sweep(bundled_records, d / "sweep.csv")
+    spdc_stats.sweepio.write_sweep(bundled_records, d / "sweep.csv")
     spdc_stats.write_table1_json(inverted_rows, F, d / "table1.json")
     return d
 

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from spdc_stats import detected_vs_incident, g2_from_counts, load_bundled_csv
+from spdc_stats import detected_vs_incident, g2_from_counts
 from spdc_stats.cli import main
-from spdc_stats.sweepio import bundled_path
+from spdc_stats.sweepio import bundled_path, load_bundled_csv
 from checks import half_ulp
 
 TABLE2_TOLERANCES = {
@@ -376,14 +376,15 @@ class TestSimulate:
 
 class TestSweepRoundTrip:
     def test_plain_records(self, tmp_path, bundled_records):
-        from spdc_stats import read_sweep, write_sweep
+        from spdc_stats.sweepio import read_sweep, write_sweep
 
         path = tmp_path / "sweep.csv"
         write_sweep(bundled_records, path)
         assert read_sweep(path) == bundled_records
 
     def test_split_records(self, tmp_path):
-        from spdc_stats import CountRecord, read_sweep, write_sweep
+        from spdc_stats import CountRecord
+        from spdc_stats.sweepio import read_sweep, write_sweep
 
         records = [
             CountRecord(power_mw=10, sc1=2.23e5, sc2=2.05e5, cc=4.5e4,

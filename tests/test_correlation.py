@@ -1,11 +1,16 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 import oracle
 from spdc_stats import (
     CorrelationReport,
+    DetectorChain,
     DivergenceError,
     FailedRow,
+    SimConfig,
     TableOneRow,
     build_table_two,
     g2_from_counts,
@@ -16,7 +21,11 @@ from spdc_stats import (
     g3_signal_idler,
     g3_unheralded,
     report_for_row,
+    simulate,
+    split_coincidences,
 )
+from spdc_stats.correlation import g2_stderr
+from spdc_stats.detector_model import DEFAULT_ETA3_SCALE
 from checks import within_printed
 
 X10 = 10 * 0.00135
@@ -45,10 +54,72 @@ class TestG2FromCounts:
             g2_from_counts(1e6, -1.0, 5e4, 0.0)
 
     def test_sigma_band(self):
-        value, sigma = g2_from_counts(1e6, 5e4, 5e4, 50, with_sigma=True)
+        value = g2_from_counts(1e6, 5e4, 5e4, 50)
+        pulses = 76e6
+        sigma = g2_stderr(1e6 / pulses, 5e4 / pulses, 5e4 / pulses,
+                          50 / pulses, pulses)
         assert value == pytest.approx(0.01, rel=1e-12)
-        # 50 triple counts dominate: expect roughly sqrt(50)/50 ~ 14%
-        assert sigma / value == pytest.approx(np.sqrt(1 / 50), rel=0.2)
+        # 50 triple counts dominate: expect sqrt(50)/50 ~ 14%
+        assert sigma / value == pytest.approx(np.sqrt(1 / 50), rel=0.01)
+
+
+class TestG2Stderr:
+    @staticmethod
+    def assert_matches_oracle(x, eta1, eta2, eta3, pulses):
+        rates = split_coincidences(1.0, x, eta1, eta2, eta3)
+        probs = (rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
+        assert g2_stderr(*probs, pulses) == pytest.approx(
+            oracle.g2_stderr(*probs, pulses), rel=1e-12, abs=0
+        )
+
+    def test_bundled_rows_match_quadratic_form(self, inverted_rows):
+        for row in inverted_rows:
+            self.assert_matches_oracle(
+                row.x, row.eta1, row.eta2, row.eta2 * DEFAULT_ETA3_SCALE, 76e6
+            )
+
+    def test_seeded_draws_match_quadratic_form(self):
+        # x log-uniform over 1e-9 .. 0.99, efficiencies over 1e-6 .. 1
+        rng = random.Random(20261019)
+        for _ in range(500):
+            x = math.exp(rng.uniform(math.log(1e-9), math.log(0.99)))
+            etas = [math.exp(rng.uniform(math.log(1e-6), 0.0)) for _ in range(3)]
+            self.assert_matches_oracle(x, *etas, rng.uniform(1e3, 1e10))
+
+    def test_undefined_without_pairs(self):
+        with pytest.raises(DivergenceError):
+            g2_stderr(0.1, 0.0, 0.0, 0.0, 1000)
+
+    def test_band_covers_monte_carlo_runs(self, inverted_rows):
+        # 150,000 pulses at the 400 mW row's parameters (about 100
+        # triples), 200 fixed seeds, the band taken at each run's observed
+        # rates: about 68 % of runs must land within it of the predicted
+        # g2, and the runs' spread must match the band.  The bounds are
+        # three sampling sigmas: 0.68 +- 0.13 and a ratio of 1 +- 0.15.
+        row = inverted_rows[-1]
+        assert row.power_mw == 400
+        chain = DetectorChain(
+            eta1=row.eta1, eta2=row.eta2, eta3=row.eta2 * DEFAULT_ETA3_SCALE
+        )
+        truth = g2_heralded_predicted(row.x, chain.eta1, chain.eta2, chain.eta3)
+        pulses = 150_000
+        values, sigmas = [], []
+        for seed in range(200):
+            c = simulate(SimConfig(
+                mode="heralded_split", pulses=pulses, seed=seed, x=row.x,
+                chain=chain,
+            ))
+            values.append(g2_from_counts(c.clicks1, c.pair12, c.pair13,
+                                         c.triple123))
+            sigmas.append(g2_stderr(
+                c.clicks1 / pulses, c.pair12 / pulses, c.pair13 / pulses,
+                c.triple123 / pulses, pulses,
+            ))
+        values, sigmas = np.array(values), np.array(sigmas)
+        share = np.mean(np.abs(values - truth) <= sigmas)
+        ratio = np.std(values, ddof=1) / np.mean(sigmas)
+        assert abs(share - 0.68) <= 0.13, share
+        assert abs(ratio - 1.0) <= 0.15, ratio
 
 
 class TestClosedFormIdentities:

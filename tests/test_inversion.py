@@ -17,13 +17,12 @@ from spdc_stats import (
     build_table,
     coincidence_rate,
     invert_counts,
-    naive_pair_rate,
-    sde_from_attenuated_laser,
     simulate,
     singles_rate,
     two_arm_rates,
 )
 from spdc_stats import inversion
+from spdc_stats.inversion import naive_pair_rate, sde_from_attenuated_laser
 from checks import within_printed
 
 F = 76e6
@@ -185,14 +184,33 @@ class TestInvertCounts:
         assert np.all(np.abs(share - 0.68) <= 0.13), share
 
 
+def forward_jacobian(x, eta1, eta2):
+    """d(model rates)/d(eta1, eta2, x), rows in (m1, m2, mc) order."""
+    z1, z2 = 1.0 - eta1, 1.0 - eta2
+    d1 = 1.0 - z1 * x
+    d2 = 1.0 - z2 * x
+    d12 = 1.0 - z1 * z2 * x
+    gx = (1.0 - x) * x
+    return [
+        [gx / d1**2, 0.0, eta1 / d1**2],
+        [0.0, gx / d2**2, eta2 / d2**2],
+        [
+            gx / d1**2 - gx * z2 / d12**2,
+            gx / d2**2 - gx * z1 / d12**2,
+            eta1 / d1**2 + eta2 / d2**2 - (1.0 - z1 * z2) / d12**2,
+        ],
+    ]
+
+
 class TestPropagateSigma:
-    """The hand-expanded J^-1 S J^-T against numpy's matrix inverse."""
+    """The gradients of the explicit inverse against numpy's J^-1 S J^-T
+    for the forward Jacobian J."""
 
     @staticmethod
     def numpy_sigma(f, power_mw, probs, params, integration_time):
         eta1, eta2, x = params
         s1, s2, c = probs
-        jinv = np.linalg.inv(np.array(inversion._jacobian(x, eta1, eta2)))
+        jinv = np.linalg.inv(np.array(forward_jacobian(x, eta1, eta2)))
         cov_rates = np.array([
             [s1 * (1.0 - s1), c - s1 * s2, c * (1.0 - s1)],
             [c - s1 * s2, s2 * (1.0 - s2), c * (1.0 - s2)],

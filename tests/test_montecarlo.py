@@ -5,16 +5,18 @@ import pytest
 
 from spdc_stats import (
     DetectorChain,
+    DivergenceError,
     ResourceLimitError,
     SimConfig,
     SimCounts,
     analytic_expectations,
     compare_with_analytic,
+    g2_from_counts,
     g2_heralded_predicted,
-    g2_with_stderr,
     resolve_threads,
     simulate,
 )
+from spdc_stats.correlation import g2_stderr
 from spdc_stats.detector_model import click_probability
 from spdc_stats.montecarlo import (
     DEFAULT_CHUNK_PULSES,
@@ -462,11 +464,19 @@ class TestAgainstAnalytic:
         for name, entry in result.items():
             assert abs(entry["sigma"]) < 5.0, (name, entry)
 
+    @staticmethod
+    def _observed_g2(counts):
+        """Counting-estimator g2 with its error at the observed rates."""
+        tallies = (counts.clicks1, counts.pair12, counts.pair13,
+                   counts.triple123)
+        se = g2_stderr(*(n / counts.pulses for n in tallies), counts.pulses)
+        return g2_from_counts(*tallies), se
+
     def test_heralded_g2_matches_prediction(self):
         x = 0.0135
         config = heralded(x, 4_000_000, seed=2024)
         counts = simulate(config)
-        got, se = g2_with_stderr(counts)
+        got, se = self._observed_g2(counts)
         predicted = g2_heralded_predicted(x, 0.215, 0.198, 0.163)
         assert abs(got - predicted) < 5 * se
 
@@ -491,7 +501,7 @@ class TestAgainstAnalytic:
         # with the count and puts the run beyond 5 sigma
         config, expected, counts = self._split_lo_counts(triples=2)
         assert 11.0 < expected["triple123"] * config.pulses < 12.5
-        observed, observed_se = g2_with_stderr(counts)
+        observed, observed_se = self._observed_g2(counts)
         assert abs(observed - expected["g2"]) / observed_se > 5.0
         assert compare_with_analytic(config, counts)["g2"]["sigma"] < 5.0
 
@@ -500,8 +510,13 @@ class TestAgainstAnalytic:
         assert compare_with_analytic(config, counts)["g2"]["sigma"] >= 5.0
 
     def test_g2_none_without_pairs(self):
-        counts = simulate(heralded(0.0, 1000))
-        assert g2_with_stderr(counts) is None
+        # the analytic side has a g2, but the run saw no pair to form it
+        config = heralded(0.0135, 1000)
+        counts = SimCounts(pulses=1000, clicks1=3)
+        assert "g2" in analytic_expectations(config)
+        assert "g2" not in compare_with_analytic(config, counts)
+        with pytest.raises(DivergenceError):
+            self._observed_g2(counts)
 
 
 class TestResourceGuards:
