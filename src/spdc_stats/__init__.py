@@ -38,10 +38,8 @@ _PUBLIC = {
         "CountRecord", "FailedRow", "InversionResult", "TableOneRow",
         "build_table", "invert_counts",
     ),
-    "montecarlo": (
-        "SimConfig", "SimCounts", "analytic_expectations",
-        "compare_with_analytic", "resolve_threads", "simulate",
-    ),
+    "expectations": ("analytic_expectations", "compare_with_analytic"),
+    "montecarlo": ("SimConfig", "SimCounts", "resolve_threads", "simulate"),
     "photon_statistics": (
         "mean_pairs_per_pulse", "one_pair_rate", "pair_rate",
         "truncation_order",

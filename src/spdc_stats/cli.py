@@ -195,7 +195,7 @@ def cmd_saturation(args) -> int:
 
 def cmd_simulate(args) -> int:
     # the one subcommand that needs numpy, so the only one that loads it
-    from . import montecarlo
+    from . import expectations, montecarlo
 
     chain = None
     if args.eta1 is not None:
@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
         mean=args.mean,
     )
     counts = montecarlo.simulate(config, threads=args.threads)
-    comparison = montecarlo.compare_with_analytic(config, counts)
+    comparison = expectations.compare_with_analytic(config, counts)
     sigmas = [entry["sigma"] for entry in comparison.values()]
     max_sigma = max(sigmas) if sigmas else 0.0
     payload = {

@@ -223,10 +223,14 @@ def detected_vs_incident(
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
 
+    # with z = eta * mean, the literal forms are written as sums of
+    # positive terms: mean - (1 - eta) mean / (1 + z)**2 and
+    # mean - mean (1 - eta) exp(-z) cancel as eta -> 0
+    z = eta * mean
     if source_kind == "thermal":
         if variant == "click":
-            return eta * mean / (1.0 + eta * mean)
-        return mean - (1.0 - eta) * mean / (1.0 + eta * mean) ** 2
+            return z / (1.0 + z)
+        return z * (1.0 + 2.0 * mean + z * mean) / (1.0 + z) ** 2
     if variant == "click":
-        return -math.expm1(-eta * mean)
-    return mean - mean * (1.0 - eta) * math.exp(-eta * mean)
+        return -math.expm1(-z)
+    return mean * (eta * math.exp(-z) - math.expm1(-z))

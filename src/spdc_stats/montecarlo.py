@@ -43,13 +43,16 @@ its random words.  Chunks default to 2**15 events, so a heralded_split
 chunk's words take 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two
 threads, but raised the peak RSS of ten such runs from 45-48 to 51 MB.
 
-This is the one module of the package that imports numpy.  The package
-loads it on first use of a Monte Carlo name, and the CLI only for
-``simulate``, so the analytic paths start without numpy.  It therefore
-also holds the array tables only the sampler needs: the Poisson pmf
-(``poisson_pmf``) and the log-binomial weights of the n >= 64 split path
-(``log_factorials``, ``log_binomial_half``).  The click thresholds are
-built per n from the scalar law ``detector_model.click_probability``.
+This module samples and tallies; ``expectations`` judges a run against
+the analytic model.  Both read the source through ``SimConfig.law``, whose
+closed forms live in ``photon_statistics``.  This is the one module of the
+package that imports numpy.  The package loads it on first use of a
+sampler name, and the CLI only for ``simulate``, so the analytic paths
+start without numpy.  It therefore also holds the array tables only the
+sampler needs: the Poisson pmf (``poisson_pmf``) and the log-binomial
+weights of the n >= 64 split path (``log_factorials``,
+``log_binomial_half``).  The click thresholds are built per n from the
+scalar law ``detector_model.click_probability``.
 """
 
 from __future__ import annotations
@@ -62,17 +65,9 @@ from typing import Callable
 
 import numpy as np
 
-from .detector_model import (
-    DetectorChain,
-    click_probability,
-    coincidence_rate,
-    detected_vs_incident,
-    singles_rate,
-    split_coincidences,
-)
-from .correlation import g2_from_counts, g2_stderr
+from .detector_model import DetectorChain, click_probability
 from .errors import ResourceLimitError
-from .photon_statistics import validate_emission_parameter
+from .photon_statistics import emission_probability, validate_emission_parameter
 
 MODES = ("two_arm", "heralded_split", "saturation")
 
@@ -99,17 +94,6 @@ _TALLY_FIELDS = (
     "pulses_with_emission",
     "clicked_photons",
 )
-
-# Stirling numbers of the second kind S(k, j) for k = 1..6; they convert
-# factorial moments into raw moments, E[n^k] = sum_j S(k,j) * fm_j.
-_STIRLING = {
-    1: (1,),
-    2: (1, 1),
-    3: (1, 3, 1),
-    4: (1, 7, 6, 1),
-    5: (1, 15, 25, 10, 1),
-    6: (1, 31, 90, 65, 15, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -156,6 +140,18 @@ class SimConfig:
                 )
             if self.chain is None:
                 raise ValueError("saturation mode requires chain.eta1")
+
+    @property
+    def law(self) -> tuple[str, float]:
+        """The pair-number law (kind, p) of ``photon_statistics``: the
+        geometric law of x in the pair modes, and in saturation mode the
+        thermal source's geometric law of x = mean / (1 + mean) or the
+        coherent source's Poisson law of its mean."""
+        if self.mode != "saturation":
+            return "thermal", self.x
+        if self.source_kind == "thermal":
+            return "thermal", self.mean / (1.0 + self.mean)
+        return "coherent", self.mean
 
 
 @dataclass(frozen=True)
@@ -267,21 +263,6 @@ def _binomial_half(
     return out
 
 
-def _geometric_parameter(config: SimConfig) -> float | None:
-    """x of the geometric pair-number law; None for the coherent source."""
-    if config.mode != "saturation":
-        return config.x
-    if config.source_kind == "thermal":
-        return config.mean / (1.0 + config.mean)
-    return None
-
-
-def _emission_probability(config: SimConfig) -> float:
-    """P(n >= 1) per pulse."""
-    x = _geometric_parameter(config)
-    return x if x is not None else -math.expm1(-config.mean)
-
-
 def _truncated_poisson_cdf(mean: float) -> np.ndarray:
     """Cumulative Poisson table conditioned on n >= 1: entry i is
     Pr(n <= i + 1 | n >= 1), long enough that the tail is below 2**-53."""
@@ -374,10 +355,10 @@ def _poisson_draw(cdf: np.ndarray) -> _Draw:
 
 def _event_photon_sampler(config: SimConfig) -> _Draw:
     """The draw of pair numbers of emitting pulses (n >= 1) for config."""
-    x = _geometric_parameter(config)
-    if x is not None:
-        return _geometric_draw(x)
-    return _poisson_draw(_truncated_poisson_cdf(config.mean))
+    kind, p = config.law
+    if kind == "thermal":
+        return _geometric_draw(p)
+    return _poisson_draw(_truncated_poisson_cdf(p))
 
 
 def _event_count(config: SimConfig) -> int:
@@ -389,7 +370,7 @@ def _event_count(config: SimConfig) -> int:
     """
     key = np.array([config.seed, 1], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return int(rng.binomial(config.pulses, _emission_probability(config)))
+    return int(rng.binomial(config.pulses, emission_probability(*config.law)))
 
 
 def _detector_etas(config: SimConfig) -> tuple[float, ...]:
@@ -528,12 +509,12 @@ class _ChunkKernel:
 
 def _max_draw(config: SimConfig) -> int:
     """Largest photon number a single pulse can produce."""
-    if _emission_probability(config) == 0.0:
+    kind, p = config.law
+    if emission_probability(kind, p) == 0.0:
         return 0
-    x = _geometric_parameter(config)
-    if x is None:
-        return len(_truncated_poisson_cdf(config.mean))
-    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(x)))
+    if kind == "coherent":
+        return len(_truncated_poisson_cdf(p))
+    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(p)))
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -598,145 +579,3 @@ def simulate(
     return SimCounts(
         pulses=config.pulses, **dict(zip(_TALLY_FIELDS, total.tolist()))
     )
-
-
-def _raw_moment(kind: str, mean_param: float, k: int) -> float:
-    """E[n^k] for the geometric (kind="thermal", param x) or Poisson
-    (kind="coherent", param nu) distribution, k <= 6."""
-    coeffs = _STIRLING[k]
-    if kind == "thermal":
-        mu = mean_param / (1.0 - mean_param)  # param is x
-        return sum(
-            s * math.factorial(j + 1) * mu ** (j + 1)
-            for j, s in enumerate(coeffs)
-        )
-    return sum(s * mean_param ** (j + 1) for j, s in enumerate(coeffs))
-
-
-def _expected_y2(config: SimConfig) -> float:
-    """E[(n * click)^2] = E[n^2] - E[n^2 (1-eta)^n] for saturation mode."""
-    eta = config.chain.eta1
-    z = 1.0 - eta
-    if config.source_kind == "thermal":
-        x = config.mean / (1.0 + config.mean)
-        m2 = _raw_moment("thermal", x, 2)
-        # E[n^2 z^n] for geometric: (1-x) x z (1 + x z) / (1 - x z)^3
-        xz = x * z
-        damped = (1.0 - x) * xz * (1.0 + xz) / (1.0 - xz) ** 3
-        return m2 - damped
-    nu = config.mean
-    m2 = _raw_moment("coherent", nu, 2)
-    damped = math.exp(nu * (z - 1.0)) * (nu * z + (nu * z) ** 2)
-    return m2 - damped
-
-
-def analytic_expectations(config: SimConfig) -> dict[str, float]:
-    """Per-pulse expected values of every tally the mode produces, plus
-    'g2' in heralded_split mode; keys match SimCounts field names."""
-    out: dict[str, float] = {}
-    if config.mode == "saturation":
-        kind, mean, eta = config.source_kind, config.mean, config.chain.eta1
-        out["clicks1"] = detected_vs_incident(kind, mean, eta, "click")
-        out["clicked_photons"] = detected_vs_incident(kind, mean, eta, "literal")
-        param = mean / (1.0 + mean) if kind == "thermal" else mean
-        if mean > 0:
-            for k, name in ((1, "emitted"), (2, "emitted_sq"), (3, "emitted_cu")):
-                out[name] = _raw_moment(kind, param, k)
-            out["pulses_with_emission"] = (
-                param if kind == "thermal" else -math.expm1(-mean)
-            )
-        else:
-            out.update(
-                emitted=0.0, emitted_sq=0.0, emitted_cu=0.0, pulses_with_emission=0.0
-            )
-        return out
-
-    x, chain = config.x, config.chain
-    for k, name in ((1, "emitted"), (2, "emitted_sq"), (3, "emitted_cu")):
-        out[name] = _raw_moment("thermal", x, k) if x > 0 else 0.0
-    out["pulses_with_emission"] = x
-    out["clicks1"] = singles_rate(1.0, x, chain.eta1)
-    if config.mode == "two_arm":
-        out["clicks2"] = singles_rate(1.0, x, chain.eta2)
-        out["pair12"] = coincidence_rate(1.0, x, chain.eta1, chain.eta2)
-        return out
-    # a photon reaches a branch detector with probability eta_branch / 2,
-    # so branch singles compose into plain singles at half efficiency
-    out["clicks2"] = singles_rate(1.0, x, chain.eta2 / 2.0)
-    out["clicks3"] = singles_rate(1.0, x, chain.eta3 / 2.0)
-    rates = split_coincidences(1.0, x, chain.eta1, chain.eta2, chain.eta3)
-    out["pair12"] = rates.cc12
-    out["pair13"] = rates.cc13
-    out["triple123"] = rates.cc123
-    # the same rule compare_with_analytic applies to the observed pairs:
-    # with no pair coincidences the g2 estimator is undefined
-    if rates.cc12 + rates.cc13 > 0:
-        out["g2"] = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
-    return out
-
-
-def _variance_per_pulse(config: SimConfig, name: str, expected: dict) -> float:
-    """Per-pulse variance of each tallied statistic, from analytic moments."""
-    if name in ("clicks1", "clicks2", "clicks3", "pair12", "pair13",
-                "triple123", "pulses_with_emission"):
-        p = expected[name]
-        return p * (1.0 - p)
-    if name == "clicked_photons":
-        y2 = _expected_y2(config)
-        return y2 - expected[name] ** 2
-    order = {"emitted": 1, "emitted_sq": 2, "emitted_cu": 3}[name]
-    if config.mode == "saturation":
-        kind = config.source_kind
-        param = (
-            config.mean / (1.0 + config.mean) if kind == "thermal" else config.mean
-        )
-    else:
-        kind, param = "thermal", config.x
-    if param == 0.0:
-        return 0.0
-    return _raw_moment(kind, param, 2 * order) - expected[name] ** 2
-
-
-def compare_with_analytic(
-    config: SimConfig, counts: SimCounts
-) -> dict[str, dict[str, float]]:
-    """Side-by-side MC estimates vs analytic expectations with sigma distances.
-
-    Each entry maps a quantity name to {mc, analytic, stderr, sigma}.
-    sigma is 0 when the standard error vanishes and the values agree
-    exactly, inf when they differ with zero standard error.
-    """
-    expected = analytic_expectations(config)
-    report: dict[str, dict[str, float]] = {}
-    for name, target in expected.items():
-        if name == "g2":
-            if counts.pair12 + counts.pair13 == 0:
-                # no pair coincidences to form the ratio estimator; the raw
-                # tallies still constrain the run
-                continue
-            mc = g2_from_counts(
-                counts.clicks1, counts.pair12, counts.pair13, counts.triple123
-            )
-            # the error at the analytic rates: taken at the observed ones, a
-            # run that sees few triples gets too small an error
-            se = g2_stderr(
-                expected["clicks1"], expected["pair12"], expected["pair13"],
-                expected["triple123"], counts.pulses,
-            )
-        else:
-            mc = counts.fraction(name)
-            se = math.sqrt(
-                max(_variance_per_pulse(config, name, expected), 0.0)
-                / counts.pulses
-            )
-        if se == 0.0:
-            sigma = 0.0 if mc == target else math.inf
-        else:
-            sigma = abs(mc - target) / se
-        report[name] = {
-            "mc": mc,
-            "analytic": target,
-            "stderr": se,
-            "sigma": sigma,
-        }
-    return report

@@ -10,11 +10,17 @@ emits single photons with a Poisson distribution of mean nu.  Everything
 downstream (click models, rate inversion, correlation functions) is built
 on these two distributions.  Each quantity has one exact closed form; the
 series sums that define them are test references in ``tests/oracle.py``.
-This module owns the one series-truncation policy (``truncation_order``)
-those references use, and the one check (``validate_positive``) that every
-repetition rate, counting time and pulse count passes.  It is scalar ``math`` code and does not import
-numpy; the Poisson and binomial tables the Monte Carlo draws from live in
-``montecarlo``.
+
+A law is named by a pair (kind, p): ("thermal", x) is the geometric law
+above, with generating function G(z) = (1 - x) / (1 - x z), and
+("coherent", nu) the Poisson law, G(z) = exp(-nu (1 - z)).  This module
+holds their closed forms once (``emission_probability``,
+``source_moment``), for the Monte Carlo sampler and its judge alike.  It
+also owns the one series-truncation policy (``truncation_order``) the test
+references use, and the one check (``validate_positive``) that every
+repetition rate, counting time and pulse count passes.  It is scalar
+``math`` code and does not import numpy; the Poisson and binomial tables
+the Monte Carlo draws from live in ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -84,3 +90,34 @@ def one_pair_rate(f: float, x: float) -> float:
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     return f * (1.0 - x) * x
+
+
+def emission_probability(kind: str, p: float) -> float:
+    """P(n >= 1) = 1 - G(0) of the law (kind, p)."""
+    return p if kind == "thermal" else -math.expm1(-p)
+
+
+def _stirling2(k: int) -> list[int]:
+    """Stirling numbers of the second kind S(k, j) for j = 0 .. k."""
+    row = [1]
+    for m in range(k):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)] + [1]
+    return row
+
+
+def source_moment(kind: str, p: float, k: int, z: float = 1.0) -> float:
+    """E[n**k z**n] of the law (kind, p), for k >= 1 and 0 <= z <= 1.
+
+    E[n**k z**n] = sum_j S(k, j) z**j G^(j)(z), where z**j G^(j)(z) is
+    j! G(z) r**j with r = x z / (1 - x z) for the geometric law, and
+    G(z) (nu z)**j for the Poisson law.  At z = 1, G = 1.
+    """
+    thermal = kind == "thermal"
+    if thermal:
+        g, r = (1.0 - p) / (1.0 - p * z), p * z / (1.0 - p * z)
+    else:
+        g, r = math.exp(-p * (1.0 - z)), p * z
+    return sum(
+        s * (math.factorial(j) if thermal else 1) * g * r**j
+        for j, s in enumerate(_stirling2(k)) if j
+    )

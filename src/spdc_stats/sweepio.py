@@ -42,6 +42,8 @@ TABLE2_COLUMNS = (
 CURVE_COLUMNS = ("source_kind", "eta", "variant", "mean", "detected")
 
 MISSING = "-"
+# status of a row that failed inversion, followed by its error
+FAILED_PREFIX = "failed: "
 
 
 def _fmt(value) -> str:
@@ -147,28 +149,24 @@ def write_sweep(records: list[CountRecord], path) -> None:
             writer.writerow(row)
 
 
-def _table1_row_cells(item: TableOneRow | FailedRow) -> list[str]:
-    if isinstance(item, FailedRow):
-        r = item.record
-        return [
-            _fmt(r.power_mw), _fmt(r.sc1), _fmt(r.sc2), _fmt(r.cc),
-            MISSING, MISSING, MISSING, MISSING, MISSING, MISSING,
-            f"failed: {item.error}",
-        ]
-    return [
-        _fmt(item.power_mw), _fmt(item.sc1), _fmt(item.sc2), _fmt(item.cc),
-        _fmt(item.tau), _fmt(item.eta1), _fmt(item.eta2),
-        _fmt(item.pair_rate), _fmt(item.one_pair_rate), _fmt(item.mean_pairs),
-        "ok",
-    ]
+def _write_table(rows, columns: tuple[str, ...], path) -> None:
+    """One CSV line per row: each column but the last is the attribute of
+    that name, read from a failed row's record and "-" where it has none;
+    the last is the row's status."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for item in rows:
+            failed = isinstance(item, FailedRow)
+            source = item.record if failed else item
+            writer.writerow(
+                [_fmt(getattr(source, column, None)) for column in columns[:-1]]
+                + [FAILED_PREFIX + item.error if failed else "ok"]
+            )
 
 
 def write_table1_csv(rows: list[TableOneRow | FailedRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE1_COLUMNS)
-        for item in rows:
-            writer.writerow(_table1_row_cells(item))
+    _write_table(rows, TABLE1_COLUMNS, path)
 
 
 def _as_json(item: CountRecord | TableOneRow, status: str) -> dict:
@@ -194,7 +192,7 @@ def write_table1_json(
     payload = {
         "repetition_rate_hz": f,
         "rows": [
-            _as_json(item.record, f"failed: {item.error}")
+            _as_json(item.record, FAILED_PREFIX + item.error)
             if isinstance(item, FailedRow) else _as_json(item, "ok")
             for item in rows
         ],
@@ -218,7 +216,8 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
             # the record's checks run on every row, failed or not
             record = _from_json(CountRecord, raw)
             if raw["status"] != "ok":
-                rows.append(FailedRow(record=record, error=raw["status"]))
+                error = raw["status"].removeprefix(FAILED_PREFIX)
+                rows.append(FailedRow(record=record, error=error))
                 continue
             rows.append(_from_json(TableOneRow, raw))
         except (KeyError, ValueError) as exc:
@@ -231,30 +230,7 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
 def write_table2_csv(
     reports: list[CorrelationReport | FailedRow], path
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE2_COLUMNS)
-        for item in reports:
-            if isinstance(item, FailedRow):
-                writer.writerow(
-                    [_fmt(item.record.power_mw)]
-                    + [MISSING] * 7
-                    + [f"failed: {item.error}"]
-                )
-                continue
-            writer.writerow(
-                [
-                    _fmt(item.power_mw),
-                    _fmt(item.g2_measured),
-                    _fmt(item.g2_predicted),
-                    _fmt(item.g2_heralded),
-                    _fmt(item.g2_unheralded),
-                    _fmt(item.g2_signal_idler),
-                    _fmt(item.g3_signal_idler),
-                    _fmt(item.g3_unheralded),
-                    "ok",
-                ]
-            )
+    _write_table(reports, TABLE2_COLUMNS, path)
 
 
 def write_curves_csv(curves, path) -> None:

@@ -9,13 +9,16 @@ policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
 tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
 law in numpy itself, and calls none of the package's closed forms.  The
 counting g2 estimator's standard error is here too, as the unreduced numpy
-quadratic form.
+quadratic form.  The literal detected-vs-incident response, whose
+defining closed forms cancel as eta -> 0, is evaluated in 50-digit decimal
+arithmetic (``detected_literal_decimal``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from typing import Callable
 
 import numpy as np
@@ -223,6 +226,16 @@ def mean_pairs_per_pulse(x: float) -> float:
     return weighted_pair_sum(x, lambda n: n.astype(float))
 
 
+def source_moment(kind: str, p: float, k: int, z: float = 1.0) -> float:
+    """E[n**k z**n] summed term by term over the geometric law of x = p
+    (kind "thermal") or the Poisson law of mean p (kind "coherent")."""
+    if kind == "thermal":
+        return weighted_pair_sum(p, lambda n: n.astype(float) ** k * z**n)
+    # past p + 40 sqrt(p) + 800 every Poisson probability underflows to 0.0
+    n = np.arange(int(p + 40.0 * math.sqrt(p) + 800.0) + 1)
+    return float((poisson_pmf(p, n[-1]) * n.astype(float) ** k * z**n).sum())
+
+
 def factorial_moment(x: float, order: int) -> float:
     """k-th factorial moment E[n (n-1) ... (n-k+1)] of the pair number."""
     k = int(order)
@@ -320,6 +333,19 @@ def detected_vs_incident(
     if variant == "literal":
         terms = terms * n
     return float(terms.sum())
+
+
+def detected_literal_decimal(source_kind: str, mean: float, eta: float) -> float:
+    """E[n (1 - (1 - eta)**n)] from its defining closed forms,
+    mean - (1 - eta) mean / (1 + eta mean)**2 (thermal) and
+    mean - mean (1 - eta) exp(-eta mean) (coherent), in 50-digit decimal
+    arithmetic, so the subtraction loses nothing a double can hold.  The
+    inputs are rounded to 50 digits first, so that eta = 0 gives 0."""
+    with localcontext(Context(prec=50)):
+        m, e = +Decimal(mean), +Decimal(eta)
+        if source_kind == "thermal":
+            return float(m - (1 - e) * m / (1 + e * m) ** 2)
+        return float(m - m * (1 - e) * (-e * m).exp())
 
 
 # ----------------------------------------------------- correlations

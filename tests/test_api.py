@@ -52,7 +52,8 @@ LOADED = {
     "invert": PATH_MODULES | {"inversion", "sweepio"},
     "correlations": PATH_MODULES | {"correlation", "inversion", "sweepio"},
     "saturation": PATH_MODULES | {"inversion", "saturation", "sweepio"},
-    "simulate": PATH_MODULES | {"correlation", "inversion", "montecarlo"},
+    "simulate": PATH_MODULES | {
+        "correlation", "expectations", "inversion", "montecarlo"},
 }
 
 
@@ -179,3 +180,17 @@ def test_fresh_process_loads_only_its_path(command, cli_inputs, tmp_path):
     )
     assert result["numpy"] is (command == "simulate")
     assert result["unresolved"] == []
+
+
+def test_judge_loads_without_numpy():
+    # the Monte Carlo's judge reads a config by duck typing, so it loads
+    # neither the sampler nor numpy
+    code = ("import json, sys, spdc_stats.expectations; print(json.dumps("
+            "['numpy' in sys.modules, 'spdc_stats.montecarlo' in sys.modules]))")
+    src = Path(spdc_stats.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False]

@@ -224,7 +224,10 @@ class TestCorrelations:
         assert code == 2
         rows = read_csv(out)
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("failed:")
+        # the status of table1.csv, carried over with one prefix
+        status = rows[1]["status"]
+        assert status == read_csv(tmp_path / "table1.csv")[1]["status"]
+        assert status.startswith("failed: ") and status.count("failed:") == 1
         assert rows[1]["g2_heralded"] == "-"
 
     def test_eta_scale_flag_changes_prediction(self, invert_out, tmp_path):
@@ -360,14 +363,14 @@ class TestSimulate:
         assert "g2" not in json.loads(out.read_text())["comparison"]
 
     def test_five_sigma_gate(self, tmp_path, monkeypatch, capsys):
-        import spdc_stats.montecarlo as montecarlo
+        import spdc_stats.expectations as expectations
 
         def fake_compare(config, counts):
             return {"clicks1": {
                 "mc": 0.5, "analytic": 0.4, "stderr": 0.001, "sigma": 100.0,
             }}
 
-        monkeypatch.setattr(montecarlo, "compare_with_analytic", fake_compare)
+        monkeypatch.setattr(expectations, "compare_with_analytic", fake_compare)
         code = main(self.BASE[:-2] + ["--pulses", "10000",
                                       "--out", str(tmp_path / "x.json")])
         assert code == 3
@@ -396,19 +399,26 @@ class TestSweepRoundTrip:
         assert read_sweep(path) == records
 
     def test_table1_json_round_trip(self, tmp_path, inverted_rows):
-        from spdc_stats import read_table1_json, write_table1_json
+        from spdc_stats import (
+            CountRecord, FailedRow, read_table1_json, write_table1_json,
+        )
 
+        failed = FailedRow(
+            record=CountRecord(power_mw=500, sc1=1e6, sc2=1e6, cc=2e6),
+            error="coincidence rate exceeds a singles rate",
+        )
+        table = inverted_rows + [failed]
         path = tmp_path / "table1.json"
-        write_table1_json(inverted_rows, 76e6, path)
+        write_table1_json(table, 76e6, path)
         f, rows = read_table1_json(path)
         assert f == 76e6
-        assert rows == inverted_rows
+        assert rows == table
         # tables written while the inversion was iterative carry a solver key
         payload = json.loads(path.read_text())
         for row in payload["rows"]:
             row["solver"] = "newton"
         path.write_text(json.dumps(payload))
-        assert read_table1_json(path) == (76e6, inverted_rows)
+        assert read_table1_json(path) == (76e6, table)
 
 
 class TestEntryPoint:

@@ -338,6 +338,16 @@ class TestDetectedVsIncident:
             mean - mean * (1.0 - eta) * math.exp(-eta * mean), rel=1e-12
         )
 
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    @pytest.mark.parametrize("mean", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize(
+        "eta", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.37, 0.8, 1.0]
+    )
+    def test_literal_precise_as_eta_vanishes(self, kind, mean, eta):
+        got = detected_vs_incident(kind, mean, eta, variant="literal")
+        want = oracle.detected_literal_decimal(kind, mean, eta)
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
+
     def test_click_dominance_and_small_mean_ratio(self):
         for mean in [0.1, 1.0, 5.0]:
             coh = detected_vs_incident("coherent", mean, 0.6)

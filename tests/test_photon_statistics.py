@@ -12,6 +12,7 @@ from spdc_stats import (
     pair_rate,
     truncation_order,
 )
+from spdc_stats.photon_statistics import emission_probability, source_moment
 from checks import geometric_counts, within_printed
 from oracle import (
     CoherentDistribution,
@@ -199,6 +200,33 @@ class TestMeanAndMoments:
     def test_factorial_moment_rejects_bad_order(self):
         with pytest.raises(ValueError):
             factorial_moment(0.3, 0)
+
+
+LAWS = [("thermal", x) for x in (1e-6, 0.0135, 0.392, 0.9)] + [
+    ("coherent", mu) for mu in (1e-3, 0.5, 2.0, 30.0)
+]
+
+
+class TestSourceLaws:
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.2, 0.8, 1.0])
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("kind,p", LAWS)
+    def test_moment_matches_series(self, kind, p, k, eta):
+        z = 1.0 - eta
+        got = source_moment(kind, p, k, z)
+        want = oracle.source_moment(kind, p, k, z)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("kind,p", LAWS)
+    def test_emission_probability_is_one_minus_vacuum(self, kind, p):
+        vacuum = 1.0 - p if kind == "thermal" else math.exp(-p)
+        assert emission_probability(kind, p) == pytest.approx(
+            1.0 - vacuum, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_empty_source(self, kind):
+        assert emission_probability(kind, 0.0) == 0.0
+        assert source_moment(kind, 0.0, 6) == 0.0
 
 
 class TestRates:
