@@ -73,15 +73,13 @@ def analytic_expectations(config) -> dict[str, float]:
 def _variance_per_pulse(config, name: str, expected: dict) -> float:
     """Per-pulse variance of the tally name, from its expectation and the
     law's moments."""
-    mean = expected[name]
+    mean, law = expected[name], config.law
+    if name in _MOMENTS:
+        return source_moment(*law, 2 * _MOMENTS[name]) - mean**2
     if name == "clicked_photons":
         z = 1.0 - config.chain.eta1
-        second = source_moment(*config.law, 2) - source_moment(*config.law, 2, z)
-    elif name in _MOMENTS:
-        second = source_moment(*config.law, 2 * _MOMENTS[name])
-    else:
-        return mean * (1.0 - mean)
-    return second - mean**2
+        return source_moment(*law, 2) - source_moment(*law, 2, z) - mean**2
+    return mean * (1.0 - mean)
 
 
 def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
