@@ -6,11 +6,12 @@ the per-pulse photon-number distribution gives singles rates, two-detector
 coincidence rates, and the rates seen when one arm is divided by a
 balanced splitter onto two detectors.
 
-Closed forms exist for every rate here because the geometric distribution
-has the probability generating function G(z) = (1 - x) / (1 - z x).  Each
-rate has one closed form and no other path, written as sums and products
-of positive terms so it keeps full relative precision down to x -> 0 and
-eta -> 0.  The series sums that define the rates are test references in
+Every pair-mode rate is an entry of ``all_click``, a walk over the sets of
+detectors that have clicked, driven by the click sets one pair fires
+(``pair_outcomes``).  The walk rests on the memorylessness of the
+geometric law Pr(n) = (1 - x) x**n, and its terms are all positive, so
+each rate keeps full relative precision for every x in [0, 1) and eta in
+[0, 1].  The series sums that define the rates are test references in
 ``tests/oracle.py``.
 """
 
@@ -59,8 +60,8 @@ class DetectorChain:
     """Heralding-arm efficiency plus one or two analysis-arm efficiencies.
 
     eta2 and eta3 are the full branch efficiencies after the balanced
-    splitter; the factor 1/2 from the splitter itself is applied by the
-    rate formulas, not folded into these numbers.
+    splitter; the factor 1/2 from the splitter itself is applied by
+    ``pair_outcomes``, not folded into these numbers.
     """
 
     eta1: float
@@ -94,14 +95,66 @@ class RatePrediction:
     sc1h: float | None = None
 
 
+def pair_outcomes(eta1: float, eta2: float, eta3: float | None = None) -> list[float]:
+    """Probability of each click set one pair fires, indexed by bitmask.
+
+    The idler reaches detector 1 (bit 1) with probability eta1 and the
+    signal detector 2 (bit 2) with eta2.  Given eta3, a balanced splitter
+    sends the signal to detector 2 with eta2/2 or to detector 3 (bit 4)
+    with eta3/2.
+    """
+    if eta3 is None:
+        signal = [1.0 - eta2, 0.0, eta2, 0.0]
+    else:
+        # the miss as a sum of positive terms keeps its relative precision
+        # when both branches are near-perfect
+        miss = ((1.0 - eta2) + (1.0 - eta3)) / 2.0
+        signal = [miss, 0.0, eta2 / 2.0, 0.0, eta3 / 2.0, 0.0, 0.0, 0.0]
+    idler = (1.0 - eta1, eta1)
+    return [idler[t & 1] * signal[t & ~1] for t in range(len(signal))]
+
+
+def all_click(x: float, outcomes: list[float]) -> list[float]:
+    """Per-pulse P(every detector in mask m clicks), for every mask m.
+
+    Under the geometric law a pulse is a walk over the sets of detectors
+    that have clicked.  It starts at the empty set; each step the source
+    emits one more pair with probability x or stops with probability
+    1 - x, and a pair that fires click set t (probability outcomes[t])
+    moves the walk from c to c | t.  Entry m is hit(0), the probability
+    that the walk holds all of m when it stops: hit(c) is 1 for c that
+    holds m and otherwise, by the first step that leaves c,
+
+        x * sum(outcomes[t] * hit(c | t)) / ((1 - x) + x * escape(c)),
+
+    where escape(c) sums those outcomes[t].  Every term is positive.
+    """
+    u = 1.0 - x
+    size = len(outcomes)
+    fired = [(t, p) for t, p in enumerate(outcomes) if p]
+    steps = []
+    for c in range(size):
+        moves = [(c | t, p) for t, p in fired if c | t != c]
+        steps.append((moves, u + x * sum(p for _, p in moves)))
+    out = []
+    for m in range(size):
+        hit = [1.0] * size
+        # a move goes to a larger mask, so hit[c | t] is final before hit[c]
+        for c in reversed(range(size)):
+            if c & m != m:
+                moves, den = steps[c]
+                hit[c] = x * sum(p * hit[b] for b, p in moves) / den
+        out.append(hit[0])
+    return out
+
+
 def singles_rate(f: float, x: float, eta: float) -> float:
     """Singles click rate of one bucket detector on one arm, counts/s."""
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta = validate_efficiency(eta)
-    # algebraically equal to 1 - E[(1-eta)**n] but free of the
-    # subtractive cancellation that form suffers at small eta*x
-    return f * eta * x / (1.0 - (1.0 - eta) * x)
+    # all_click's walk for one detector, written out
+    return f * x * eta / ((1.0 - x) + x * eta)
 
 
 def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
@@ -113,17 +166,9 @@ def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
-    z1, z2 = 1.0 - eta1, 1.0 - eta2
-    # positive-term rearrangement of
-    # 1 - E[z1**n] - E[z2**n] + E[(z1 z2)**n]; exact algebra, but
-    # with every term positive it stays accurate at small eta*x
-    a = 1.0 - z1 * x
-    b = 1.0 - z2 * x
-    c = 1.0 - z1 * z2 * x
-    bracket = z1 * x / (a * c) + z2 * x / (b * c) + 1.0 / c
-    cc = f * x * eta1 * eta2 * bracket
+    cc = f * all_click(x, pair_outcomes(eta1, eta2))[3]
     # within ~1e-13 of eta = 1, where cc equals a singles rate, rounding
-    # can put cc an ulp or two above it
+    # can put cc an ulp above the separately computed singles rate
     return min(cc, singles_rate(f, x, eta1), singles_rate(f, x, eta2))
 
 
@@ -137,68 +182,22 @@ def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePredictio
 
 
 def split_coincidences(
-    f: float,
-    x: float,
-    eta1: float,
-    eta2: float,
-    eta3: float,
+    f: float, x: float, eta1: float, eta2: float, eta3: float
 ) -> RatePrediction:
     """Rates when one arm feeds a balanced splitter onto two detectors.
 
     The n photons reaching the splitter divide binomially between the two
     output branches; detector 2 sees k photons with branch efficiency eta2
-    and detector 3 sees n - k with eta3.  The closed form follows from the
-    generating function and is accurate to near machine precision relative
-    to each rate, for every x in [0, 1) and every efficiency in [0, 1].
+    and detector 3 sees n - k with eta3.  Every rate is an entry of
+    ``all_click``.
     """
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
     eta3 = validate_efficiency(eta3, "eta3")
-    # a balanced split followed by a detector of efficiency eta is one
-    # detector of efficiency eta/2 as far as branch pairs go
-    return RatePrediction(
-        cc12=coincidence_rate(f, x, eta1, eta2 / 2.0),
-        cc13=coincidence_rate(f, x, eta1, eta3 / 2.0),
-        cc123=f * _triple_per_pulse(x, eta1, eta2 / 2.0, eta3 / 2.0),
-        sc1h=singles_rate(f, x, eta1),
-    )
-
-
-def _triple_per_pulse(x: float, eta1: float, p: float, q: float) -> float:
-    """Per-pulse three-fold probability behind the splitter.
-
-    p and q are the per-photon click probabilities of the two branch
-    detectors (half their efficiencies).  Inclusion-exclusion over the
-    generating function gives, with a, b, c = 1 - p, 1 - q, 1 - p - q,
-
-        (1 - x) p q [R(x) - R((1 - eta1) x)],
-        R(y) = y**2 (2 - (2 - p - q) y) / ((1 - y)(1 - a y)(1 - b y)(1 - c y)).
-
-    R is increasing, so the bracket is R(x) (1 - exp(-delta)) with delta =
-    log R(x) - log R((1 - eta1) x) built from log1p terms of d = eta1 x
-    directly, and every 1 - s y is formed as (1 - y) + (1 - s) y; nothing
-    near-equal is ever subtracted.
-    """
-    if x == 0.0 or eta1 == 0.0 or p == 0.0 or q == 0.0:
-        return 0.0
-    u = 1.0 - x
-    ts = (0.0, p, q, p + q)  # 1 - s for s = 1, a, b, c
-    # (1 - x) R(x), with the (1 - x) factors cancelled
-    head = p * q * x * x * (2.0 * u + (p + q) * x)
-    for t in ts[1:]:
-        head /= u + t * x
-    if eta1 == 1.0:
-        return head  # R(0) = 0
-    d = eta1 * x
-    v = x - d
-    delta = -2.0 * math.log1p(-eta1) + math.log1p(
-        -(2.0 - p - q) * d / (2.0 * (u + d) + (p + q) * v)
-    )
-    for t in ts:
-        delta += math.log1p((1.0 - t) * d / (u + t * x))
-    return head * -math.expm1(-delta)
+    p = all_click(x, pair_outcomes(eta1, eta2, eta3))
+    return RatePrediction(cc12=f * p[3], cc13=f * p[5], cc123=f * p[7], sc1h=f * p[1])
 
 
 def detected_vs_incident(

@@ -5,13 +5,15 @@ For every tally that ``montecarlo.simulate`` counts, this module gives its
 per-pulse expectation and variance in closed form, and
 ``compare_with_analytic`` turns a run's tallies into sigma distances.
 
-- Click and coincidence tallies come from ``detector_model``'s rates and
-  have the Bernoulli variance p (1 - p) per pulse.
+- Click and coincidence tallies are entries of ``detector_model.all_click``
+  for the mode's detectors and have the Bernoulli variance p (1 - p) per
+  pulse.
 - The emission moments E[n**k] and their variances E[n**2k] - E[n**k]**2
   come from the pair-number law's generating function
   (``photon_statistics.source_moment``).
 - In saturation mode, clicked_photons is n times the click indicator, so
-  its second moment is E[n**2] - E[n**2 (1 - eta)**n].
+  its second moment is E[n**2 1{click}], written as a sum of positive
+  terms.
 - g2's error is the delta method at the analytic rates
   (``correlation.g2_stderr``).
 
@@ -25,16 +27,14 @@ from __future__ import annotations
 import math
 
 from .correlation import g2_from_counts, g2_stderr
-from .detector_model import (
-    coincidence_rate,
-    detected_vs_incident,
-    singles_rate,
-    split_coincidences,
-)
+from .detector_model import all_click, detected_vs_incident, pair_outcomes
 from .photon_statistics import emission_probability, source_moment
 
 # emission-moment tallies and the power of n each one sums
 _MOMENTS = {"emitted": 1, "emitted_sq": 2, "emitted_cu": 3}
+# pair-mode click tallies and the mask of detectors each one needs to click
+_MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 5,
+          "triple123": 7}
 
 
 def analytic_expectations(config) -> dict[str, float]:
@@ -49,36 +49,38 @@ def analytic_expectations(config) -> dict[str, float]:
         out["clicked_photons"] = detected_vs_incident(kind, mean, eta, "literal")
         return out
 
-    x = config.x
-    out["clicks1"] = singles_rate(1.0, x, chain.eta1)
-    if config.mode == "two_arm":
-        out["clicks2"] = singles_rate(1.0, x, chain.eta2)
-        out["pair12"] = coincidence_rate(1.0, x, chain.eta1, chain.eta2)
-        return out
-    # a photon reaches a branch detector with probability eta_branch / 2,
-    # so branch singles compose into plain singles at half efficiency
-    out["clicks2"] = singles_rate(1.0, x, chain.eta2 / 2.0)
-    out["clicks3"] = singles_rate(1.0, x, chain.eta3 / 2.0)
-    rates = split_coincidences(1.0, x, chain.eta1, chain.eta2, chain.eta3)
-    out["pair12"] = rates.cc12
-    out["pair13"] = rates.cc13
-    out["triple123"] = rates.cc123
+    eta3 = chain.eta3 if config.mode == "heralded_split" else None
+    clicks = all_click(config.x, pair_outcomes(chain.eta1, chain.eta2, eta3))
+    out.update((name, clicks[m]) for name, m in _MASKS.items() if m < len(clicks))
     # the same rule compare_with_analytic applies to the observed pairs:
     # with no pair coincidences the g2 estimator is undefined
-    if rates.cc12 + rates.cc13 > 0:
-        out["g2"] = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
+    if eta3 is not None and out["pair12"] + out["pair13"] > 0:
+        out["g2"] = g2_from_counts(
+            out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
     return out
+
+
+def _clicked_photons_square(config) -> float:
+    """E[n**2 1{click}] of a saturation config, as positive terms in
+    w = eta * mean."""
+    m, eta = config.mean, config.chain.eta1
+    w = eta * m
+    if config.source_kind == "thermal":
+        s = 1.0 + w
+        return (w * (1.0 + 2.0 * m + m * w) / s**2
+                + 2.0 * m * w * (2.0 - eta + 3.0 * m + 3.0 * m * w + m * w * w) / s**3)
+    e, em1 = math.exp(-w), -math.expm1(-w)
+    return m * (eta * e + em1) + m**2 * (eta * (2.0 - eta) * e + em1)
 
 
 def _variance_per_pulse(config, name: str, expected: dict) -> float:
     """Per-pulse variance of the tally name, from its expectation and the
     law's moments."""
-    mean, law = expected[name], config.law
+    mean = expected[name]
     if name in _MOMENTS:
-        return source_moment(*law, 2 * _MOMENTS[name]) - mean**2
+        return source_moment(*config.law, 2 * _MOMENTS[name]) - mean**2
     if name == "clicked_photons":
-        z = 1.0 - config.chain.eta1
-        return source_moment(*law, 2) - source_moment(*law, 2, z) - mean**2
+        return _clicked_photons_square(config) - mean**2
     return mean * (1.0 - mean)
 
 

@@ -105,19 +105,16 @@ def _stirling2(k: int) -> list[int]:
     return row
 
 
-def source_moment(kind: str, p: float, k: int, z: float = 1.0) -> float:
-    """E[n**k z**n] of the law (kind, p), for k >= 1 and 0 <= z <= 1.
+def source_moment(kind: str, p: float, k: int) -> float:
+    """E[n**k] of the law (kind, p), for k >= 1.
 
-    E[n**k z**n] = sum_j S(k, j) z**j G^(j)(z), where z**j G^(j)(z) is
-    j! G(z) r**j with r = x z / (1 - x z) for the geometric law, and
-    G(z) (nu z)**j for the Poisson law.  At z = 1, G = 1.
+    E[n**k] = sum_j S(k, j) G^(j)(1), where the factorial moment G^(j)(1)
+    is j! r**j with r = x / (1 - x) for the geometric law, and nu**j for
+    the Poisson law.
     """
     thermal = kind == "thermal"
-    if thermal:
-        g, r = (1.0 - p) / (1.0 - p * z), p * z / (1.0 - p * z)
-    else:
-        g, r = math.exp(-p * (1.0 - z)), p * z
+    r = p / (1.0 - p) if thermal else p
     return sum(
-        s * (math.factorial(j) if thermal else 1) * g * r**j
+        s * (math.factorial(j) if thermal else 1) * r**j
         for j, s in enumerate(_stirling2(k)) if j
     )

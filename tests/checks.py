@@ -1,7 +1,10 @@
-"""Shared test helpers: comparisons against printed references, and pair
-numbers drawn by the Monte Carlo kernel."""
+"""Shared test helpers: comparisons against printed references and exact
+rationals, and pair numbers drawn by the Monte Carlo kernel."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +40,13 @@ def printed_deviation(computed: float, literal: str) -> float:
     """Signed relative deviation of computed from the printed literal."""
     ref = float(literal)
     return (computed - ref) / ref
+
+
+def rational_rel_error(got: float, ref: Fraction) -> float:
+    """|got / ref - 1| in exact arithmetic; 0 when both are 0."""
+    if ref == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return abs(float(Fraction(got) / ref - 1))
 
 
 def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:

@@ -9,9 +9,12 @@ policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
 tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
 law in numpy itself, and calls none of the package's closed forms.  The
 counting g2 estimator's standard error is here too, as the unreduced numpy
-quadratic form.  The literal detected-vs-incident response, whose
-defining closed forms cancel as eta -> 0, is evaluated in 50-digit decimal
-arithmetic (``detected_literal_decimal``).
+quadratic form.  The pair-mode click probabilities are also given as exact
+rationals, by inclusion-exclusion over the generating function
+(``exact_all_click``).  The literal detected-vs-incident response, whose
+defining closed forms cancel as eta -> 0, and the variance of the
+photon-weighted click tally are evaluated in decimal arithmetic
+(``detected_literal_decimal``, ``clicked_photons_variance_decimal``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -315,6 +319,34 @@ def split_coincidences(
     )
 
 
+def exact_all_click(x: float, eta1: float, eta2: float, eta3=None) -> list:
+    """Per-pulse P(every detector in mask a clicks) for every mask a, as
+    exact rationals of the float inputs.
+
+    Detector 1 (bit 1) sees the idler at eta1 and detector 2 (bit 2) the
+    signal at eta2; given eta3, a balanced splitter sends the signal to
+    detector 2 at eta2/2 or detector 3 (bit 4) at eta3/2.  Inclusion-
+    exclusion over the subsets S of a gives sum_S (-1)**|S| G(z_S), where
+    G(z) = (1 - x) / (1 - z x) and z_S is the probability that one pair
+    fires no detector in S.
+    """
+    x, eta1, eta2 = map(Fraction, (x, eta1, eta2))
+    if eta3 is None:
+        size, signal = 4, {2: eta2}
+    else:
+        size, signal = 8, {2: eta2 / 2, 4: Fraction(eta3) / 2}
+
+    def vacuum(s: int) -> Fraction:
+        idler = 1 - eta1 if s & 1 else 1
+        z = idler * (1 - sum(p for b, p in signal.items() if s & b))
+        return (1 - x) / (1 - z * x)
+
+    return [
+        sum((-1) ** bin(s).count("1") * vacuum(s) for s in range(size) if s & a == s)
+        for a in range(size)
+    ]
+
+
 def detected_vs_incident(
     source_kind: str, mean: float, eta: float, variant: str = "click"
 ) -> float:
@@ -346,6 +378,30 @@ def detected_literal_decimal(source_kind: str, mean: float, eta: float) -> float
         if source_kind == "thermal":
             return float(m - (1 - e) * m / (1 + e * m) ** 2)
         return float(m - m * (1 - e) * (-e * m).exp())
+
+
+def clicked_photons_variance_decimal(
+    source_kind: str, mean: float, eta: float
+) -> float:
+    """Var(n 1{click}) = E[n**2 1{click}] - E[n 1{click}]**2 from the
+    defining closed forms E[n**k] - E[n**k z**n], z = 1 - eta, in 60-digit
+    decimal arithmetic on the inputs rounded to 60 digits; 0 at eta = 0,
+    where no photon clicks."""
+    if eta == 0.0:
+        return 0.0
+    with localcontext(Context(prec=60)):
+        m, e = +Decimal(mean), +Decimal(eta)
+        z = 1 - e
+        if source_kind == "thermal":
+            # z G'(z) and z**2 G''(z) of G(z) = 1 / (1 + m (1 - z))
+            d = 1 + m * e
+            first, second = m * z / d**2, 2 * m**2 * z**2 / d**3
+            e1, e2 = m - first, m + 2 * m**2 - first - second
+        else:
+            g = (-m * e).exp()
+            e1 = m - m * z * g
+            e2 = m + m**2 - (m * z + m**2 * z**2) * g
+        return float(e2 - e1**2)
 
 
 # ----------------------------------------------------- correlations

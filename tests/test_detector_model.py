@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +11,14 @@ from spdc_stats import (
     click_probability,
     coincidence_rate,
     detected_vs_incident,
+    g2_heralded_predicted,
     pair_rate,
     singles_rate,
     split_coincidences,
     truncation_order,
     two_arm_rates,
 )
-from checks import within_printed
+from checks import rational_rel_error, within_printed
 
 F = 76e6
 X10 = 10 * 0.00135
@@ -36,22 +36,6 @@ def brute_coincidence(f, x, eta1, eta2, n_max=400):
     pr = (1.0 - x) * x**ns
     both = (1.0 - (1.0 - eta1) ** ns) * (1.0 - (1.0 - eta2) ** ns)
     return f * float(np.sum(pr * both))
-
-
-def exact_split(x, eta1, eta2, eta3):
-    """Per-pulse (cc12, cc13, cc123) as exact rationals, from the
-    generating function G(z) = (1 - x) / (1 - z x) by inclusion-exclusion."""
-    x, eta1, eta2, eta3 = map(Fraction, (x, eta1, eta2, eta3))
-
-    def g(z):
-        return (1 - x) / (1 - z * x)
-
-    z1, a, b = 1 - eta1, 1 - eta2 / 2, 1 - eta3 / 2
-    c = a + b - 1
-    cc12 = 1 - g(z1) - g(a) + g(z1 * a)
-    cc13 = 1 - g(z1) - g(b) + g(z1 * b)
-    cc123 = (1 - g(a) - g(b) + g(c)) - (g(z1) - g(z1 * a) - g(z1 * b) + g(z1 * c))
-    return cc12, cc13, cc123
 
 
 def brute_split(f, x, eta1, eta2, eta3, n_max=200):
@@ -219,17 +203,31 @@ class TestSplitCoincidences:
             )
 
     @pytest.mark.parametrize(
-        "x", [1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9]
+        "x",
+        [1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9, 0.99, 0.9999,
+         0.999999],
     )
     def test_closed_form_matches_exact_rational(self, x):
         # the inclusion-exclusion sum over the generating function,
         # evaluated in exact rational arithmetic on the same float inputs
-        for etas in itertools.product([1e-9, 0.163, 0.215, 0.5, 1.0], repeat=3):
+        grid = [1e-12, 1e-9, 0.163, 0.215, 0.5, 1.0 - 1e-13, 1.0]
+        for etas in itertools.product(grid, repeat=3):
+            exact = oracle.exact_all_click(x, *etas)
             pred = split_coincidences(1.0, x, *etas)
-            for field, ref in zip(("cc12", "cc13", "cc123"), exact_split(x, *etas)):
+            for field, mask in (("cc12", 3), ("cc13", 5), ("cc123", 7), ("sc1h", 1)):
                 got = getattr(pred, field)
                 assert got > 0.0, (field, x, etas)
-                assert abs(Fraction(got) / ref - 1) <= 1e-12, (field, x, etas)
+                assert rational_rel_error(got, exact[mask]) <= 2e-15, (field, x, etas)
+            g2 = 2 * exact[1] * exact[7] / (exact[3] + exact[5]) ** 2
+            got = g2_heralded_predicted(x, *etas)
+            assert rational_rel_error(got, g2) <= 4e-15, ("g2", x, etas)
+            eta1, eta2, _ = etas
+            pair = oracle.exact_all_click(x, eta1, eta2)
+            for field, got, mask in (
+                ("sc1", singles_rate(1.0, x, eta1), 1),
+                ("cc", coincidence_rate(1.0, x, eta1, eta2), 3),
+            ):
+                assert rational_rel_error(got, pair[mask]) <= 2e-15, (field, x, etas)
 
     @pytest.mark.parametrize("x, eta1", [(0.0, 0.3), (0.2, 0.0)])
     def test_closed_form_no_pairs_or_dead_herald(self, x, eta1):

@@ -5,14 +5,18 @@ per-pulse ``analytic_expectations`` and the ``compare_with_analytic``
 standard errors over ``PULSES`` pulses, as this module's ``record()``
 wrote them.  Rewriting how the judge or the source laws are computed must
 keep every expectation bit-identical and every standard error within
-``STDERR_REL`` relative.
+``STDERR_REL`` relative, with three exceptions held to references instead.
 
-One value is allowed to move: saturation's clicked_photons, the literal
-``detected_vs_incident``.  Its positive-term form moves it by an ulp or two
-at eta >= 0.37 (``LITERAL_REL``).  At eta <= 1e-9 the recorded form lost up
-to 1.3e-7 to cancellation, so there it is held to the 50-digit reference
-instead; its variance, E[n**2] - E[n**2 (1 - eta)**n] - mean**2, cancels in
-every form there, and is held only to be exactly 0 at eta = 0.
+- The pair-mode click tallies and g2 are held to the exact rationals of
+  ``oracle.exact_all_click``, within ``RATE_REL`` and ``G2_REL``; the record
+  itself is up to 4.9e-15 off them.
+- Saturation's clicked_photons, the literal ``detected_vs_incident``, may
+  move by an ulp or two at eta >= 0.37 (``LITERAL_REL``).  At eta <= 1e-9
+  the recorded form lost up to 1.3e-7 to cancellation, so there it is held
+  to the 50-digit reference instead.
+- Its standard error is held to the 60-digit decimal reference
+  (``oracle.clicked_photons_variance_decimal``) within ``CLICKED_SE_REL``
+  at every point; the recorded form cancelled as eta -> 0.
 
 Regenerate the file only when a value is meant to change:
 
@@ -28,6 +32,7 @@ from pathlib import Path
 import pytest
 
 import oracle
+from checks import rational_rel_error
 from spdc_stats import (
     DetectorChain,
     SimConfig,
@@ -40,6 +45,12 @@ RECORD = Path(__file__).resolve().parent / "data" / "judge_parity.json"
 PULSES = 10**6
 STDERR_REL = 1e-12
 LITERAL_REL = 1e-15
+RATE_REL = 2e-15
+G2_REL = 4e-15
+CLICKED_SE_REL = 1e-14
+# pair-mode click tallies and the detectors each one needs to click
+MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 5,
+         "triple123": 7}
 
 XS = (0.0, 1e-6, 0.0135, 0.392, 0.99)
 ETAS = (0.0, 1e-12, 1e-9, 0.215, 1.0)
@@ -78,6 +89,19 @@ def judge(spec: dict) -> tuple[dict, dict]:
     counts = SimCounts(pulses=PULSES, clicks1=1, pair12=1)
     report = compare_with_analytic(config, counts)
     return expected, {name: entry["stderr"] for name, entry in report.items()}
+
+
+def exact_tallies(spec: dict) -> dict:
+    """The pair-mode click tallies and g2 of one grid entry as exact
+    rationals."""
+    eta1, eta2, eta3 = spec["etas"]
+    split = spec["mode"] == "heralded_split"
+    clicks = oracle.exact_all_click(spec["x"], eta1, eta2, eta3 if split else None)
+    out = {name: clicks[m] for name, m in MASKS.items() if m < len(clicks)}
+    if split and out["pair12"] + out["pair13"] > 0:
+        pairs = out["pair12"] + out["pair13"]
+        out["g2"] = 2 * out["clicks1"] * out["triple123"] / pairs**2
+    return out
 
 
 def record() -> None:
@@ -123,15 +147,33 @@ def test_judge_matches_record(row):
         if eta <= 1e-9:
             want = oracle.detected_literal_decimal(
                 spec["source_kind"], spec["mean"], eta)
-            got_se = stderr.pop("clicked_photons")
-            del recorded_se["clicked_photons"]
-            assert eta > 0.0 or got_se == 0.0
         assert math.isclose(got, want, rel_tol=LITERAL_REL, abs_tol=0.0)
+        # held to the decimal reference by test_clicked_photons_stderr
+        stderr.pop("clicked_photons")
+        del recorded_se["clicked_photons"]
+    else:
+        for name, want in exact_tallies(spec).items():
+            got = expected.pop(name)
+            del recorded[name]
+            bound = G2_REL if name == "g2" else RATE_REL
+            assert rational_rel_error(got, want) <= bound, name
     assert expected == recorded
     assert set(stderr) == set(recorded_se)
     for name, want in recorded_se.items():
         assert math.isclose(stderr[name], want, rel_tol=STDERR_REL,
                             abs_tol=0.0), name
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in RECORDED if row["spec"]["mode"] == "saturation"],
+    ids=_label)
+def test_clicked_photons_stderr(row):
+    spec = row["spec"]
+    _, stderr = judge(spec)
+    variance = oracle.clicked_photons_variance_decimal(
+        spec["source_kind"], spec["mean"], spec["etas"][0])
+    assert math.isclose(stderr["clicked_photons"], math.sqrt(variance / PULSES),
+                        rel_tol=CLICKED_SE_REL, abs_tol=0.0)
 
 
 if __name__ == "__main__":

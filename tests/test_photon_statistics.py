@@ -212,8 +212,11 @@ class TestSourceLaws:
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("kind,p", LAWS)
     def test_moment_matches_series(self, kind, p, k, eta):
+        # E[n**k z**n] is G(z) times the k-th moment of the law tilted to
+        # (kind, p z), so z < 1 checks the moment at p z against the series
         z = 1.0 - eta
-        got = source_moment(kind, p, k, z)
+        g = (1.0 - p) / (1.0 - p * z) if kind == "thermal" else math.exp(-p * (1.0 - z))
+        got = g * source_moment(kind, p * z, k)
         want = oracle.source_moment(kind, p, k, z)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
