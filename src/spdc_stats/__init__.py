@@ -39,7 +39,7 @@ _PUBLIC = {
         "build_table", "invert_counts",
     ),
     "expectations": ("analytic_expectations", "compare_with_analytic"),
-    "montecarlo": ("SimConfig", "SimCounts", "resolve_threads", "simulate"),
+    "montecarlo": ("SimConfig", "SimCounts", "simulate"),
     "photon_statistics": (
         "mean_pairs_per_pulse", "one_pair_rate", "pair_rate",
         "truncation_order",

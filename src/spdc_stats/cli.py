@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (capped by SPDC_STATS_THREADS; results "
-        "never depend on this)",
+        help="worker threads (default: the CPU count; results never "
+        "depend on this)",
     )
     p_sim.add_argument(
         "--out", type=Path, default=Path("simcounts.json"),

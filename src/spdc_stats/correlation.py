@@ -34,12 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detector_model import (
-    DEFAULT_ETA2_SCALE,
-    DEFAULT_ETA3_SCALE,
-    split_coincidences,
-    validate_efficiency,
-)
+from .detector_model import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, split_coincidences
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
 from .photon_statistics import validate_emission_parameter, validate_positive
@@ -134,13 +129,10 @@ def g2_heralded_predicted(
 
     At x = 0 the limit 0 is returned (one pair at most, no accidentals).
     """
-    x = validate_emission_parameter(x)
-    validate_efficiency(eta1, "eta1")
-    validate_efficiency(eta2, "eta2")
-    validate_efficiency(eta3, "eta3")
+    # split_coincidences validates x and every eta, also at x = 0
+    rates = split_coincidences(1.0, x, eta1, eta2, eta3)
     if x == 0.0:
         return 0.0
-    rates = split_coincidences(1.0, x, eta1, eta2, eta3)
     return g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
 
 
@@ -173,22 +165,17 @@ def report_for_row(
     x = row.x
     eta2 = min(row.eta2 * eta2_scale, 1.0)
     eta3 = min(row.eta2 * eta3_scale, 1.0)
-    g2_meas = None
-    if row.cc12 is not None:
-        try:
-            g2_meas = g2_from_counts(row.sc1, row.cc12, row.cc13, row.cc123)
-        except DivergenceError:
-            g2_meas = None
 
-    def guarded(fn, *args, **kwargs):
+    def guarded(fn, *args):
         try:
-            return fn(*args, **kwargs)
+            return fn(*args)
         except DivergenceError:
             return None
 
     return CorrelationReport(
         power_mw=row.power_mw,
-        g2_measured=g2_meas,
+        g2_measured=None if row.cc12 is None else guarded(
+            g2_from_counts, row.sc1, row.cc12, row.cc13, row.cc123),
         g2_predicted=guarded(g2_heralded_predicted, x, row.eta1, eta2, eta3),
         g2_heralded=g2_heralded_ideal(x),
         g2_unheralded=g2_unheralded(x),

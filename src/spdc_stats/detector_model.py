@@ -95,6 +95,14 @@ class RatePrediction:
     sc1h: float | None = None
 
 
+# each click tally and the mask of detectors (the bits of ``pair_outcomes``)
+# that must all click for it to count.  A setup of D detectors forms the
+# entries below 2**D: the Monte Carlo counts them, and the judge reads
+# their ``all_click`` entries.
+CLICK_MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 5,
+               "triple123": 7}
+
+
 def pair_outcomes(eta1: float, eta2: float, eta3: float | None = None) -> list[float]:
     """Probability of each click set one pair fires, indexed by bitmask.
 

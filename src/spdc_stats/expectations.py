@@ -5,9 +5,9 @@ For every tally that ``montecarlo.simulate`` counts, this module gives its
 per-pulse expectation and variance in closed form, and
 ``compare_with_analytic`` turns a run's tallies into sigma distances.
 
-- Click and coincidence tallies are entries of ``detector_model.all_click``
-  for the mode's detectors and have the Bernoulli variance p (1 - p) per
-  pulse.
+- Click and coincidence tallies are the entries of
+  ``detector_model.all_click`` that ``CLICK_MASKS`` names, and have the
+  Bernoulli variance p (1 - p) per pulse.
 - The emission moments E[n**k] and their variances E[n**2k] - E[n**k]**2
   come from the pair-number law's generating function
   (``photon_statistics.source_moment``).
@@ -17,9 +17,10 @@ per-pulse expectation and variance in closed form, and
 - g2's error is the delta method at the analytic rates
   (``correlation.g2_stderr``).
 
-A config is read by duck typing: its mode and chain, its law ``config.law``
-= (kind, p) and, for saturation, its source_kind and mean.  So this module
-imports nothing from ``montecarlo`` and never loads numpy.
+A config is read by duck typing: its mode, its detector efficiencies in
+bit order ``config.etas``, its law ``config.law`` = (kind, p) and, for
+saturation, its source_kind and mean.  So this module imports nothing from
+``montecarlo`` and never loads numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from __future__ import annotations
 import math
 
 from .correlation import g2_from_counts, g2_stderr
-from .detector_model import all_click, detected_vs_incident, pair_outcomes
+from .detector_model import CLICK_MASKS, all_click, detected_vs_incident, pair_outcomes
 from .photon_statistics import emission_probability, source_moment
 
 # emission-moment tallies and the power of n each one sums
 _MOMENTS = {"emitted": 1, "emitted_sq": 2, "emitted_cu": 3}
-# pair-mode click tallies and the mask of detectors each one needs to click
-_MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 5,
-          "triple123": 7}
 
 
 def analytic_expectations(config) -> dict[str, float]:
@@ -42,19 +40,17 @@ def analytic_expectations(config) -> dict[str, float]:
     'g2' in heralded_split mode; keys match SimCounts field names."""
     out = {name: source_moment(*config.law, k) for name, k in _MOMENTS.items()}
     out["pulses_with_emission"] = emission_probability(*config.law)
-    chain = config.chain
     if config.mode == "saturation":
-        kind, mean, eta = config.source_kind, config.mean, chain.eta1
+        kind, mean, (eta,) = config.source_kind, config.mean, config.etas
         out["clicks1"] = detected_vs_incident(kind, mean, eta, "click")
         out["clicked_photons"] = detected_vs_incident(kind, mean, eta, "literal")
         return out
 
-    eta3 = chain.eta3 if config.mode == "heralded_split" else None
-    clicks = all_click(config.x, pair_outcomes(chain.eta1, chain.eta2, eta3))
-    out.update((name, clicks[m]) for name, m in _MASKS.items() if m < len(clicks))
+    clicks = all_click(config.x, pair_outcomes(*config.etas))
+    out.update((name, clicks[m]) for name, m in CLICK_MASKS.items() if m < len(clicks))
     # the same rule compare_with_analytic applies to the observed pairs:
     # with no pair coincidences the g2 estimator is undefined
-    if eta3 is not None and out["pair12"] + out["pair13"] > 0:
+    if "triple123" in out and out["pair12"] + out["pair13"] > 0:
         out["g2"] = g2_from_counts(
             out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
     return out
@@ -63,7 +59,7 @@ def analytic_expectations(config) -> dict[str, float]:
 def _clicked_photons_square(config) -> float:
     """E[n**2 1{click}] of a saturation config, as positive terms in
     w = eta * mean."""
-    m, eta = config.mean, config.chain.eta1
+    m, (eta,) = config.mean, config.etas
     w = eta * m
     if config.source_kind == "thermal":
         s = 1.0 + w

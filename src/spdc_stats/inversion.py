@@ -91,7 +91,7 @@ class CountRecord:
         split = [self.cc12, self.cc13, self.cc123]
         present = [v is not None for v in split]
         if any(present) and not all(present):
-            raise ValueError("cc12, cc13, cc123 must be given together")
+            raise ValueError("cc12, cc13, cc123 must be all present or all absent")
         if all(present) and any(v < 0 for v in split):
             raise ValueError("split coincidence rates must be non-negative")
 

@@ -16,8 +16,11 @@ and keyed by the seed.  K comes from the stream whose second key word is 1;
 the events use the stream whose second key word is 0, indexed by event, not
 by pulse or worker.  Event i always consumes the same fixed window of that
 stream, so identical configurations produce bit-identical tallies
-regardless of chunk size or thread count.  Chunk boundaries are kept at
-multiples of four events because the generator seeks in four-word blocks.
+regardless of chunk size or thread count.  With D the mode's detectors,
+the window is 1 + split + D words: the draw word, in heralded_split the
+splitter's coin word, then one click word per detector in the bit order
+of ``SimConfig.etas``.  Chunk boundaries are kept at multiples of four
+events because the generator seeks in four-word blocks.
 
 The chunk kernel reads the raw 64-bit words w through tables built once per
 simulate call, and reproduces exactly the float computations on the uniform
@@ -33,15 +36,17 @@ u = ((w >> 11) + 1) / 2**53 that defined it.  Two identities carry it:
   table indexed by w >> 52.
 
 The geometric draw keeps the float steps of u, log and division in their
-order.  Emission moments come from a histogram of n, and coincidences from
-counts of the click masks.
+order.  Emission moments come from a histogram of n.  Every click tally
+is the count of the AND of the click masks of its ``CLICK_MASKS`` entry,
+for the entries below 2**D.
 
 Each worker thread runs every T-th chunk through one set of scratch arrays
-sized to a chunk: three 8-byte arrays and three bool masks.  Every ufunc
-and gather writes into them through out=, so a chunk allocates no array but
-its random words.  Chunks default to 2**15 events, so a heralded_split
-chunk's words take 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two
-threads, but raised the peak RSS of ten such runs from 45-48 to 51 MB.
+sized to a chunk: three 8-byte arrays and D + 1 bool masks, four in
+heralded_split.  Every ufunc and gather writes into them through out=, so
+a chunk allocates no array but its random words.  Chunks default to 2**15
+events, so a heralded_split chunk's words take 1.3 MB.  2**16 ran 2-7 %
+faster at 1e7 pulses with two threads, but raised the peak RSS of ten such
+runs from 45-48 to 51 MB.
 
 This module samples and tallies; ``expectations`` judges a run against
 the analytic model.  Both read the source through ``SimConfig.law``, whose
@@ -65,35 +70,19 @@ from typing import Callable
 
 import numpy as np
 
-from .detector_model import DetectorChain, click_probability
+from .detector_model import CLICK_MASKS, DetectorChain, click_probability
 from .errors import ResourceLimitError
 from .photon_statistics import emission_probability, validate_emission_parameter
 
-MODES = ("two_arm", "heralded_split", "saturation")
+# each mode and the number of detectors it reads
+_DETECTORS = {"two_arm": 2, "heralded_split": 3, "saturation": 1}
 
 DEFAULT_CHUNK_PULSES = 1 << 15
 
 # buckets of the guide table over the truncated Poisson cdf
 _GUIDE_BUCKETS = 4096
 
-# words of the key stream consumed per event, by mode
-_STRIDE = {"two_arm": 3, "heralded_split": 5, "saturation": 2}
-
 _TWO53 = float(1 << 53)
-
-_TALLY_FIELDS = (
-    "clicks1",
-    "clicks2",
-    "clicks3",
-    "pair12",
-    "pair13",
-    "triple123",
-    "emitted",
-    "emitted_sq",
-    "emitted_cu",
-    "pulses_with_emission",
-    "clicked_photons",
-)
 
 
 @dataclass(frozen=True)
@@ -115,31 +104,27 @@ class SimConfig:
     mean: float | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in _DETECTORS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.pulses, int) or self.pulses < 1:
             raise ValueError(f"pulses must be a positive integer, got {self.pulses!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if self.mode in ("two_arm", "heralded_split"):
-            if self.x is None or self.chain is None:
-                raise ValueError(f"mode {self.mode} requires x and chain")
+        if self.mode != "saturation":
+            if self.x is None:
+                raise ValueError(f"mode {self.mode} requires x")
             validate_emission_parameter(self.x)
-            if self.chain.eta2 is None:
-                raise ValueError(f"mode {self.mode} requires chain.eta2")
-            if self.mode == "heralded_split" and self.chain.eta3 is None:
-                raise ValueError("heralded_split requires chain.eta3")
-        else:
-            if self.source_kind not in ("thermal", "coherent"):
-                raise ValueError(
-                    "saturation mode requires source_kind thermal|coherent"
-                )
-            if self.mean is None or not math.isfinite(self.mean) or self.mean < 0:
-                raise ValueError(
-                    f"saturation mode requires a finite mean >= 0, got {self.mean!r}"
-                )
-            if self.chain is None:
-                raise ValueError("saturation mode requires chain.eta1")
+        elif self.source_kind not in ("thermal", "coherent"):
+            raise ValueError("saturation mode requires source_kind thermal|coherent")
+        elif self.mean is None or not math.isfinite(self.mean) or self.mean < 0:
+            raise ValueError(
+                f"saturation mode requires a finite mean >= 0, got {self.mean!r}"
+            )
+        if self.chain is None:
+            raise ValueError(f"mode {self.mode} requires chain")
+        for i, eta in enumerate(self.etas, start=1):
+            if eta is None:
+                raise ValueError(f"mode {self.mode} requires chain.eta{i}")
 
     @property
     def law(self) -> tuple[str, float]:
@@ -152,6 +137,15 @@ class SimConfig:
         if self.source_kind == "thermal":
             return "thermal", self.mean / (1.0 + self.mean)
         return "coherent", self.mean
+
+    @property
+    def etas(self) -> tuple[float, ...]:
+        """Efficiencies of the mode's detectors in bit order (detector i is
+        bit 2**(i - 1) of ``detector_model.pair_outcomes``): (eta1,) for
+        saturation, (eta1, eta2) for two_arm, (eta1, eta2, eta3) for
+        heralded_split."""
+        chain = self.chain
+        return (chain.eta1, chain.eta2, chain.eta3)[: _DETECTORS[self.mode]]
 
 
 @dataclass(frozen=True)
@@ -184,6 +178,11 @@ class SimCounts:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# the tallies of a kernel row, in SimCounts order, and their columns
+_TALLY_FIELDS = tuple(f.name for f in fields(SimCounts) if f.name != "pulses")
+_COL = {name: i for i, name in enumerate(_TALLY_FIELDS)}
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -373,16 +372,6 @@ def _event_count(config: SimConfig) -> int:
     return int(rng.binomial(config.pulses, emission_probability(*config.law)))
 
 
-def _detector_etas(config: SimConfig) -> tuple[float, ...]:
-    """Efficiencies of the detectors the mode reads, in tally order."""
-    chain = config.chain
-    return {
-        "saturation": (chain.eta1,),
-        "two_arm": (chain.eta1, chain.eta2),
-        "heralded_split": (chain.eta1, chain.eta2, chain.eta3),
-    }[config.mode]
-
-
 def _click_thresholds(eta: float, top: int) -> np.ndarray:
     """Word thresholds W[n] = thr[n] * 2**11 for n = 0 .. top, where
     thr[n] = max(ceil(p[n] * 2**53) - 1, 0) and p[n] = click_probability(n,
@@ -416,24 +405,27 @@ def _clicks(
     return np.less(words, gathered, out=out)
 
 
-_COL = {name: i for i, name in enumerate(_TALLY_FIELDS)}
-
-
 class _ChunkKernel:
     """The tables of one simulate call and the chunk loop that reads them.
 
     Tables: the event draw, the click thresholds of each detector for every
-    n up to worst, and n, n**2, n**3 for the emission moments.
+    n up to worst, the columns of the ``CLICK_MASKS`` tallies its detectors
+    form, and n, n**2, n**3 for the emission moments.
     """
 
     def __init__(self, config: SimConfig, worst: int):
+        etas = config.etas
         self.seed = config.seed
         self.mode = config.mode
-        self.stride = _STRIDE[config.mode]
+        self.split = config.mode == "heralded_split"
+        self.stride = 1 + self.split + len(etas)
         self.worst = worst
         self.draw = _event_photon_sampler(config)
-        self.thr = [
-            _click_thresholds(eta, worst) for eta in _detector_etas(config)
+        self.thr = [_click_thresholds(eta, worst) for eta in etas]
+        # each click tally's column and the detectors that must all click
+        self.tallies = [
+            (_COL[name], [i for i in range(len(etas)) if mask >> i & 1])
+            for name, mask in CLICK_MASKS.items() if mask < 1 << len(etas)
         ]
         k = np.arange(worst + 1, dtype=np.int64)
         self.powers = np.stack((k, k * k, k * k * k))
@@ -443,12 +435,14 @@ class _ChunkKernel:
 
         One set of scratch arrays serves every chunk: a (uint64: uniforms,
         bucket indices, gathered thresholds), n and k (int64: pair numbers,
-        the split's k3 and n - k3) and three click masks.
+        the split's k3 and n - k3), one click mask per detector and one
+        more bool row for the draw and the coincidences: four masks in
+        heralded_split.
         """
         a = np.empty(size, dtype=np.uint64)
         n = np.empty(size, dtype=np.int64)
         k = np.empty(size, dtype=np.int64)
-        masks = np.empty((3, size), dtype=bool)
+        masks = np.empty((len(self.thr) + 1, size), dtype=bool)
         row = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
         # a new Philox(key=...) first draws OS entropy for a seed sequence it
         # never uses (~17 us), so one generator is reset for every chunk
@@ -464,41 +458,30 @@ class _ChunkKernel:
         """Add the tallies of the next len(n) events of bit to row."""
         m = n.size
         words = bit.random_raw(self.stride * m).reshape(m, self.stride)
-        c1, c2, c3 = masks
-        thr = self.thr
-        top = self.draw(words[:, 0], a, n, c1)
+        *clicked, both = masks
+        top = self.draw(words[:, 0], a, n, both)
         if top > self.worst:
             raise IndexError(
                 f"photon number {top} is past the click tables "
                 f"(0 .. {self.worst})"
             )
+        if self.split:
+            _binomial_half(n, words[:, 1], top, k)  # k3, sent to detector 3
 
+        first = self.stride - len(self.thr)
+        for i, (thr, mask) in enumerate(zip(self.thr, clicked)):
+            seen = n
+            if self.split and i:
+                # detector 2 takes n - k3, then detector 3 n - (n - k3) = k3
+                seen = np.subtract(n, k, out=k)
+            _clicks(words[:, first + i], thr, seen, a, mask)
+        for col, detectors in self.tallies:
+            hit = clicked[detectors[0]]
+            for i in detectors[1:]:
+                hit = np.logical_and(hit, clicked[i], out=both)
+            row[col] += np.count_nonzero(hit)
         if self.mode == "saturation":
-            _clicks(words[:, 1], thr[0], n, a, c1)
-            row[_COL["clicks1"]] += np.count_nonzero(c1)
-            row[_COL["clicked_photons"]] += np.multiply(n, c1, out=k).sum()
-        elif self.mode == "two_arm":
-            _clicks(words[:, 1], thr[0], n, a, c1)
-            _clicks(words[:, 2], thr[1], n, a, c2)
-            row[_COL["clicks1"]] += np.count_nonzero(c1)
-            row[_COL["clicks2"]] += np.count_nonzero(c2)
-            c12 = np.bitwise_and(c1, c2, out=c2)
-            row[_COL["pair12"]] += np.count_nonzero(c12)
-        else:
-            k3 = _binomial_half(n, words[:, 1], top, k)
-            _clicks(words[:, 2], thr[0], n, a, c1)
-            _clicks(words[:, 4], thr[2], k3, a, c3)
-            np.subtract(n, k3, out=k)
-            _clicks(words[:, 3], thr[1], k, a, c2)
-            row[_COL["clicks1"]] += np.count_nonzero(c1)
-            row[_COL["clicks2"]] += np.count_nonzero(c2)
-            row[_COL["clicks3"]] += np.count_nonzero(c3)
-            c12 = np.bitwise_and(c1, c2, out=c2)
-            c13 = np.bitwise_and(c1, c3, out=c3)
-            row[_COL["pair12"]] += np.count_nonzero(c12)
-            row[_COL["pair13"]] += np.count_nonzero(c13)
-            c123 = np.bitwise_and(c12, c13, out=c13)
-            row[_COL["triple123"]] += np.count_nonzero(c123)
+            row[_COL["clicked_photons"]] += np.multiply(n, clicked[0], out=k).sum()
 
         # emission moments from the histogram of n, exact in int64 under the
         # overflow guard of simulate
@@ -517,22 +500,6 @@ def _max_draw(config: SimConfig) -> int:
     return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(p)))
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count, capped by the SPDC_STATS_THREADS environment variable."""
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    env = os.environ.get("SPDC_STATS_THREADS")
-    cap = None
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("SPDC_STATS_THREADS must be >= 1")
-    t = threads if threads is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        t = min(t, cap)
-    return int(t)
-
-
 def simulate(
     config: SimConfig,
     threads: int | None = None,
@@ -540,7 +507,8 @@ def simulate(
 ) -> SimCounts:
     """Run the simulation described by config and return exact tallies.
 
-    threads and chunk_pulses affect speed only, never the result.
+    threads, by default the CPU count, and chunk_pulses affect speed
+    only, never the result.
     chunk_pulses counts emitting pulses per work chunk and must be a
     positive multiple of 4 (stream-seek alignment).  Worker w of T runs
     the chunks w, w + T, w + 2T, ... through its own scratch arrays, sized
@@ -552,7 +520,10 @@ def simulate(
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
-    threads = resolve_threads(threads)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     worst = _max_draw(config)
     if config.pulses * max(worst, 1) ** 3 >= 2**63:
         raise ResourceLimitError(

@@ -64,8 +64,6 @@ def curve(
         means = tuple(float(m) for m in mean_grid)
     if not means:
         raise ValueError("mean_grid must be non-empty")
-    if any(m < 0 for m in means):
-        raise ValueError("mean photon numbers must be >= 0")
     detected = tuple(
         detected_vs_incident(source_kind, m, eta, variant) for m in means
     )

@@ -71,11 +71,7 @@ def read_sweep(path) -> list[CountRecord]:
         except StopIteration:
             raise SweepFormatError("missing header row", 1) from None
         header = tuple(h.strip() for h in header)
-        if header == SWEEP_COLUMNS:
-            has_optional = False
-        elif header == SWEEP_COLUMNS + SWEEP_OPTIONAL:
-            has_optional = True
-        else:
+        if header not in (SWEEP_COLUMNS, SWEEP_COLUMNS + SWEEP_OPTIONAL):
             raise SweepFormatError(
                 f"header must be {','.join(SWEEP_COLUMNS)} optionally "
                 f"followed by {','.join(SWEEP_OPTIONAL)}; got "
@@ -88,51 +84,31 @@ def read_sweep(path) -> list[CountRecord]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             row = [cell.strip() for cell in row]
-            expected_len = len(SWEEP_COLUMNS) + (
-                len(SWEEP_OPTIONAL) if has_optional else 0
-            )
-            if len(row) != expected_len:
+            if len(row) != len(header):
                 raise SweepFormatError(
-                    f"expected {expected_len} columns, got {len(row)}", line
+                    f"expected {len(header)} columns, got {len(row)}", line
                 )
             base = [
-                _parse_float(row[i], line, SWEEP_COLUMNS[i])
-                for i in range(4)
+                _parse_float(cell, line, name)
+                for cell, name in zip(row, SWEEP_COLUMNS)
             ]
-            split: list[float | None] = [None, None, None]
-            if has_optional:
-                tail = row[4:]
-                filled = [cell != MISSING and cell != "" for cell in tail]
-                if any(filled) and not all(filled):
-                    raise SweepFormatError(
-                        "cc12, cc13, cc123 must be all present or all absent",
-                        line,
-                    )
-                if all(filled):
-                    split = [
-                        _parse_float(tail[i], line, SWEEP_OPTIONAL[i])
-                        for i in range(3)
-                    ]
-            if any(v < 0 for v in base[1:]) or any(
-                v is not None and v < 0 for v in split
-            ):
-                raise SweepFormatError("counts must be non-negative", line)
-            if prev_power is not None and base[0] <= prev_power:
-                raise SweepFormatError(
-                    f"powers must be strictly increasing "
-                    f"({base[0]} after {prev_power})",
-                    line,
-                )
-            prev_power = base[0]
+            # the record checks the signs and that the trio is all or none
+            split = [
+                None if cell in ("", MISSING) else _parse_float(cell, line, name)
+                for cell, name in zip(row[4:], SWEEP_OPTIONAL)
+            ]
             try:
-                records.append(
-                    CountRecord(
-                        power_mw=base[0], sc1=base[1], sc2=base[2], cc=base[3],
-                        cc12=split[0], cc13=split[1], cc123=split[2],
-                    )
-                )
+                record = CountRecord(*base, *split)
             except ValueError as exc:
                 raise SweepFormatError(str(exc), line) from None
+            if prev_power is not None and record.power_mw <= prev_power:
+                raise SweepFormatError(
+                    f"powers must be strictly increasing "
+                    f"({record.power_mw} after {prev_power})",
+                    line,
+                )
+            prev_power = record.power_mw
+            records.append(record)
     return records
 
 
@@ -178,12 +154,19 @@ def _as_json(item: CountRecord | TableOneRow, status: str) -> dict:
 def _from_json(cls, raw: dict):
     """``cls`` built from the keys of ``raw`` that name its fields; a field
     with a default may be absent, and other keys (such as an old table's
-    ``solver``) are ignored."""
-    return cls(**{
-        f.name: raw[f.name] if f.default is dataclasses.MISSING
-        else raw.get(f.name, f.default)
-        for f in dataclasses.fields(cls)
-    })
+    ``solver``) are ignored.  Each field must be a JSON number, or null
+    where its default is None."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            value = raw[f.name]
+        else:
+            value = raw.get(f.name, f.default)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number and (value is not None or f.default is not None):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def write_table1_json(
@@ -208,21 +191,28 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
     try:
         f = float(payload["repetition_rate_hz"])
         raw_rows = payload["rows"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(raw_rows, list):
+            raise TypeError(f"rows must be a list, got {raw_rows!r}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise SweepFormatError(f"not a valid inversion table: {exc}") from None
     rows: list[TableOneRow | FailedRow] = []
-    for raw in raw_rows:
+    for index, raw in enumerate(raw_rows, start=1):
         try:
+            if not isinstance(raw, dict):
+                raise ValueError(f"not an object: {raw!r}")
             # the record's checks run on every row, failed or not
             record = _from_json(CountRecord, raw)
-            if raw["status"] != "ok":
-                error = raw["status"].removeprefix(FAILED_PREFIX)
+            status = raw["status"]
+            if not isinstance(status, str):
+                raise ValueError(f"status must be a string, got {status!r}")
+            if status != "ok":
+                error = status.removeprefix(FAILED_PREFIX)
                 rows.append(FailedRow(record=record, error=error))
                 continue
             rows.append(_from_json(TableOneRow, raw))
         except (KeyError, ValueError) as exc:
             raise SweepFormatError(
-                f"invalid inversion table row: {exc}"
+                f"invalid inversion table row {index}: {exc}"
             ) from None
     return f, rows
 

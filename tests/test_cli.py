@@ -209,6 +209,35 @@ class TestCorrelations:
         assert float(row["g2_heralded"]) == 0.0
         assert row["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "rows,fragment",
+        [
+            ("abc", "rows must be a list"),
+            ([1], "row 1: not an object"),
+            ([{"sc1": "1e5"}], "sc1 must be a number"),
+            ([{"eta2": "a"}], "eta2 must be a number"),
+        ],
+        ids=["rows-string", "row-number", "sc1-string", "eta2-string"],
+    )
+    def test_malformed_table1_json(self, tmp_path, capsys, rows, fragment):
+        good = {
+            "status": "ok", "power_mw": 10.0, "sc1": 2.23e5, "sc2": 2.05e5,
+            "cc": 4.5e4, "cc12": None, "cc13": None, "cc123": None,
+            "tau": 1e-3, "eta1": 0.2, "eta2": 0.2, "x": 0.01,
+            "pair_rate": 7.6e5, "one_pair_rate": 7.5e5, "mean_pairs": 0.01,
+            "residual": 0.0, "iterations": 0,
+        }
+        if isinstance(rows, list):
+            rows = [{**good, **r} if isinstance(r, dict) else r for r in rows]
+        table1 = tmp_path / "table1.json"
+        table1.write_text(json.dumps({"repetition_rate_hz": 76e6, "rows": rows}))
+        code = main(["correlations", str(table1),
+                     "--out", str(tmp_path / "table2.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("spdc-stats: error:")
+        assert fragment in err[0]
+
     def test_failed_rows_carry_over(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(

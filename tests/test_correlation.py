@@ -191,6 +191,10 @@ class TestDivergences:
     def test_predicted_heralded_zero_x(self):
         assert g2_heralded_predicted(0.0, 0.215, 0.198, 0.163) == 0.0
 
+    def test_predicted_heralded_zero_x_still_checks_etas(self):
+        with pytest.raises(ValueError, match="eta1"):
+            g2_heralded_predicted(0.0, 1.5, 0.2, 0.2)
+
 
 class TestG2HeraldedPredicted:
     def test_table_two_value(self):

@@ -13,7 +13,6 @@ from spdc_stats import (
     compare_with_analytic,
     g2_from_counts,
     g2_heralded_predicted,
-    resolve_threads,
     simulate,
 )
 from spdc_stats.correlation import g2_stderr
@@ -235,6 +234,16 @@ class TestEventSampler:
         counts = simulate(config)
         se = math.sqrt(n * p_emit * (1.0 - p_emit))
         assert abs(counts.pulses_with_emission - n * p_emit) < 5.0 * se
+
+    @pytest.mark.parametrize("config,p_emit", SAMPLER_CASES)
+    def test_judge_covers_the_tallies(self, config, p_emit):
+        # every tally the sampler counts has an expectation, and every
+        # expectation but g2 names a tally
+        counts = simulate(config).to_dict()
+        expected = analytic_expectations(config)
+        tallied = {name for name, v in counts.items() if v and name != "pulses"}
+        assert tallied <= set(expected)
+        assert set(expected) - {"g2"} <= set(counts)
 
     @pytest.mark.parametrize("mean", [0.1, 10.0])
     def test_zero_truncated_poisson_law(self, mean):
@@ -538,23 +547,7 @@ class TestResourceGuards:
 
 
 class TestResolveThreads:
-    def test_explicit_count_respected(self):
-        assert resolve_threads(3) == 3
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SPDC_STATS_THREADS", "2")
-        assert resolve_threads(8) == 2
-
-    def test_env_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv("SPDC_STATS_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_threads(4)
-
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_count_must_be_positive(self, monkeypatch, threads):
-        monkeypatch.delenv("SPDC_STATS_THREADS", raising=False)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            resolve_threads(threads)
+    """simulate's worker count: the CPU count unless threads= is given."""
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_simulate_rejects_nonpositive_count(self, threads):
