@@ -11,7 +11,7 @@ the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
   carries N = 2n photons; equal 1/(2x) + 3/2 and 3(1 + x)/x.
 - g2_from_counts: the experimental estimator 2 * CC123 * SC1 /
   (CC12 + CC13)**2 applied to measured counts; g2_stderr is its 1-sigma
-  band.
+  band on the exclusive click-set cells.
 - g2_heralded_predicted: the same estimator applied to the detector-model
   rate predictions for a given (x, eta1, eta2, eta3), which accounts for
   multi-pair emission seen through lossy bucket detectors.
@@ -51,23 +51,26 @@ def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
     return 2.0 * cc123 * sc1 / denom**2
 
 
-def g2_stderr(s: float, a: float, b: float, t: float, pulses: float) -> float:
+def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
     """Standard error of the counting estimator over ``pulses`` pulses.
 
-    s, a, b, t are the per-pulse probabilities of click1, pair12, pair13
-    and triple123.  The error is the delta method under the per-pulse
-    multinomial covariance of those four nested indicators (a triple is
-    also a pair, a pair also a herald click); with u = a + b the quadratic
-    form reduces to
+    t, q, h are the per-pulse probabilities of the exclusive click sets:
+    the triple, a pair without the triple, and the herald alone.  With
+    s = t + q + h (click1) and u = 2t + q (pair12 + pair13) the estimator
+    is g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2,
+    -2B/u**2 and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.
+    g has degree 0, so the delta method under the cells' multinomial
+    covariance is a sum of positive terms and nothing cancels:
 
-        (2 s / u**2) sqrt(t (1 - t/s - 4t/u + 8t**2/u**2) / pulses).
+        Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
     """
     validate_positive(pulses, "pulses")
-    u = a + b
+    u = 2.0 * t + q
     if u == 0:
         raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
-    var = t * (1.0 - t / s - 4.0 * t / u + 8.0 * (t / u) ** 2) / pulses
-    return 2.0 * s / u**2 * math.sqrt(max(var, 0.0))
+    a = (q * q + q * h - 2.0 * t * h) / u
+    b = t * (q + 2.0 * h) / u
+    return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
 
 
 def g2_unheralded(x: float) -> float:

@@ -6,13 +6,14 @@ the per-pulse photon-number distribution gives singles rates, two-detector
 coincidence rates, and the rates seen when one arm is divided by a
 balanced splitter onto two detectors.
 
-Every pair-mode rate is an entry of ``all_click``, a walk over the sets of
-detectors that have clicked, driven by the click sets one pair fires
-(``pair_outcomes``).  The walk rests on the memorylessness of the
-geometric law Pr(n) = (1 - x) x**n, and its terms are all positive, so
-each rate keeps full relative precision for every x in [0, 1) and eta in
-[0, 1].  The series sums that define the rates are test references in
-``tests/oracle.py``.
+Every pair-mode rate is an entry of ``all_click``, a sum of cells of
+``click_sets``: the distribution of the final click set, from one forward
+walk over the sets of detectors that have clicked, driven by the click
+sets one pair fires (``pair_outcomes``).  The walk rests on the
+memorylessness of the geometric law Pr(n) = (1 - x) x**n, and its terms
+are all positive, so each cell and rate keeps full relative precision for
+every x in [0, 1) and eta in [0, 1].  The series sums that define the
+rates are test references in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -122,38 +123,35 @@ def pair_outcomes(eta1: float, eta2: float, eta3: float | None = None) -> list[f
     return [idler[t & 1] * signal[t & ~1] for t in range(len(signal))]
 
 
-def all_click(x: float, outcomes: list[float]) -> list[float]:
-    """Per-pulse P(every detector in mask m clicks), for every mask m.
+def click_sets(x: float, outcomes: list[float]) -> list[float]:
+    """Per-pulse P(the detectors that click are exactly S), for every mask S.
 
     Under the geometric law a pulse is a walk over the sets of detectors
     that have clicked.  It starts at the empty set; each step the source
     emits one more pair with probability x or stops with probability
     1 - x, and a pair that fires click set t (probability outcomes[t])
-    moves the walk from c to c | t.  Entry m is hit(0), the probability
-    that the walk holds all of m when it stops: hit(c) is 1 for c that
-    holds m and otherwise, by the first step that leaves c,
-
-        x * sum(outcomes[t] * hit(c | t)) / ((1 - x) + x * escape(c)),
-
-    where escape(c) sums those outcomes[t].  Every term is positive.
+    moves the walk from c to c | t.  Leaving c, it stops with probability
+    (1 - x) / den(c) or moves to c | t != c with x * outcomes[t] / den(c),
+    where den(c) = (1 - x) + x * (sum of those outcomes[t]).  Moves go to
+    larger masks, so a pass in increasing order has the probability of
+    reaching c complete when it leaves c.  Every term is positive.
     """
     u = 1.0 - x
-    size = len(outcomes)
-    fired = [(t, p) for t, p in enumerate(outcomes) if p]
-    steps = []
-    for c in range(size):
-        moves = [(c | t, p) for t, p in fired if c | t != c]
-        steps.append((moves, u + x * sum(p for _, p in moves)))
-    out = []
-    for m in range(size):
-        hit = [1.0] * size
-        # a move goes to a larger mask, so hit[c | t] is final before hit[c]
-        for c in reversed(range(size)):
-            if c & m != m:
-                moves, den = steps[c]
-                hit[c] = x * sum(p * hit[b] for b, p in moves) / den
-        out.append(hit[0])
-    return out
+    reach = [1.0] + [0.0] * (len(outcomes) - 1)
+    for c in range(len(outcomes)):
+        moves = [(c | t, p) for t, p in enumerate(outcomes) if p and c | t != c]
+        den = u + x * sum(p for _, p in moves)
+        for b, p in moves:
+            reach[b] += reach[c] * x * p / den
+        reach[c] *= u / den
+    return reach
+
+
+def all_click(sets: list[float]) -> list[float]:
+    """Per-pulse P(every detector in mask m clicks): ``click_sets``' sums
+    over the supersets of m, for every mask m."""
+    return [math.fsum(p for s, p in enumerate(sets) if s & m == m)
+            for m in range(len(sets))]
 
 
 def singles_rate(f: float, x: float, eta: float) -> float:
@@ -161,7 +159,7 @@ def singles_rate(f: float, x: float, eta: float) -> float:
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta = validate_efficiency(eta)
-    # all_click's walk for one detector, written out
+    # click_sets' cell {1} for one detector, written out
     return f * x * eta / ((1.0 - x) + x * eta)
 
 
@@ -174,7 +172,7 @@ def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
-    cc = f * all_click(x, pair_outcomes(eta1, eta2))[3]
+    cc = f * all_click(click_sets(x, pair_outcomes(eta1, eta2)))[3]
     # within ~1e-13 of eta = 1, where cc equals a singles rate, rounding
     # can put cc an ulp above the separately computed singles rate
     return min(cc, singles_rate(f, x, eta1), singles_rate(f, x, eta2))
@@ -197,14 +195,14 @@ def split_coincidences(
     The n photons reaching the splitter divide binomially between the two
     output branches; detector 2 sees k photons with branch efficiency eta2
     and detector 3 sees n - k with eta3.  Every rate is an entry of
-    ``all_click``.
+    ``all_click`` over one ``click_sets`` pass.
     """
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
     eta3 = validate_efficiency(eta3, "eta3")
-    p = all_click(x, pair_outcomes(eta1, eta2, eta3))
+    p = all_click(click_sets(x, pair_outcomes(eta1, eta2, eta3)))
     return RatePrediction(cc12=f * p[3], cc13=f * p[5], cc123=f * p[7], sc1h=f * p[1])
 
 
@@ -222,8 +220,8 @@ def detected_vs_incident(
     each term by the incident photon number, E[n (1 - (1-eta)**n)].
     """
     mean = float(mean)
-    if mean < 0 or math.isnan(mean):
-        raise ValueError(f"mean photon number must be >= 0, got {mean!r}")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mean!r}")
     eta = validate_efficiency(eta)
     if source_kind not in ("thermal", "coherent"):
         raise ValueError(f"unknown source_kind {source_kind!r}")

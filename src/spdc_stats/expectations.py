@@ -14,8 +14,8 @@ per-pulse expectation and variance in closed form, and
 - In saturation mode, clicked_photons is n times the click indicator, so
   its second moment is E[n**2 1{click}], written as a sum of positive
   terms.
-- g2's error is the delta method at the analytic rates
-  (``correlation.g2_stderr``).
+- g2's error is the delta method on the analytic click-set cells
+  (``detector_model.click_sets``, ``correlation.g2_stderr``).
 
 A config is read by duck typing: its mode, its detector efficiencies in
 bit order ``config.etas``, its law ``config.law`` = (kind, p) and, for
@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 
 from .correlation import g2_from_counts, g2_stderr
-from .detector_model import CLICK_MASKS, all_click, detected_vs_incident, pair_outcomes
+from .detector_model import (CLICK_MASKS, all_click, click_sets,
+                             detected_vs_incident, pair_outcomes)
 from .photon_statistics import emission_probability, source_moment
 
 # emission-moment tallies and the power of n each one sums
@@ -46,7 +47,7 @@ def analytic_expectations(config) -> dict[str, float]:
         out["clicked_photons"] = detected_vs_incident(kind, mean, eta, "literal")
         return out
 
-    clicks = all_click(config.x, pair_outcomes(*config.etas))
+    clicks = all_click(click_sets(config.x, pair_outcomes(*config.etas)))
     out.update((name, clicks[m]) for name, m in CLICK_MASKS.items() if m < len(clicks))
     # the same rule compare_with_analytic applies to the observed pairs:
     # with no pair coincidences the g2 estimator is undefined
@@ -101,10 +102,8 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
             )
             # the error at the analytic rates: taken at the observed ones, a
             # run that sees few triples gets too small an error
-            se = g2_stderr(
-                expected["clicks1"], expected["pair12"], expected["pair13"],
-                expected["triple123"], counts.pulses,
-            )
+            sets = click_sets(config.x, pair_outcomes(*config.etas))
+            se = g2_stderr(sets[7], sets[3] + sets[5], sets[1], counts.pulses)
         else:
             mc = counts.fraction(name)
             se = math.sqrt(

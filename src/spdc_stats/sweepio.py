@@ -64,7 +64,7 @@ def _parse_float(text: str, line: int, column: str) -> float:
 def read_sweep(path) -> list[CountRecord]:
     """Parse and validate a sweep CSV; raises SweepFormatError with the
     offending 1-based line number on any malformation."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

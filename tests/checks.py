@@ -49,6 +49,14 @@ def rational_rel_error(got: float, ref: Fraction) -> float:
     return abs(float(Fraction(got) / ref - 1))
 
 
+def g2_cells(clicks1: int, pair12: int, pair13: int, triple123: int) -> tuple:
+    """The exclusive click-set counts (triple, pair without the triple,
+    herald alone) that ``correlation.g2_stderr`` reads, formed from integer
+    tallies, so exactly."""
+    return (triple123, pair12 + pair13 - 2 * triple123,
+            clicks1 - pair12 - pair13 + triple123)
+
+
 def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
     """How often each pair number n = 0, 1, ... occurs in ``size`` draws
     from Pr(n) = (1 - x) x**n.

@@ -8,10 +8,11 @@ form against an independent path.  It shares the package's truncation
 policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
 tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
 law in numpy itself, and calls none of the package's closed forms.  The
-counting g2 estimator's standard error is here too, as the unreduced numpy
-quadratic form.  The pair-mode click probabilities are also given as exact
-rationals, by inclusion-exclusion over the generating function
-(``exact_all_click``).  The literal detected-vs-incident response, whose
+pair-mode click probabilities are also given as exact rationals, by
+inclusion-exclusion over the generating function (``exact_all_click``), and
+so are the click-set cells (``exact_click_sets``) and the counting g2
+estimator's standard error on them, as the unreduced quadratic form
+(``exact_g2_stderr``).  The literal detected-vs-incident response, whose
 defining closed forms cancel as eta -> 0, and the variance of the
 photon-weighted click tally are evaluated in decimal arithmetic
 (``detected_literal_decimal``, ``clicked_photons_variance_decimal``).
@@ -339,12 +340,50 @@ def exact_all_click(x: float, eta1: float, eta2: float, eta3=None) -> list:
     def vacuum(s: int) -> Fraction:
         idler = 1 - eta1 if s & 1 else 1
         z = idler * (1 - sum(p for b, p in signal.items() if s & b))
-        return (1 - x) / (1 - z * x)
+        return (-1) ** bin(s).count("1") * (1 - x) / (1 - z * x)
 
-    return [
-        sum((-1) ** bin(s).count("1") * vacuum(s) for s in range(size) if s & a == s)
-        for a in range(size)
-    ]
+    signed = [vacuum(s) for s in range(size)]
+    return [sum(signed[s] for s in range(size) if s & a == s) for a in range(size)]
+
+
+def exact_click_sets(x: float, eta1: float, eta2: float, eta3=None) -> list:
+    """Per-pulse P(the detectors that click are exactly S) for every mask
+    S, as exact rationals: the Moebius inversion of ``exact_all_click``,
+    sum over the supersets m of S of (-1)**|m - S| P(all of m click),
+    taken one detector bit at a time."""
+    cells = exact_all_click(x, eta1, eta2, eta3)
+    size = len(cells)
+    for bit in range(size.bit_length() - 1):
+        for m in range(size):
+            if not m >> bit & 1:
+                cells[m] -= cells[m | 1 << bit]
+    return cells
+
+
+def exact_g2_stderr(t, q, h, pulses) -> Fraction:
+    """Delta-method standard error of the counting estimator g = 2 s t /
+    u**2 (s = t + q + h, u = 2t + q) over ``pulses`` pulses, for the cells
+    triple t, pair without triple q and herald alone h.
+
+    The variance is the full quadratic form grad @ (diag(p) - p p^T) @
+    grad over the cells p = (t, q, h), with the gradient taken term by
+    term, in exact integers: with p = P / d for integers P, and g of degree
+    0, grad g(p) = d N / U**3 where N is the gradient's numerator at P and
+    U = 2 T + Q.  The square root is taken to 60 digits.
+    """
+    t, q, h = map(Fraction, (t, q, h))
+    d = math.lcm(t.denominator, q.denominator, h.denominator)
+    cells = [int(c * d) for c in (t, q, h)]
+    T, Q, H = cells
+    S, U = T + Q + H, 2 * T + Q
+    grad = (2 * (T + S) * U - 8 * S * T, 2 * T * U - 4 * S * T, 2 * T * U)
+    mean = sum(c * n for c, n in zip(cells, grad))
+    variance = Fraction(d * sum(c * n * n for c, n in zip(cells, grad)) - mean**2,
+                        U**6)
+    with localcontext(Context(prec=60)):
+        band = (Decimal(variance.numerator) / Decimal(variance.denominator)
+                / Decimal(pulses)).sqrt()
+    return Fraction(band)
 
 
 def detected_vs_incident(
@@ -465,24 +504,3 @@ def g3_signal_idler_moments(x: float) -> float:
     (E[N^3] - 3 E[N^2] + 2 E[N]) / E[N]^3."""
     m1, m2, m3 = _pooled_raw_moments(x)
     return (m3 - 3.0 * m2 + 2.0 * m1) / m1**3
-
-
-def g2_stderr(s: float, a: float, b: float, t: float, pulses: float) -> float:
-    """Delta-method standard error of the counting estimator 2 s t / (a +
-    b)**2 as the full quadratic form grad @ cov @ grad, where cov is the
-    per-pulse covariance of the nested indicators click1 >= pair12,
-    pair13 >= triple123 and the four probabilities are s, a, b, t."""
-    ab = a + b
-    grad = np.array([
-        2.0 * t / ab**2,
-        -4.0 * s * t / ab**3,
-        -4.0 * s * t / ab**3,
-        2.0 * s / ab**2,
-    ])
-    cov = np.array([
-        [s * (1 - s), a * (1 - s), b * (1 - s), t * (1 - s)],
-        [a * (1 - s), a * (1 - a), t - a * b, t * (1 - a)],
-        [b * (1 - s), t - a * b, b * (1 - b), t * (1 - b)],
-        [t * (1 - s), t * (1 - a), t * (1 - b), t * (1 - t)],
-    ])
-    return math.sqrt(max(float(grad @ cov @ grad) / pulses, 0.0))

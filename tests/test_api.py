@@ -121,7 +121,7 @@ POSITIVE_FINITE = {
     "invert_counts.integration_time": lambda v: spdc_stats.invert_counts(
         F, 10, 223e3, 205e3, 45e3, with_sigma=True, integration_time=v),
     "g2_stderr.pulses": lambda v: spdc_stats.correlation.g2_stderr(
-        0.1, 0.01, 0.01, 0.001, v),
+        0.001, 0.018, 0.081, v),
 }
 
 

@@ -73,6 +73,14 @@ class TestInvert:
         assert all(r["status"] == "ok" for r in payload["rows"])
         assert all(r["residual"] <= 1e-9 for r in payload["rows"])
 
+    def test_sweep_with_byte_order_mark(self, tmp_path, sweep_path, invert_out):
+        # a spreadsheet may save the sweep with a UTF-8 byte-order mark
+        sweep = tmp_path / "bom.csv"
+        sweep.write_bytes(b"\xef\xbb\xbf" + sweep_path.read_bytes())
+        assert main(["invert", str(sweep), "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "table1.csv").read_bytes()
+        assert got == (invert_out / "table1.csv").read_bytes()
+
     def test_empty_sweep_is_fine(self, tmp_path):
         sweep = tmp_path / "empty.csv"
         sweep.write_text("power_mw,sc1,sc2,cc\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -22,11 +23,10 @@ from spdc_stats import (
     g3_unheralded,
     report_for_row,
     simulate,
-    split_coincidences,
 )
 from spdc_stats.correlation import g2_stderr
-from spdc_stats.detector_model import DEFAULT_ETA3_SCALE
-from checks import within_printed
+from spdc_stats.detector_model import DEFAULT_ETA3_SCALE, click_sets, pair_outcomes
+from checks import g2_cells, rational_rel_error, within_printed
 
 X10 = 10 * 0.00135
 X400 = 400 * 0.00098
@@ -56,8 +56,8 @@ class TestG2FromCounts:
     def test_sigma_band(self):
         value = g2_from_counts(1e6, 5e4, 5e4, 50)
         pulses = 76e6
-        sigma = g2_stderr(1e6 / pulses, 5e4 / pulses, 5e4 / pulses,
-                          50 / pulses, pulses)
+        cells = g2_cells(10**6, 5 * 10**4, 5 * 10**4, 50)
+        sigma = g2_stderr(*(n / pulses for n in cells), pulses)
         assert value == pytest.approx(0.01, rel=1e-12)
         # 50 triple counts dominate: expect sqrt(50)/50 ~ 14%
         assert sigma / value == pytest.approx(np.sqrt(1 / 50), rel=0.01)
@@ -66,11 +66,14 @@ class TestG2FromCounts:
 class TestG2Stderr:
     @staticmethod
     def assert_matches_oracle(x, eta1, eta2, eta3, pulses):
-        rates = split_coincidences(1.0, x, eta1, eta2, eta3)
-        probs = (rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
-        assert g2_stderr(*probs, pulses) == pytest.approx(
-            oracle.g2_stderr(*probs, pulses), rel=1e-12, abs=0
-        )
+        # the band on the model's cells against the exact quadratic form on
+        # the exact cells
+        sets = click_sets(x, pair_outcomes(eta1, eta2, eta3))
+        got = g2_stderr(sets[7], sets[3] + sets[5], sets[1], pulses)
+        exact = oracle.exact_click_sets(x, eta1, eta2, eta3)
+        want = oracle.exact_g2_stderr(exact[7], exact[3] + exact[5], exact[1],
+                                      pulses)
+        assert rational_rel_error(got, want) <= 2e-15, (x, eta1, eta2, eta3)
 
     def test_bundled_rows_match_quadratic_form(self, inverted_rows):
         for row in inverted_rows:
@@ -86,9 +89,23 @@ class TestG2Stderr:
             etas = [math.exp(rng.uniform(math.log(1e-6), 0.0)) for _ in range(3)]
             self.assert_matches_oracle(x, *etas, rng.uniform(1e3, 1e10))
 
+    @pytest.mark.parametrize(
+        "x",
+        [1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9, 0.99, 0.9999,
+         0.999999],
+    )
+    def test_exact_rational_grid_matches_quadratic_form(self, x):
+        # at points such as x = 0.9999, etas (1e-9, 1, 1), the band written
+        # over the nested rates, (2s/u**2) sqrt(t (1 - t/s - 4t/u +
+        # 8t**2/u**2)), cancels to 0
+        grid = [0.0, 1e-12, 1e-9, 0.163, 0.215, 0.5, 1.0 - 1e-13, 1.0]
+        for eta1, eta2, eta3 in itertools.product(grid, repeat=3):
+            if eta1 and (eta2 or eta3):
+                self.assert_matches_oracle(x, eta1, eta2, eta3, 1e6)
+
     def test_undefined_without_pairs(self):
         with pytest.raises(DivergenceError):
-            g2_stderr(0.1, 0.0, 0.0, 0.0, 1000)
+            g2_stderr(0.0, 0.0, 0.1, 1000)
 
     def test_band_covers_monte_carlo_runs(self, inverted_rows):
         # 150,000 pulses at the 400 mW row's parameters (about 100
@@ -109,12 +126,10 @@ class TestG2Stderr:
                 mode="heralded_split", pulses=pulses, seed=seed, x=row.x,
                 chain=chain,
             ))
-            values.append(g2_from_counts(c.clicks1, c.pair12, c.pair13,
-                                         c.triple123))
+            tallies = (c.clicks1, c.pair12, c.pair13, c.triple123)
+            values.append(g2_from_counts(*tallies))
             sigmas.append(g2_stderr(
-                c.clicks1 / pulses, c.pair12 / pulses, c.pair13 / pulses,
-                c.triple123 / pulses, pulses,
-            ))
+                *(n / pulses for n in g2_cells(*tallies)), pulses))
         values, sigmas = np.array(values), np.array(sigmas)
         share = np.mean(np.abs(values - truth) <= sigmas)
         ratio = np.std(values, ddof=1) / np.mean(sigmas)

@@ -18,6 +18,8 @@ from spdc_stats import (
     truncation_order,
     two_arm_rates,
 )
+from spdc_stats.detector_model import click_sets, pair_outcomes
+from spdc_stats.saturation import curve
 from checks import rational_rel_error, within_printed
 
 F = 76e6
@@ -229,6 +231,23 @@ class TestSplitCoincidences:
             ):
                 assert rational_rel_error(got, pair[mask]) <= 2e-15, (field, x, etas)
 
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9, 0.99,
+         0.9999, 0.999999],
+    )
+    def test_click_sets_match_exact_rational(self, x):
+        # every cell of the final click-set distribution, both pair modes,
+        # against the Moebius inversion of the exact rationals; a cell that
+        # is exactly 0 (a dead detector, a sure click) must come out 0
+        grid = [0.0, 1e-12, 1e-9, 0.163, 0.215, 0.5, 1.0 - 1e-13, 1.0]
+        for etas in itertools.chain(itertools.product(grid, repeat=3),
+                                    itertools.product(grid, repeat=2)):
+            exact = oracle.exact_click_sets(x, *etas)
+            got = click_sets(x, pair_outcomes(*etas))
+            for mask, (cell, want) in enumerate(zip(got, exact)):
+                assert rational_rel_error(cell, want) <= 2e-15, (mask, x, etas)
+
     @pytest.mark.parametrize("x, eta1", [(0.0, 0.3), (0.2, 0.0)])
     def test_closed_form_no_pairs_or_dead_herald(self, x, eta1):
         pred = split_coincidences(F, x, eta1, 0.4, 0.5)
@@ -360,6 +379,15 @@ class TestDetectedVsIncident:
         means = np.logspace(-2, 2, 30)
         vals = [detected_vs_incident("thermal", float(m), 0.5) for m in means]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    @pytest.mark.parametrize("variant", ["click", "literal"])
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan, -1.0])
+    def test_rejects_nonfinite_or_negative_mean(self, kind, variant, mean):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            detected_vs_incident(kind, mean, 0.5, variant)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            curve(kind, 0.5, variant, mean_grid=[mean])
 
     def test_rejects_unknown_labels(self):
         with pytest.raises(ValueError, match="source_kind"):

@@ -5,11 +5,14 @@ per-pulse ``analytic_expectations`` and the ``compare_with_analytic``
 standard errors over ``PULSES`` pulses, as this module's ``record()``
 wrote them.  Rewriting how the judge or the source laws are computed must
 keep every expectation bit-identical and every standard error within
-``STDERR_REL`` relative, with three exceptions held to references instead.
+``STDERR_REL`` relative, with four exceptions held to references instead.
 
 - The pair-mode click tallies and g2 are held to the exact rationals of
   ``oracle.exact_all_click``, within ``RATE_REL`` and ``G2_REL``; the record
   itself is up to 4.9e-15 off them.
+- g2's standard error is held to the exact delta-method band on the exact
+  click-set cells (``oracle.exact_g2_stderr``) within ``RATE_REL``; the
+  record is 4.29e-10 off it at x = 0.99, etas (0.215, 1, 1).
 - Saturation's clicked_photons, the literal ``detected_vs_incident``, may
   move by an ulp or two at eta >= 0.37 (``LITERAL_REL``).  At eta <= 1e-9
   the recorded form lost up to 1.3e-7 to cancellation, so there it is held
@@ -104,6 +107,13 @@ def exact_tallies(spec: dict) -> dict:
     return out
 
 
+def exact_g2_band(spec: dict):
+    """g2's standard error over PULSES pulses of one split grid entry, on
+    the exact click-set cells."""
+    cells = oracle.exact_click_sets(spec["x"], *spec["etas"])
+    return oracle.exact_g2_stderr(cells[7], cells[3] + cells[5], cells[1], PULSES)
+
+
 def record() -> None:
     rows = []
     for spec in grid():
@@ -157,6 +167,10 @@ def test_judge_matches_record(row):
             del recorded[name]
             bound = G2_REL if name == "g2" else RATE_REL
             assert rational_rel_error(got, want) <= bound, name
+        if "g2" in stderr:
+            got, want = stderr.pop("g2"), exact_g2_band(spec)
+            del recorded_se["g2"]
+            assert rational_rel_error(got, want) <= RATE_REL, "g2 stderr"
     assert expected == recorded
     assert set(stderr) == set(recorded_se)
     for name, want in recorded_se.items():

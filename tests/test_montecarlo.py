@@ -31,7 +31,7 @@ from spdc_stats.montecarlo import (
     _truncated_poisson_cdf,
     _uniforms,
 )
-from checks import geometric_counts
+from checks import g2_cells, geometric_counts
 
 CHAIN10 = DetectorChain(eta1=0.215, eta2=0.198, eta3=0.163)
 
@@ -478,7 +478,8 @@ class TestAgainstAnalytic:
         """Counting-estimator g2 with its error at the observed rates."""
         tallies = (counts.clicks1, counts.pair12, counts.pair13,
                    counts.triple123)
-        se = g2_stderr(*(n / counts.pulses for n in tallies), counts.pulses)
+        cells = g2_cells(*tallies)
+        se = g2_stderr(*(n / counts.pulses for n in cells), counts.pulses)
         return g2_from_counts(*tallies), se
 
     def test_heralded_g2_matches_prediction(self):
