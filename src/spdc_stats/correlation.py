@@ -55,16 +55,20 @@ def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
     """Standard error of the counting estimator over ``pulses`` pulses.
 
     t, q, h are the per-pulse probabilities of the exclusive click sets:
-    the triple, a pair without the triple, and the herald alone.  With
-    s = t + q + h (click1) and u = 2t + q (pair12 + pair13) the estimator
-    is g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2,
-    -2B/u**2 and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.
-    g has degree 0, so the delta method under the cells' multinomial
-    covariance is a sum of positive terms and nothing cancels:
+    the triple, a pair without the triple, and the herald alone; a negative
+    one, which no pulse can produce, raises ValueError.  With s = t + q + h
+    (click1) and u = 2t + q (pair12 + pair13) the estimator is
+    g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2, -2B/u**2
+    and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has
+    degree 0, so the delta method under the cells' multinomial covariance
+    is a sum of positive terms and nothing cancels:
 
         Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
     """
     validate_positive(pulses, "pulses")
+    for name, v in (("t", t), ("q", q), ("h", h)):
+        if v < 0:
+            raise ValueError(f"cell {name} must be non-negative, got {v!r}")
     u = 2.0 * t + q
     if u == 0:
         raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")

@@ -22,7 +22,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .photon_statistics import validate_emission_parameter, validate_positive
+from .photon_statistics import (click_moment, validate_emission_parameter,
+                                validate_positive)
 
 # Branch efficiencies after the balanced splitter, relative to the full
 # signal-arm efficiency recovered by the inversion.  The transmitted
@@ -172,7 +173,7 @@ def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
     x = validate_emission_parameter(x)
     eta1 = validate_efficiency(eta1, "eta1")
     eta2 = validate_efficiency(eta2, "eta2")
-    cc = f * all_click(click_sets(x, pair_outcomes(eta1, eta2)))[3]
+    cc = f * all_click(click_sets(x, pair_outcomes(eta1, eta2)))[CLICK_MASKS["pair12"]]
     # within ~1e-13 of eta = 1, where cc equals a singles rate, rounding
     # can put cc an ulp above the separately computed singles rate
     return min(cc, singles_rate(f, x, eta1), singles_rate(f, x, eta2))
@@ -203,7 +204,9 @@ def split_coincidences(
     eta2 = validate_efficiency(eta2, "eta2")
     eta3 = validate_efficiency(eta3, "eta3")
     p = all_click(click_sets(x, pair_outcomes(eta1, eta2, eta3)))
-    return RatePrediction(cc12=f * p[3], cc13=f * p[5], cc123=f * p[7], sc1h=f * p[1])
+    m = CLICK_MASKS
+    return RatePrediction(cc12=f * p[m["pair12"]], cc13=f * p[m["pair13"]],
+                          cc123=f * p[m["triple123"]], sc1h=f * p[m["clicks1"]])
 
 
 def detected_vs_incident(
@@ -217,7 +220,8 @@ def detected_vs_incident(
     source_kind is "thermal" (geometric distribution of mean ``mean``) or
     "coherent" (Poisson of mean ``mean``).  The "click" variant returns
     the click probability E[1 - (1-eta)**n]; the "literal" variant weights
-    each term by the incident photon number, E[n (1 - (1-eta)**n)].
+    each term by the incident photon number, E[n (1 - (1-eta)**n)].  They
+    are the k = 0 and k = 1 entries of ``photon_statistics.click_moment``.
     """
     mean = float(mean)
     if not 0.0 <= mean < math.inf:
@@ -227,15 +231,4 @@ def detected_vs_incident(
         raise ValueError(f"unknown source_kind {source_kind!r}")
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
-
-    # with z = eta * mean, the literal forms are written as sums of
-    # positive terms: mean - (1 - eta) mean / (1 + z)**2 and
-    # mean - mean (1 - eta) exp(-z) cancel as eta -> 0
-    z = eta * mean
-    if source_kind == "thermal":
-        if variant == "click":
-            return z / (1.0 + z)
-        return z * (1.0 + 2.0 * mean + z * mean) / (1.0 + z) ** 2
-    if variant == "click":
-        return -math.expm1(-z)
-    return mean * (eta * math.exp(-z) - math.expm1(-z))
+    return click_moment(source_kind, mean, eta, 0 if variant == "click" else 1)

@@ -5,15 +5,17 @@ For every tally that ``montecarlo.simulate`` counts, this module gives its
 per-pulse expectation and variance in closed form, and
 ``compare_with_analytic`` turns a run's tallies into sigma distances.
 
-- Click and coincidence tallies are the entries of
-  ``detector_model.all_click`` that ``CLICK_MASKS`` names, and have the
-  Bernoulli variance p (1 - p) per pulse.
-- The emission moments E[n**k] and their variances E[n**2k] - E[n**k]**2
-  come from the pair-number law's generating function
-  (``photon_statistics.source_moment``).
-- In saturation mode, clicked_photons is n times the click indicator, so
-  its second moment is E[n**2 1{click}], written as a sum of positive
-  terms.
+- The emission moments, and in saturation mode the detector's clicks1 and
+  clicked_photons, each sum n**k 1{click} per pulse for a detector of
+  efficiency eta (eta = 1 for the emission moments).  One table names each
+  one's (k, eta); its expectation is ``photon_statistics.click_moment`` of
+  the law and, for k >= 1, its variance the 2k entry minus the expectation
+  squared.  The law's mean is ``config.mean`` in saturation mode and
+  x / (1 - x) in the pair modes.
+- Every click indicator has the Bernoulli variance p (1 - p) per pulse:
+  the k = 0 tallies, the pair-mode click and coincidence tallies (the
+  entries of ``detector_model.all_click`` that ``CLICK_MASKS`` names) and
+  pulses_with_emission (``photon_statistics.emission_probability``).
 - g2's error is the delta method on the analytic click-set cells
   (``detector_model.click_sets``, ``correlation.g2_stderr``).
 
@@ -28,57 +30,41 @@ from __future__ import annotations
 import math
 
 from .correlation import g2_from_counts, g2_stderr
-from .detector_model import (CLICK_MASKS, all_click, click_sets,
-                             detected_vs_incident, pair_outcomes)
-from .photon_statistics import emission_probability, source_moment
+from .detector_model import CLICK_MASKS, all_click, click_sets, pair_outcomes
+from .photon_statistics import click_moment, emission_probability
 
-# emission-moment tallies and the power of n each one sums
-_MOMENTS = {"emitted": 1, "emitted_sq": 2, "emitted_cu": 3}
+# emission-moment tallies and the (k, eta) of each: every photon counts
+_EMITTED = {"emitted": (1, 1.0), "emitted_sq": (2, 1.0), "emitted_cu": (3, 1.0)}
 
 
-def analytic_expectations(config) -> dict[str, float]:
-    """Per-pulse expected values of every tally the mode produces, plus
-    'g2' in heralded_split mode; keys match SimCounts field names."""
-    out = {name: source_moment(*config.law, k) for name, k in _MOMENTS.items()}
-    out["pulses_with_emission"] = emission_probability(*config.law)
+def _judge(config):
+    """The per-pulse expectations, and what their errors read: the law
+    (kind, mean) of ``click_moment``, the (k, eta) of every tally that sums
+    n**k 1{click}, and in the pair modes the ``click_sets`` distribution."""
+    kind, sets = config.law[0], None
     if config.mode == "saturation":
-        kind, mean, (eta,) = config.source_kind, config.mean, config.etas
-        out["clicks1"] = detected_vs_incident(kind, mean, eta, "click")
-        out["clicked_photons"] = detected_vs_incident(kind, mean, eta, "literal")
-        return out
-
-    clicks = all_click(click_sets(config.x, pair_outcomes(*config.etas)))
-    out.update((name, clicks[m]) for name, m in CLICK_MASKS.items() if m < len(clicks))
+        mean, (eta,) = config.mean, config.etas
+        rows = {**_EMITTED, "clicks1": (0, eta), "clicked_photons": (1, eta)}
+    else:
+        mean, rows = config.x / (1.0 - config.x), _EMITTED
+        sets = click_sets(config.x, pair_outcomes(*config.etas))
+    out = {name: click_moment(kind, mean, eta, k) for name, (k, eta) in rows.items()}
+    out["pulses_with_emission"] = emission_probability(*config.law)
+    if sets is not None:
+        clicks = all_click(sets)
+        out.update((n, clicks[m]) for n, m in CLICK_MASKS.items() if m < len(clicks))
     # the same rule compare_with_analytic applies to the observed pairs:
     # with no pair coincidences the g2 estimator is undefined
     if "triple123" in out and out["pair12"] + out["pair13"] > 0:
         out["g2"] = g2_from_counts(
             out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
-    return out
+    return out, (kind, mean, rows, sets)
 
 
-def _clicked_photons_square(config) -> float:
-    """E[n**2 1{click}] of a saturation config, as positive terms in
-    w = eta * mean."""
-    m, (eta,) = config.mean, config.etas
-    w = eta * m
-    if config.source_kind == "thermal":
-        s = 1.0 + w
-        return (w * (1.0 + 2.0 * m + m * w) / s**2
-                + 2.0 * m * w * (2.0 - eta + 3.0 * m + 3.0 * m * w + m * w * w) / s**3)
-    e, em1 = math.exp(-w), -math.expm1(-w)
-    return m * (eta * e + em1) + m**2 * (eta * (2.0 - eta) * e + em1)
-
-
-def _variance_per_pulse(config, name: str, expected: dict) -> float:
-    """Per-pulse variance of the tally name, from its expectation and the
-    law's moments."""
-    mean = expected[name]
-    if name in _MOMENTS:
-        return source_moment(*config.law, 2 * _MOMENTS[name]) - mean**2
-    if name == "clicked_photons":
-        return _clicked_photons_square(config) - mean**2
-    return mean * (1.0 - mean)
+def analytic_expectations(config) -> dict[str, float]:
+    """Per-pulse expected values of every tally the mode produces, plus
+    'g2' in heralded_split mode; keys match SimCounts field names."""
+    return _judge(config)[0]
 
 
 def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
@@ -89,7 +75,8 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
     sigma is 0 when the standard error vanishes and the values agree
     exactly, inf when they differ with zero standard error.
     """
-    expected = analytic_expectations(config)
+    expected, (kind, mean, rows, sets) = _judge(config)
+    m = CLICK_MASKS
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
         if name == "g2":
@@ -102,14 +89,16 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
             )
             # the error at the analytic rates: taken at the observed ones, a
             # run that sees few triples gets too small an error
-            sets = click_sets(config.x, pair_outcomes(*config.etas))
-            se = g2_stderr(sets[7], sets[3] + sets[5], sets[1], counts.pulses)
+            se = g2_stderr(sets[m["triple123"]], sets[m["pair12"]] + sets[m["pair13"]],
+                           sets[m["clicks1"]], counts.pulses)
         else:
             mc = counts.fraction(name)
-            se = math.sqrt(
-                max(_variance_per_pulse(config, name, expected), 0.0)
-                / counts.pulses
-            )
+            k, eta = rows.get(name, (0, None))
+            if k:
+                variance = click_moment(kind, mean, eta, 2 * k) - target**2
+            else:
+                variance = target * (1.0 - target)
+            se = math.sqrt(max(variance, 0.0) / counts.pulses)
         if se == 0.0:
             sigma = 0.0 if mc == target else math.inf
         else:

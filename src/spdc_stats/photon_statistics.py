@@ -11,16 +11,17 @@ downstream (click models, rate inversion, correlation functions) is built
 on these two distributions.  Each quantity has one exact closed form; the
 series sums that define them are test references in ``tests/oracle.py``.
 
-A law is named by a pair (kind, p): ("thermal", x) is the geometric law
-above, with generating function G(z) = (1 - x) / (1 - x z), and
-("coherent", nu) the Poisson law, G(z) = exp(-nu (1 - z)).  This module
-holds their closed forms once (``emission_probability``,
-``source_moment``), for the Monte Carlo sampler and its judge alike.  It
-also owns the one series-truncation policy (``truncation_order``) the test
-references use, and the one check (``validate_positive``) that every
-repetition rate, counting time and pulse count passes.  It is scalar
-``math`` code and does not import numpy; the Poisson and binomial tables
-the Monte Carlo draws from live in ``montecarlo``.
+A law is named two ways.  The sampler names it by (kind, p), as its event
+count and geometric draw read x bit for bit (``emission_probability``):
+("thermal", x) is the geometric law above, G(z) = (1 - x) / (1 - x z), and
+("coherent", nu) the Poisson law, G(z) = exp(-nu (1 - z)).
+``click_moment``, the one closed form of every click probability and
+moment, names it by (kind, mean), mean = x / (1 - x) or nu, since
+x = mean / (1 + mean) loses about mean ulps.  The module also owns the
+truncation policy of the test references' series (``truncation_order``)
+and the check every repetition rate, counting time and pulse count passes
+(``validate_positive``).  It is scalar ``math`` code without numpy; the
+Monte Carlo's Poisson and binomial tables live in ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -105,16 +106,26 @@ def _stirling2(k: int) -> list[int]:
     return row
 
 
-def source_moment(kind: str, p: float, k: int) -> float:
-    """E[n**k] of the law (kind, p), for k >= 1.
+def click_moment(kind: str, mean: float, eta: float, k: int) -> float:
+    """E[n**k 1{click}] of the law (kind, mean) before a bucket detector of
+    efficiency eta, for k >= 0: the click probability at k = 0, the raw
+    moment E[n**k] at eta = 1.
 
-    E[n**k] = sum_j S(k, j) G^(j)(1), where the factorial moment G^(j)(1)
-    is j! r**j with r = x / (1 - x) for the geometric law, and nu**j for
-    the Poisson law.
+    With z = 1 - eta and w = eta * mean it is E[n**k] - E[n**k z**n]
+    = sum_j S(k, j) G^(j)(1) [(1 - z**j) + z**j D_j], where the factorial
+    moment G^(j)(1) is j! mean**j (thermal) or mean**j (coherent) and
+    D_j = 1 - G^(j)(z) / G^(j)(1) = 1 - (1 + w)**-(j+1) or 1 - exp(-w),
+    written w sum_{i<=j} (1 + w)**i / (1 + w)**(j+1) and -expm1(-w).  With
+    1 - z**j = eta sum_{i<j} z**i every term is positive, and at eta = 1
+    (z**0 = 1) it is sum_j S(k, j) G^(j)(1) with no branch.
     """
     thermal = kind == "thermal"
-    r = p / (1.0 - p) if thermal else p
-    return sum(
-        s * (math.factorial(j) if thermal else 1) * r**j
-        for j, s in enumerate(_stirling2(k)) if j
-    )
+    z, w, total = 1.0 - eta, eta * mean, 0.0
+    near = far = 0.0  # sum_{i<j} z**i and sum_{i<=j} (1 + w)**i
+    for j, s in enumerate(_stirling2(k)):
+        far += (1.0 + w) ** j
+        d = w * far / (1.0 + w) ** (j + 1) if thermal else -math.expm1(-w)
+        bracket = eta * near + z**j * d
+        total += s * (math.factorial(j) if thermal else 1) * mean**j * bracket
+        near += z**j
+    return total

@@ -10,15 +10,18 @@ The click-variant gap depends on the product z = eta * mean alone and has
 a single interior maximum at z* where (1 + z)^2 = exp(z), z* ~ 2.513.
 Below z* the gap grows with eta at fixed mean; past it the detector is
 deep in saturation for both sources and the gap shrinks again.
+
+Every curve point and gap is read from ``photon_statistics.click_moment``
+E[n**k 1{click}]: k = 0 for the click variant, k = 1 for the literal one.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .detector_model import detected_vs_incident, validate_efficiency
+from .photon_statistics import click_moment
 
 # z where (1 + z)^2 = exp(z): the click-variant gap peaks here.
 GAP_PEAK_Z = 2.5128624172523393
@@ -98,4 +101,4 @@ def click_gap(z: float) -> float:
     """Click-variant gap as a function of z = eta * mean alone."""
     if z < 0:
         raise ValueError("z must be >= 0")
-    return -math.expm1(-z) - z / (1.0 + z)
+    return click_moment("coherent", z, 1.0, 0) - click_moment("thermal", z, 1.0, 0)

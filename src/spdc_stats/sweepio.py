@@ -186,7 +186,7 @@ def write_table1_json(
 
 
 def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:
         f = float(payload["repetition_rate_hz"])

@@ -179,6 +179,16 @@ class TestCorrelations:
             # without measured splitter counts the first column is blank
             assert g["g2_measured"] == "-"
 
+    def test_table_with_byte_order_mark(self, invert_out, tmp_path):
+        # an editor may save table1.json back with a UTF-8 byte-order mark
+        table = tmp_path / "bom.json"
+        table.write_bytes(b"\xef\xbb\xbf" + (invert_out / "table1.json").read_bytes())
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert main(["correlations", str(invert_out / "table1.json"),
+                     "--out", str(plain)]) == 0
+        assert main(["correlations", str(table), "--out", str(bom)]) == 0
+        assert bom.read_bytes() == plain.read_bytes()
+
     def test_measured_counts_appear(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(

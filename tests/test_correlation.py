@@ -107,6 +107,17 @@ class TestG2Stderr:
         with pytest.raises(DivergenceError):
             g2_stderr(0.0, 0.0, 0.1, 1000)
 
+    @pytest.mark.parametrize("cells,name", [
+        ((300e-6, 900e-6, -200e-6), "h"),
+        ((300e-6, -1e-6, 200e-6), "q"),
+        ((-1e-6, 900e-6, 200e-6), "t"),
+    ])
+    def test_rejects_negative_cell(self, cells, name):
+        # SC1 = 1000, CC12 = 800, CC13 = 700, CC123 = 300 per 1e6 pulses
+        # leave a herald-alone cell of -200, which no pulse can produce
+        with pytest.raises(ValueError, match=f"cell {name} "):
+            g2_stderr(*cells, 1e6)
+
     def test_band_covers_monte_carlo_runs(self, inverted_rows):
         # 150,000 pulses at the 400 mW row's parameters (about 100
         # triples), 200 fixed seeds, the band taken at each run's observed

@@ -5,7 +5,7 @@ per-pulse ``analytic_expectations`` and the ``compare_with_analytic``
 standard errors over ``PULSES`` pulses, as this module's ``record()``
 wrote them.  Rewriting how the judge or the source laws are computed must
 keep every expectation bit-identical and every standard error within
-``STDERR_REL`` relative, with four exceptions held to references instead.
+``STDERR_REL`` relative, with five exceptions held to references instead.
 
 - The pair-mode click tallies and g2 are held to the exact rationals of
   ``oracle.exact_all_click``, within ``RATE_REL`` and ``G2_REL``; the record
@@ -20,6 +20,10 @@ keep every expectation bit-identical and every standard error within
 - Its standard error is held to the 60-digit decimal reference
   (``oracle.clicked_photons_variance_decimal``) within ``CLICKED_SE_REL``
   at every point; the recorded form cancelled as eta -> 0.
+- The thermal saturation source's emission moments and their standard
+  errors are held to the exact raw moments sum_j S(k, j) j! mean**j
+  (``oracle.exact_thermal_moment``) within ``RATE_REL``; the record read
+  them through x = mean / (1 + mean) and is up to 2.0e-14 off.
 
 Regenerate the file only when a value is meant to change:
 
@@ -30,6 +34,8 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +57,8 @@ LITERAL_REL = 1e-15
 RATE_REL = 2e-15
 G2_REL = 4e-15
 CLICKED_SE_REL = 1e-14
+# emission-moment tallies and the power of n each one sums
+EMITTED = {"emitted": 1, "emitted_sq": 2, "emitted_cu": 3}
 # pair-mode click tallies and the detectors each one needs to click
 MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 5,
          "triple123": 7}
@@ -114,6 +122,20 @@ def exact_g2_band(spec: dict):
     return oracle.exact_g2_stderr(cells[7], cells[3] + cells[5], cells[1], PULSES)
 
 
+def exact_emission(mean: float) -> tuple[dict, dict]:
+    """(expectations, standard errors over PULSES pulses) of the emission
+    moments of a thermal source of the given mean, from its exact raw
+    moments; each square root is taken to 60 digits."""
+    expected, stderr = {}, {}
+    for name, k in EMITTED.items():
+        e = oracle.exact_thermal_moment(mean, k)
+        variance = (oracle.exact_thermal_moment(mean, 2 * k) - e**2) / PULSES
+        with localcontext(Context(prec=60)):
+            band = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
+        expected[name], stderr[name] = e, Fraction(band)
+    return expected, stderr
+
+
 def record() -> None:
     rows = []
     for spec in grid():
@@ -161,6 +183,13 @@ def test_judge_matches_record(row):
         # held to the decimal reference by test_clicked_photons_stderr
         stderr.pop("clicked_photons")
         del recorded_se["clicked_photons"]
+        if spec["source_kind"] == "thermal":
+            exact, exact_se = exact_emission(spec["mean"])
+            for name in EMITTED:
+                del recorded[name], recorded_se[name]
+                got, got_se = expected.pop(name), stderr.pop(name)
+                assert rational_rel_error(got, exact[name]) <= RATE_REL, name
+                assert rational_rel_error(got_se, exact_se[name]) <= RATE_REL, name
     else:
         for name, want in exact_tallies(spec).items():
             got = expected.pop(name)

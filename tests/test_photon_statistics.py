@@ -12,7 +12,7 @@ from spdc_stats import (
     pair_rate,
     truncation_order,
 )
-from spdc_stats.photon_statistics import emission_probability, source_moment
+from spdc_stats.photon_statistics import click_moment, emission_probability
 from checks import geometric_counts, within_printed
 from oracle import (
     CoherentDistribution,
@@ -216,9 +216,19 @@ class TestSourceLaws:
         # (kind, p z), so z < 1 checks the moment at p z against the series
         z = 1.0 - eta
         g = (1.0 - p) / (1.0 - p * z) if kind == "thermal" else math.exp(-p * (1.0 - z))
-        got = g * source_moment(kind, p * z, k)
+        tilted = p * z / (1.0 - p * z) if kind == "thermal" else p * z
+        got = g * click_moment(kind, tilted, 1.0, k)
         want = oracle.source_moment(kind, p, k, z)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-9, 1e-3, 0.37, 0.8, 1.0])
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.1, 0.5, 2.0, 10.0, 30.0, 300.0])
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_click_moment_matches_decimal(self, kind, mean, eta):
+        for k in range(7):
+            got = click_moment(kind, mean, eta, k)
+            want = oracle.click_moment_decimal(kind, mean, eta, k)
+            assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), k
 
     @pytest.mark.parametrize("kind,p", LAWS)
     def test_emission_probability_is_one_minus_vacuum(self, kind, p):
@@ -229,7 +239,7 @@ class TestSourceLaws:
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     def test_empty_source(self, kind):
         assert emission_probability(kind, 0.0) == 0.0
-        assert source_moment(kind, 0.0, 6) == 0.0
+        assert click_moment(kind, 0.0, 1.0, 6) == 0.0
 
 
 class TestRates:
