@@ -22,13 +22,11 @@ _PUBLIC = {
     "cli": (),
     "correlation": (
         "CorrelationReport", "build_table_two", "g2_from_counts",
-        "g2_heralded_ideal", "g2_heralded_predicted", "g2_signal_idler",
-        "g2_unheralded", "g3_signal_idler", "g3_unheralded", "report_for_row",
+        "g2_heralded_predicted", "ideal_g", "report_for_row",
     ),
     "detector_model": (
-        "DetectorChain", "click_probability", "coincidence_rate",
-        "detected_vs_incident", "singles_rate", "split_coincidences",
-        "two_arm_rates",
+        "DetectorChain", "coincidence_rate", "detected_vs_incident",
+        "singles_rate", "split_coincidences", "two_arm_rates",
     ),
     "errors": (
         "DataInconsistencyError", "DivergenceError", "InversionError",
@@ -41,8 +39,7 @@ _PUBLIC = {
     "expectations": ("analytic_expectations", "compare_with_analytic"),
     "montecarlo": ("SimConfig", "SimCounts", "simulate"),
     "photon_statistics": (
-        "mean_pairs_per_pulse", "one_pair_rate", "pair_rate",
-        "truncation_order",
+        "SourceLaw", "one_pair_rate", "pair_rate", "truncation_order",
     ),
     "saturation": (
         "GAP_PEAK_Z", "SaturationCurve", "click_gap", "curve",

@@ -1,14 +1,13 @@
 """Second- and third-order correlation functions of a pulsed pair source.
 
-All functions are normalized zero-delay correlation values computed from
-the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
+All values are normalized zero-delay correlations of a pair-number law
+(``photon_statistics.SourceLaw``; the sweep's is the geometric law of x):
 
-- g2_unheralded / g3_unheralded: one arm alone; the single-mode thermal
-  values 2 and 6, independent of x.
-- g2_heralded_ideal: the signal arm conditioned on a perfect herald,
-  whose pair distribution is Pr(n | n >= 1); equals 2x.
-- g2_signal_idler / g3_signal_idler: both arms pooled, so each pulse
-  carries N = 2n photons; equal 1/(2x) + 3/2 and 3(1 + x)/x.
+- ideal_g(law, k, field): the ideal g^(k) of one arm ("arm"), of the
+  signal arm under a perfect herald ("heralded") or of both arms pooled,
+  N = 2n photons per pulse ("pooled"), each a ratio of the law's reduced
+  factorial moments r_j = G^(j)(1) / mean**j.  For the geometric law they
+  are Table 2's ideal columns: 2 and 6, 2x, 1/(2x) + 3/2 and 3(1 + x)/x.
 - g2_from_counts: the experimental estimator 2 * CC123 * SC1 /
   (CC12 + CC13)**2 applied to measured counts; g2_stderr is its 1-sigma
   band on the exclusive click-set cells.
@@ -16,10 +15,10 @@ the geometric per-pulse pair distribution Pr(n) = (1 - x) x**n:
   rate predictions for a given (x, eta1, eta2, eta3), which accounts for
   multi-pair emission seen through lossy bucket detectors.
 
-The counting estimator is normalized differently from g2_heralded_ideal.
+The counting estimator is normalized differently from the heralded g2.
 For balanced branches (CC12 = CC13) it is exactly half the product form
 CC123 * SC1 / (CC12 * CC13).  With ideal detectors the product form tends
-to g2_heralded_ideal = 2x as x -> 0, and the counting estimator to x.  So
+to the heralded g2 = 2x as x -> 0, and the counting estimator to x.  So
 Table 2's g2_heralded column (2x) and its g2_measured and g2_predicted
 columns (the counting estimator, the paper's convention) are on different
 scales; the measured/predicted ratio does not depend on the choice.
@@ -37,7 +36,8 @@ from dataclasses import dataclass
 from .detector_model import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, split_coincidences
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
-from .photon_statistics import validate_emission_parameter, validate_positive
+from .photon_statistics import (SourceLaw, _reduced_moment, emission_probability,
+                                validate_positive)
 
 
 def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
@@ -77,47 +77,29 @@ def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
     return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
 
 
-def g2_unheralded(x: float) -> float:
-    """Single-arm g2(0); exactly 2 for the geometric distribution."""
-    validate_emission_parameter(x)
-    return 2.0
-
-
-def g3_unheralded(x: float) -> float:
-    """Single-arm g3(0); exactly 6 for the geometric distribution."""
-    x = validate_emission_parameter(x)
-    if x == 0.0:
-        raise DivergenceError("g3 undefined at x = 0 (no photons)")
-    return 6.0
-
-
-def g2_heralded_ideal(x: float) -> float:
-    """g2(0) of the signal arm under a perfect herald; equals 2x.
-
-    The heralded pair-number distribution is the source distribution
-    conditioned on n >= 1.  At x = 0 the heralded state is a single pair
-    with certainty in the limit, so 0 is returned.
+def ideal_g(law: SourceLaw, order: int, field: str) -> float:
+    """Ideal g^(k), k = order, of the law's "arm", "heralded" or "pooled"
+    field, from its reduced factorial moments r_j = G^(j)(1) / mean**j:
+    r_k for one arm; r_k P**(k - 1) for the law conditioned on n >= 1, with
+    P = ``emission_probability`` (its limit 0 at P = 0); and for both arms
+    pooled, N = 2n of generating function G(z**2), Faa di Bruno's sum over
+    i <= k of k!/i! C(i, k - i) r_i / (4 mean)**(k - i), every term
+    positive, which diverges at mean 0 (DivergenceError).
     """
-    return 2.0 * validate_emission_parameter(x)
-
-
-def g2_signal_idler(x: float) -> float:
-    """g2(0) of the pooled signal+idler field (2n photons per pulse).
-
-    Equals 1/(2x) + 3/2; diverges as x -> 0.
-    """
-    x = validate_emission_parameter(x)
-    if x == 0.0:
-        raise DivergenceError("g2 of the pooled field diverges at x = 0")
-    return 1.0 / (2.0 * x) + 1.5
-
-
-def g3_signal_idler(x: float) -> float:
-    """g3(0) of the pooled signal+idler field; equals 3 (1 + x) / x."""
-    x = validate_emission_parameter(x)
-    if x == 0.0:
-        raise DivergenceError("g3 of the pooled field diverges at x = 0")
-    return 3.0 * (1.0 + x) / x
+    k = order
+    if field == "arm":
+        return float(_reduced_moment(law, k))
+    if field == "heralded":
+        return _reduced_moment(law, k) * emission_probability(law) ** (k - 1)
+    if field != "pooled":
+        raise ValueError(f"unknown field {field!r}")
+    if law.mean == 0.0:
+        raise DivergenceError("the pooled field's g diverges at mean 0")
+    # C(i, k - i) = 0 for i < k/2: skipped, as their power of 4 mean can
+    # underflow to 0
+    return sum(math.factorial(k) // math.factorial(i) * math.comb(i, k - i)
+               * _reduced_moment(law, i) / (4.0 * law.mean) ** (k - i)
+               for i in range(k, (k - 1) // 2, -1))
 
 
 def g2_heralded_predicted(
@@ -160,7 +142,7 @@ class CorrelationReport:
     g2_unheralded: float
     g2_signal_idler: float | None
     g3_signal_idler: float | None
-    g3_unheralded: float | None
+    g3_unheralded: float
 
 
 def report_for_row(
@@ -169,7 +151,7 @@ def report_for_row(
     eta3_scale: float = DEFAULT_ETA3_SCALE,
 ) -> CorrelationReport:
     """Correlation values for one inverted sweep row."""
-    x = row.x
+    x, law = row.x, SourceLaw.geometric(row.x)
     eta2 = min(row.eta2 * eta2_scale, 1.0)
     eta3 = min(row.eta2 * eta3_scale, 1.0)
 
@@ -184,11 +166,11 @@ def report_for_row(
         g2_measured=None if row.cc12 is None else guarded(
             g2_from_counts, row.sc1, row.cc12, row.cc13, row.cc123),
         g2_predicted=guarded(g2_heralded_predicted, x, row.eta1, eta2, eta3),
-        g2_heralded=g2_heralded_ideal(x),
-        g2_unheralded=g2_unheralded(x),
-        g2_signal_idler=guarded(g2_signal_idler, x),
-        g3_signal_idler=guarded(g3_signal_idler, x),
-        g3_unheralded=guarded(g3_unheralded, x),
+        g2_heralded=ideal_g(law, 2, "heralded"),
+        g2_unheralded=ideal_g(law, 2, "arm"),
+        g2_signal_idler=guarded(ideal_g, law, 2, "pooled"),
+        g3_signal_idler=guarded(ideal_g, law, 3, "pooled"),
+        g3_unheralded=ideal_g(law, 3, "arm"),
     )
 
 

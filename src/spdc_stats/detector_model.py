@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .photon_statistics import (click_moment, validate_emission_parameter,
+from .photon_statistics import (SourceLaw, click_moment, validate_emission_parameter,
                                 validate_positive)
 
 # Branch efficiencies after the balanced splitter, relative to the full
@@ -231,4 +231,5 @@ def detected_vs_incident(
         raise ValueError(f"unknown source_kind {source_kind!r}")
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
-    return click_moment(source_kind, mean, eta, 0 if variant == "click" else 1)
+    law = SourceLaw.of_mean(source_kind, mean)
+    return click_moment(law, eta, 0 if variant == "click" else 1)

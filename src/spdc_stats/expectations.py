@@ -9,20 +9,21 @@ per-pulse expectation and variance in closed form, and
   clicked_photons, each sum n**k 1{click} per pulse for a detector of
   efficiency eta (eta = 1 for the emission moments).  One table names each
   one's (k, eta); its expectation is ``photon_statistics.click_moment`` of
-  the law and, for k >= 1, its variance the 2k entry minus the expectation
-  squared.  The law's mean is ``config.mean`` in saturation mode and
-  x / (1 - x) in the pair modes.
+  the law ``config.law`` and, for k >= 1, its variance the 2k entry minus
+  the expectation squared.
 - Every click indicator has the Bernoulli variance p (1 - p) per pulse:
   the k = 0 tallies, the pair-mode click and coincidence tallies (the
   entries of ``detector_model.all_click`` that ``CLICK_MASKS`` names) and
-  pulses_with_emission (``photon_statistics.emission_probability``).
+  pulses_with_emission (``photon_statistics.emission_probability``).  In
+  saturation mode p nears 1, so 1 - p is the law's ``miss_probability``
+  at eta (1 for pulses_with_emission); in the pair modes p <= x, exact.
 - g2's error is the delta method on the analytic click-set cells
   (``detector_model.click_sets``, ``correlation.g2_stderr``).
 
 A config is read by duck typing: its mode, its detector efficiencies in
-bit order ``config.etas``, its law ``config.law`` = (kind, p) and, for
-saturation, its source_kind and mean.  So this module imports nothing from
-``montecarlo`` and never loads numpy.
+bit order ``config.etas``, its ``SourceLaw`` ``config.law`` and, in the
+pair modes, its x.  So this module imports nothing from ``montecarlo`` and
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -31,25 +32,25 @@ import math
 
 from .correlation import g2_from_counts, g2_stderr
 from .detector_model import CLICK_MASKS, all_click, click_sets, pair_outcomes
-from .photon_statistics import click_moment, emission_probability
+from .photon_statistics import click_moment, emission_probability, miss_probability
 
 # emission-moment tallies and the (k, eta) of each: every photon counts
 _EMITTED = {"emitted": (1, 1.0), "emitted_sq": (2, 1.0), "emitted_cu": (3, 1.0)}
 
 
 def _judge(config):
-    """The per-pulse expectations, and what their errors read: the law
-    (kind, mean) of ``click_moment``, the (k, eta) of every tally that sums
-    n**k 1{click}, and in the pair modes the ``click_sets`` distribution."""
-    kind, sets = config.law[0], None
+    """The per-pulse expectations, and what their errors read: the law, the
+    (k, eta) of every tally that sums n**k 1{click}, and in the pair modes
+    the ``click_sets`` distribution."""
+    law, sets = config.law, None
     if config.mode == "saturation":
-        mean, (eta,) = config.mean, config.etas
+        (eta,) = config.etas
         rows = {**_EMITTED, "clicks1": (0, eta), "clicked_photons": (1, eta)}
     else:
-        mean, rows = config.x / (1.0 - config.x), _EMITTED
+        rows = _EMITTED
         sets = click_sets(config.x, pair_outcomes(*config.etas))
-    out = {name: click_moment(kind, mean, eta, k) for name, (k, eta) in rows.items()}
-    out["pulses_with_emission"] = emission_probability(*config.law)
+    out = {name: click_moment(law, eta, k) for name, (k, eta) in rows.items()}
+    out["pulses_with_emission"] = emission_probability(law)
     if sets is not None:
         clicks = all_click(sets)
         out.update((n, clicks[m]) for n, m in CLICK_MASKS.items() if m < len(clicks))
@@ -58,7 +59,7 @@ def _judge(config):
     if "triple123" in out and out["pair12"] + out["pair13"] > 0:
         out["g2"] = g2_from_counts(
             out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
-    return out, (kind, mean, rows, sets)
+    return out, (law, rows, sets)
 
 
 def analytic_expectations(config) -> dict[str, float]:
@@ -75,7 +76,7 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
     sigma is 0 when the standard error vanishes and the values agree
     exactly, inf when they differ with zero standard error.
     """
-    expected, (kind, mean, rows, sets) = _judge(config)
+    expected, (law, rows, sets) = _judge(config)
     m = CLICK_MASKS
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
@@ -93,9 +94,11 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
                            sets[m["clicks1"]], counts.pulses)
         else:
             mc = counts.fraction(name)
-            k, eta = rows.get(name, (0, None))
+            k, eta = rows.get(name, (0, 1.0))
             if k:
-                variance = click_moment(kind, mean, eta, 2 * k) - target**2
+                variance = click_moment(law, eta, 2 * k) - target**2
+            elif config.mode == "saturation":
+                variance = target * miss_probability(law, eta)
             else:
                 variance = target * (1.0 - target)
             se = math.sqrt(max(variance, 0.0) / counts.pulses)

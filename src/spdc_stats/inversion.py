@@ -47,12 +47,7 @@ from dataclasses import dataclass
 
 from .detector_model import coincidence_rate, singles_rate
 from .errors import DataInconsistencyError, InversionError
-from .photon_statistics import (
-    mean_pairs_per_pulse,
-    one_pair_rate,
-    pair_rate,
-    validate_positive,
-)
+from .photon_statistics import SourceLaw, one_pair_rate, pair_rate, validate_positive
 
 # exact SI values (2019 redefinition)
 _PLANCK = 6.62607015e-34  # J s
@@ -267,14 +262,6 @@ def _propagate_sigma(f, power_mw, probs, params, integration_time):
     return sig_x / power_mw, sig_eta1, sig_eta2
 
 
-def naive_pair_rate(sc1: float, sc2: float, cc: float) -> float:
-    """Loss-independent pair-rate estimate sc1 * sc2 / cc.
-
-    Valid only in the low-gain limit; raises ZeroDivisionError when cc = 0.
-    """
-    return sc1 * float(sc2) / float(cc)
-
-
 def sde_from_attenuated_laser(sc: float, power: float, wavelength: float) -> float:
     """System detection efficiency from an attenuated-laser calibration.
 
@@ -302,7 +289,7 @@ def row_from_inversion(
         eta2=inv.eta2,
         pair_rate=pair_rate(f, inv.x),
         one_pair_rate=one_pair_rate(f, inv.x),
-        mean_pairs=mean_pairs_per_pulse(inv.x),
+        mean_pairs=SourceLaw.geometric(inv.x).mean,
         x=inv.x,
         residual=inv.residual,
         iterations=inv.iterations,

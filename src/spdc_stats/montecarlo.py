@@ -72,7 +72,8 @@ import numpy as np
 
 from .detector_model import CLICK_MASKS, DetectorChain, click_probability
 from .errors import ResourceLimitError
-from .photon_statistics import emission_probability, validate_emission_parameter
+from .photon_statistics import (SourceLaw, emission_probability,
+                                validate_emission_parameter)
 
 # each mode and the number of detectors it reads
 _DETECTORS = {"two_arm": 2, "heralded_split": 3, "saturation": 1}
@@ -127,16 +128,12 @@ class SimConfig:
                 raise ValueError(f"mode {self.mode} requires chain.eta{i}")
 
     @property
-    def law(self) -> tuple[str, float]:
-        """The pair-number law (kind, p) of ``photon_statistics``: the
-        geometric law of x in the pair modes, and in saturation mode the
-        thermal source's geometric law of x = mean / (1 + mean) or the
-        coherent source's Poisson law of its mean."""
+    def law(self) -> SourceLaw:
+        """The pair-number law: the geometric law of x in the pair modes,
+        and in saturation mode the thermal or coherent law of the mean."""
         if self.mode != "saturation":
-            return "thermal", self.x
-        if self.source_kind == "thermal":
-            return "thermal", self.mean / (1.0 + self.mean)
-        return "coherent", self.mean
+            return SourceLaw.geometric(self.x)
+        return SourceLaw.of_mean(self.source_kind, self.mean)
 
     @property
     def etas(self) -> tuple[float, ...]:
@@ -354,10 +351,10 @@ def _poisson_draw(cdf: np.ndarray) -> _Draw:
 
 def _event_photon_sampler(config: SimConfig) -> _Draw:
     """The draw of pair numbers of emitting pulses (n >= 1) for config."""
-    kind, p = config.law
-    if kind == "thermal":
-        return _geometric_draw(p)
-    return _poisson_draw(_truncated_poisson_cdf(p))
+    law = config.law
+    if law.kind == "thermal":
+        return _geometric_draw(law.p)
+    return _poisson_draw(_truncated_poisson_cdf(law.p))
 
 
 def _event_count(config: SimConfig) -> int:
@@ -369,7 +366,7 @@ def _event_count(config: SimConfig) -> int:
     """
     key = np.array([config.seed, 1], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return int(rng.binomial(config.pulses, emission_probability(*config.law)))
+    return int(rng.binomial(config.pulses, emission_probability(config.law)))
 
 
 def _click_thresholds(eta: float, top: int) -> np.ndarray:
@@ -492,12 +489,12 @@ class _ChunkKernel:
 
 def _max_draw(config: SimConfig) -> int:
     """Largest photon number a single pulse can produce."""
-    kind, p = config.law
-    if emission_probability(kind, p) == 0.0:
+    law = config.law
+    if emission_probability(law) == 0.0:
         return 0
-    if kind == "coherent":
-        return len(_truncated_poisson_cdf(p))
-    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(p)))
+    if law.kind == "coherent":
+        return len(_truncated_poisson_cdf(law.p))
+    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(law.p)))
 
 
 def simulate(

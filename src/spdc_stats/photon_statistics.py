@@ -11,15 +11,15 @@ downstream (click models, rate inversion, correlation functions) is built
 on these two distributions.  Each quantity has one exact closed form; the
 series sums that define them are test references in ``tests/oracle.py``.
 
-A law is named two ways.  The sampler names it by (kind, p), as its event
-count and geometric draw read x bit for bit (``emission_probability``):
-("thermal", x) is the geometric law above, G(z) = (1 - x) / (1 - x z), and
-("coherent", nu) the Poisson law, G(z) = exp(-nu (1 - z)).
+A law is one value, ``SourceLaw``: its kind, its mean, and p, the
+parameter the sampler's event count and geometric draw read bit for bit.
+("thermal", x) is the geometric law above, G(z) = (1 - x) / (1 - x z), of
+mean x / (1 - x); ("coherent", nu) the Poisson law G(z) = exp(-nu (1 - z)).
 ``click_moment``, the one closed form of every click probability and
-moment, names it by (kind, mean), mean = x / (1 - x) or nu, since
-x = mean / (1 + mean) loses about mean ulps.  The module also owns the
-truncation policy of the test references' series (``truncation_order``)
-and the check every repetition rate, counting time and pulse count passes
+moment, reads the mean, since x = mean / (1 + mean) loses about mean ulps;
+``miss_probability`` is G(1 - eta).  The module also owns the truncation
+policy of the test references' series (``truncation_order``) and the check
+every repetition rate, counting time and pulse count passes
 (``validate_positive``).  It is scalar ``math`` code without numpy; the
 Monte Carlo's Poisson and binomial tables live in ``montecarlo``.
 """
@@ -27,6 +27,7 @@ Monte Carlo's Poisson and binomial tables live in ``montecarlo``.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -49,6 +50,28 @@ def validate_positive(value: float, name: str) -> None:
     """Check 0 < value < inf, as a repetition rate or a counting time must be."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+class SourceLaw(NamedTuple):
+    """A pair-number law: kind "thermal" (geometric) or "coherent"
+    (Poisson), its mean, and p, the parameter the sampler reads bit for
+    bit: x for the geometric law, the mean for the Poisson law.  Build it
+    with ``geometric`` or ``of_mean``, so each parameter has one formula."""
+
+    kind: str
+    mean: float
+    p: float
+
+    @classmethod
+    def geometric(cls, x: float) -> SourceLaw:
+        """The geometric law (1 - x) x**n of the emission parameter x."""
+        x = validate_emission_parameter(x)
+        return cls("thermal", x / (1.0 - x), x)
+
+    @classmethod
+    def of_mean(cls, kind: str, mean: float) -> SourceLaw:
+        """The thermal or coherent law of the given mean."""
+        return cls(kind, mean, mean / (1.0 + mean) if kind == "thermal" else mean)
 
 
 def truncation_order(x: float, eps_trunc: float = EPS_TRUNC_DEFAULT) -> int:
@@ -74,16 +97,10 @@ def truncation_order(x: float, eps_trunc: float = EPS_TRUNC_DEFAULT) -> int:
     return n_max
 
 
-def mean_pairs_per_pulse(x: float) -> float:
-    """Mean number of pairs per pulse, x / (1 - x)."""
-    x = validate_emission_parameter(x)
-    return x / (1.0 - x)
-
-
 def pair_rate(f: float, x: float) -> float:
     """Total pair generation rate N = f * x / (1 - x), in pairs/s."""
     validate_positive(f, "repetition rate")
-    return f * mean_pairs_per_pulse(x)
+    return f * SourceLaw.geometric(x).mean
 
 
 def one_pair_rate(f: float, x: float) -> float:
@@ -93,9 +110,21 @@ def one_pair_rate(f: float, x: float) -> float:
     return f * (1.0 - x) * x
 
 
-def emission_probability(kind: str, p: float) -> float:
-    """P(n >= 1) = 1 - G(0) of the law (kind, p)."""
-    return p if kind == "thermal" else -math.expm1(-p)
+def emission_probability(law: SourceLaw) -> float:
+    """P(n >= 1) = 1 - G(0) of the law."""
+    return law.p if law.kind == "thermal" else -math.expm1(-law.p)
+
+
+def miss_probability(law: SourceLaw, eta: float) -> float:
+    """G(1 - eta): the chance that a bucket detector of efficiency eta stays
+    dark, 1 / (1 + w) or exp(-w) with w = eta * mean."""
+    w = eta * law.mean
+    return 1.0 / (1.0 + w) if law.kind == "thermal" else math.exp(-w)
+
+
+def _reduced_moment(law: SourceLaw, j: int) -> int:
+    """The reduced factorial moment G^(j)(1) / mean**j: j! (thermal) or 1."""
+    return math.factorial(j) if law.kind == "thermal" else 1
 
 
 def _stirling2(k: int) -> list[int]:
@@ -106,8 +135,8 @@ def _stirling2(k: int) -> list[int]:
     return row
 
 
-def click_moment(kind: str, mean: float, eta: float, k: int) -> float:
-    """E[n**k 1{click}] of the law (kind, mean) before a bucket detector of
+def click_moment(law: SourceLaw, eta: float, k: int) -> float:
+    """E[n**k 1{click}] of the law before a bucket detector of
     efficiency eta, for k >= 0: the click probability at k = 0, the raw
     moment E[n**k] at eta = 1.
 
@@ -119,13 +148,13 @@ def click_moment(kind: str, mean: float, eta: float, k: int) -> float:
     1 - z**j = eta sum_{i<j} z**i every term is positive, and at eta = 1
     (z**0 = 1) it is sum_j S(k, j) G^(j)(1) with no branch.
     """
-    thermal = kind == "thermal"
+    thermal, mean = law.kind == "thermal", law.mean
     z, w, total = 1.0 - eta, eta * mean, 0.0
     near = far = 0.0  # sum_{i<j} z**i and sum_{i<=j} (1 + w)**i
     for j, s in enumerate(_stirling2(k)):
         far += (1.0 + w) ** j
         d = w * far / (1.0 + w) ** (j + 1) if thermal else -math.expm1(-w)
         bracket = eta * near + z**j * d
-        total += s * (math.factorial(j) if thermal else 1) * mean**j * bracket
+        total += s * _reduced_moment(law, j) * mean**j * bracket
         near += z**j
     return total

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .detector_model import detected_vs_incident, validate_efficiency
-from .photon_statistics import click_moment
+from .photon_statistics import SourceLaw, click_moment
 
 # z where (1 + z)^2 = exp(z): the click-variant gap peaks here.
 GAP_PEAK_Z = 2.5128624172523393
@@ -101,4 +101,5 @@ def click_gap(z: float) -> float:
     """Click-variant gap as a function of z = eta * mean alone."""
     if z < 0:
         raise ValueError("z must be >= 0")
-    return click_moment("coherent", z, 1.0, 0) - click_moment("thermal", z, 1.0, 0)
+    return (click_moment(SourceLaw.of_mean("coherent", z), 1.0, 0)
+            - click_moment(SourceLaw.of_mean("thermal", z), 1.0, 0))

@@ -12,8 +12,9 @@ pair-mode click probabilities are also given as exact rationals, by
 inclusion-exclusion over the generating function (``exact_all_click``), and
 so are the click-set cells (``exact_click_sets``) and the counting g2
 estimator's standard error on them, as the unreduced quadratic form
-(``exact_g2_stderr``), and the thermal law's raw moments
-(``exact_thermal_moment``).  The literal detected-vs-incident response,
+(``exact_g2_stderr``), the thermal law's raw moments
+(``exact_thermal_moment``) and the ideal g^(k) of Table 2 that they give
+(``exact_ideal_g``).  The literal detected-vs-incident response,
 whose defining closed forms cancel as eta -> 0, the variance of the
 photon-weighted click tally and every click moment E[n**k 1{click}] are
 evaluated in decimal arithmetic (``detected_literal_decimal``,
@@ -452,9 +453,9 @@ def stirling2(k: int) -> list[int]:
             // math.factorial(j) for j in range(k + 1)]
 
 
-def exact_thermal_moment(mean: float, k: int) -> Fraction:
+def exact_thermal_moment(mean: float | Fraction, k: int) -> Fraction:
     """E[n**k] = sum_j S(k, j) j! mean**j of the thermal law of the given
-    mean, as an exact rational of the float mean."""
+    mean, as an exact rational of the float (or rational) mean."""
     m = Fraction(mean)
     return sum(s * math.factorial(j) * m**j for j, s in enumerate(stirling2(k)))
 
@@ -482,6 +483,25 @@ def click_moment_decimal(kind: str, mean: float, eta: float, k: int) -> float:
 
 
 # ----------------------------------------------------- correlations
+
+
+def exact_ideal_g(x: float, order: int, field: str) -> Fraction:
+    """Ideal g^(k), k = order, of the geometric law of x as an exact
+    rational: E[N (N - 1) ... (N - k + 1)] / E[N]**k from the exact raw
+    moments E[n**j] (``exact_thermal_moment``, mean x / (1 - x)), with the
+    falling factorial expanded as a polynomial in n.  N is n for field
+    "arm", n given n >= 1 for "heralded" (every expectation over P(n >= 1)
+    = x) and 2n for "pooled"."""
+    xq = Fraction(x)
+    mean = xq / (1 - xq)
+    scale, norm = {"arm": (1, 1), "heralded": (1, xq), "pooled": (2, 1)}[field]
+    falling = [Fraction(1)]  # coefficients of n**0, n**1, ...
+    for i in range(order):  # times (scale n - i)
+        falling = [scale * low - i * high
+                   for low, high in zip([0] + falling, falling + [0])]
+    moments = [exact_thermal_moment(mean, j) / norm for j in range(order + 1)]
+    return (sum(c * e for c, e in zip(falling, moments))
+            / (scale * moments[1]) ** order)
 
 
 def g2_unheralded(x: float) -> float:

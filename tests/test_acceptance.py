@@ -17,15 +17,13 @@ import oracle
 from spdc_stats import (
     DetectorChain,
     SimConfig,
+    SourceLaw,
     build_table,
     build_table_two,
     compare_with_analytic,
     default_mean_grid,
     detected_vs_incident,
-    g2_heralded_ideal,
-    g2_signal_idler,
-    g2_unheralded,
-    g3_unheralded,
+    ideal_g,
     invert_counts,
     saturation_gap,
     simulate,
@@ -107,11 +105,12 @@ def test_criterion_3_closed_form_identities():
     worst = 0.0
     for x in grid:
         x = float(x)
+        law = SourceLaw.geometric(x)
         checks = (
-            (oracle.g2_unheralded(x), g2_unheralded(x)),
-            (oracle.g3_unheralded(x), g3_unheralded(x)),
-            (oracle.g2_heralded_ideal(x), g2_heralded_ideal(x)),
-            (oracle.g2_signal_idler(x), g2_signal_idler(x)),
+            (oracle.g2_unheralded(x), ideal_g(law, 2, "arm")),
+            (oracle.g3_unheralded(x), ideal_g(law, 3, "arm")),
+            (oracle.g2_heralded_ideal(x), ideal_g(law, 2, "heralded")),
+            (oracle.g2_signal_idler(x), ideal_g(law, 2, "pooled")),
         )
         for got, want in checks:
             worst = max(worst, abs(got / want - 1.0))
@@ -245,7 +244,8 @@ def test_criterion_7_shape_checks(inverted_rows):
     # divided differences amplify, so the shape check uses the pooled tau
     # while the per-row figure is reported alongside
     tau_bar = taus.mean()
-    smooth = np.array([g2_heralded_ideal(float(p * tau_bar)) for p in powers])
+    smooth = np.array([ideal_g(SourceLaw.geometric(float(p * tau_bar)), 2, "heralded")
+                       for p in powers])
     slopes = np.diff(smooth) / np.diff(powers)
     curvature = np.abs(np.diff(slopes)).max() / np.abs(slopes).mean()
     rowwise = np.array([2 * r.x for r in inverted_rows])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +13,12 @@ from spdc_stats import (
     DivergenceError,
     FailedRow,
     SimConfig,
+    SourceLaw,
     TableOneRow,
     build_table_two,
     g2_from_counts,
-    g2_heralded_ideal,
     g2_heralded_predicted,
-    g2_signal_idler,
-    g2_unheralded,
-    g3_signal_idler,
-    g3_unheralded,
+    ideal_g,
     report_for_row,
     simulate,
 )
@@ -32,6 +30,11 @@ X10 = 10 * 0.00135
 X400 = 400 * 0.00098
 
 IDENTITY_GRID = np.linspace(1e-4, 0.6, 100)
+
+
+def g(x, order, field):
+    """ideal_g of the geometric law of x."""
+    return ideal_g(SourceLaw.geometric(x), order, field)
 
 
 class TestG2FromCounts:
@@ -151,68 +154,99 @@ class TestG2Stderr:
 class TestClosedFormIdentities:
     @pytest.mark.parametrize("x", IDENTITY_GRID)
     def test_unheralded_g2_is_two(self, x):
-        assert g2_unheralded(x) == 2.0
+        assert g(x, 2, "arm") == 2.0
         assert oracle.g2_unheralded(x) == pytest.approx(2.0, rel=1e-8)
 
     @pytest.mark.parametrize("x", [1e-6, 0.3, 0.5])
     def test_unheralded_g3_is_six(self, x):
-        assert g3_unheralded(x) == 6.0
+        assert g(x, 3, "arm") == 6.0
         assert oracle.g3_unheralded(x) == pytest.approx(6.0, rel=1e-8)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392, 0.6])
     def test_heralded_ideal_is_twice_x(self, x):
-        assert g2_heralded_ideal(x) == 2.0 * x
+        assert g(x, 2, "heralded") == 2.0 * x
         assert oracle.g2_heralded_ideal(x) == pytest.approx(
             2.0 * x, rel=1e-8
         )
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392, 0.6])
     def test_signal_idler_closed_forms(self, x):
-        assert g2_signal_idler(x) == pytest.approx(1.0 / (2 * x) + 1.5, rel=1e-14)
+        assert g(x, 2, "pooled") == pytest.approx(1.0 / (2 * x) + 1.5, rel=1e-14)
         assert oracle.g2_signal_idler(x) == pytest.approx(
-            g2_signal_idler(x), rel=1e-8
+            g(x, 2, "pooled"), rel=1e-8
         )
-        assert g3_signal_idler(x) == pytest.approx(3.0 * (1 + x) / x, rel=1e-14)
+        assert g(x, 3, "pooled") == pytest.approx(3.0 * (1 + x) / x, rel=1e-14)
         assert oracle.g3_signal_idler(x) == pytest.approx(
-            g3_signal_idler(x), rel=1e-8
+            g(x, 3, "pooled"), rel=1e-8
         )
 
     @pytest.mark.parametrize("x", [0.0135, 0.392])
     def test_moment_paths(self, x):
         assert oracle.g2_signal_idler_moments(x) == pytest.approx(
-            g2_signal_idler(x), rel=1e-12
+            g(x, 2, "pooled"), rel=1e-12
         )
         assert oracle.g3_signal_idler_moments(x) == pytest.approx(
-            g3_signal_idler(x), rel=1e-12
+            g(x, 3, "pooled"), rel=1e-12
         )
 
     def test_signal_idler_limit_toward_full_saturation(self):
         # 1/(2x) + 3/2 -> 2 as x -> 1
-        assert g2_signal_idler(0.999999) == pytest.approx(2.0, abs=1e-5)
+        assert g(0.999999, 2, "pooled") == pytest.approx(2.0, abs=1e-5)
+
+
+class TestIdealG:
+    def test_matches_exact_rational(self):
+        # 500 x log-uniform over 1e-12 .. 0.999999, from a fixed seed
+        rng = random.Random(20261019)
+        for _ in range(500):
+            x = 10.0 ** rng.uniform(-12.0, math.log10(0.999999))
+            for field in ("arm", "heralded", "pooled"):
+                for order in (2, 3):
+                    want = oracle.exact_ideal_g(x, order, field)
+                    got = g(x, order, field)
+                    assert rational_rel_error(got, want) <= 4e-16, (x, order, field)
+
+    @pytest.mark.parametrize("nu", [1e-9, 0.0135, 1.0, 30.0, 300.0])
+    def test_coherent_law(self, nu):
+        # Poisson: r_k = 1, so g = 1 per arm and P = 1 - exp(-nu) heralded;
+        # pooled, 1 + 1/(2 nu) and 1 + 3/(2 nu)
+        law = SourceLaw.of_mean("coherent", nu)
+        assert ideal_g(law, 2, "arm") == 1.0
+        assert ideal_g(law, 3, "arm") == 1.0
+        assert ideal_g(law, 2, "heralded") == -math.expm1(-nu)
+        assert ideal_g(law, 3, "heralded") == math.expm1(-nu) ** 2
+        v = Fraction(nu)
+        assert rational_rel_error(ideal_g(law, 2, "pooled"), 1 + 1 / (2 * v)) <= 4e-16
+        assert rational_rel_error(ideal_g(law, 3, "pooled"), 1 + 3 / (2 * v)) <= 4e-16
+
+    def test_unknown_field(self):
+        with pytest.raises(ValueError, match="field"):
+            g(0.1, 2, "idler")
 
 
 class TestTableTwoValues:
     def test_low_power_row(self):
-        assert within_printed(g2_heralded_ideal(X10), "0.027", 0.02)
-        assert within_printed(g2_signal_idler(X10), "38.593", 0.01)
-        assert within_printed(g3_signal_idler(X10), "225.56", 0.01)
+        assert within_printed(g(X10, 2, "heralded"), "0.027", 0.02)
+        assert within_printed(g(X10, 2, "pooled"), "38.593", 0.01)
+        assert within_printed(g(X10, 3, "pooled"), "225.56", 0.01)
 
     def test_high_power_row(self):
-        assert within_printed(g2_heralded_ideal(X400), "0.780", 0.01)
-        assert within_printed(g2_signal_idler(X400), "2.782", 0.01)
-        assert within_printed(g3_signal_idler(X400), "10.69", 0.01)
+        assert within_printed(g(X400, 2, "heralded"), "0.780", 0.01)
+        assert within_printed(g(X400, 2, "pooled"), "2.782", 0.01)
+        assert within_printed(g(X400, 3, "pooled"), "10.69", 0.01)
 
 
 class TestDivergences:
     def test_zero_x_contract(self):
-        assert g2_unheralded(0.0) == 2.0
-        assert g2_heralded_ideal(0.0) == 0.0
+        # a column with a finite limit reports it; the pooled ones diverge
+        assert g(0.0, 2, "arm") == 2.0
+        assert g(0.0, 3, "arm") == 6.0
+        assert g(0.0, 2, "heralded") == 0.0
+        assert g(0.0, 3, "heralded") == 0.0
         with pytest.raises(DivergenceError):
-            g3_unheralded(0.0)
+            g(0.0, 2, "pooled")
         with pytest.raises(DivergenceError):
-            g2_signal_idler(0.0)
-        with pytest.raises(DivergenceError):
-            g3_signal_idler(0.0)
+            g(0.0, 3, "pooled")
 
     def test_predicted_heralded_zero_x(self):
         assert g2_heralded_predicted(0.0, 0.215, 0.198, 0.163) == 0.0
@@ -278,7 +312,7 @@ class TestReports:
         report = report_for_row(_row(0.0))
         assert report.g2_signal_idler is None
         assert report.g3_signal_idler is None
-        assert report.g3_unheralded is None
+        assert report.g3_unheralded == 6.0
         assert report.g2_unheralded == 2.0
         assert report.g2_heralded == 0.0
 

@@ -8,7 +8,6 @@ import oracle
 from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
-    click_probability,
     coincidence_rate,
     detected_vs_incident,
     g2_heralded_predicted,
@@ -18,7 +17,7 @@ from spdc_stats import (
     truncation_order,
     two_arm_rates,
 )
-from spdc_stats.detector_model import click_sets, pair_outcomes
+from spdc_stats.detector_model import click_probability, click_sets, pair_outcomes
 from spdc_stats.saturation import curve
 from checks import rational_rel_error, within_printed
 

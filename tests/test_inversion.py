@@ -22,7 +22,7 @@ from spdc_stats import (
     two_arm_rates,
 )
 from spdc_stats import inversion
-from spdc_stats.inversion import naive_pair_rate, sde_from_attenuated_laser
+from spdc_stats.inversion import sde_from_attenuated_laser
 from checks import within_printed
 
 F = 76e6
@@ -251,20 +251,6 @@ class TestPropagateSigma:
             )
 
 
-class TestNaivePairRate:
-    def test_direct_arithmetic(self):
-        got = naive_pair_rate(223e3, 205e3, 45e3)
-        assert got == 223e3 * 205e3 / 45e3
-        assert got == pytest.approx(1.016e6, rel=1e-3)
-
-    def test_perfect_detection_limit(self):
-        assert naive_pair_rate(5e4, 5e4, 5e4) == 5e4
-
-    def test_zero_coincidences(self):
-        with pytest.raises(ZeroDivisionError):
-            naive_pair_rate(223e3, 205e3, 0.0)
-
-
 class TestSdeCalibration:
     def test_definitional_identity(self):
         h, c = 6.62607015e-34, 299792458.0
@@ -331,14 +317,6 @@ class TestBuildTable:
     def test_mean_pairs_strictly_increase_with_power(self, inverted_rows):
         nbar = [r.mean_pairs for r in inverted_rows]
         assert all(b > a for a, b in zip(nbar, nbar[1:]))
-
-    def test_naive_rate_undercounts_and_gap_grows(self, inverted_rows):
-        gaps = []
-        for row in inverted_rows:
-            naive = naive_pair_rate(row.sc1, row.sc2, row.cc)
-            assert naive <= row.pair_rate
-            gaps.append(1.0 - naive / row.pair_rate)
-        assert gaps[-1] > gaps[0]
 
     def test_x_consistent_with_tau(self, inverted_rows):
         for row in inverted_rows:

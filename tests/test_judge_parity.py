@@ -5,7 +5,7 @@ per-pulse ``analytic_expectations`` and the ``compare_with_analytic``
 standard errors over ``PULSES`` pulses, as this module's ``record()``
 wrote them.  Rewriting how the judge or the source laws are computed must
 keep every expectation bit-identical and every standard error within
-``STDERR_REL`` relative, with five exceptions held to references instead.
+``STDERR_REL`` relative, with six exceptions held to references instead.
 
 - The pair-mode click tallies and g2 are held to the exact rationals of
   ``oracle.exact_all_click``, within ``RATE_REL`` and ``G2_REL``; the record
@@ -24,6 +24,13 @@ keep every expectation bit-identical and every standard error within
   errors are held to the exact raw moments sum_j S(k, j) j! mean**j
   (``oracle.exact_thermal_moment``) within ``RATE_REL``; the record read
   them through x = mean / (1 + mean) and is up to 2.0e-14 off.
+- At coherent mean 30 and 300, the standard errors of clicks1 and
+  pulses_with_emission are held to sqrt(p q / PULSES) within ``RATE_REL``,
+  where q = exp(-w) is the miss in 60-digit decimal at the float
+  w = eta * mean the expectation p reads (eta = 1 for
+  pulses_with_emission).  The record formed the miss as 1 - p, which has
+  lost digits once p nears 1: 8.3e-5 relative at mean 30, eta 1, and all of
+  them where p rounds to 1.
 
 Regenerate the file only when a value is meant to change:
 
@@ -136,6 +143,14 @@ def exact_emission(mean: float) -> tuple[dict, dict]:
     return expected, stderr
 
 
+def exact_miss_band(p: float, mean: float, eta: float) -> Fraction:
+    """sqrt(p q / PULSES) of a click indicator of a coherent source, with its
+    miss q = exp(-w) at the float w = eta * mean, to 60 digits."""
+    with localcontext(Context(prec=60)):
+        q = (-Decimal(eta * mean)).exp()
+        return Fraction((Decimal(p) * q / PULSES).sqrt())
+
+
 def record() -> None:
     rows = []
     for spec in grid():
@@ -183,6 +198,11 @@ def test_judge_matches_record(row):
         # held to the decimal reference by test_clicked_photons_stderr
         stderr.pop("clicked_photons")
         del recorded_se["clicked_photons"]
+        if spec["source_kind"] == "coherent" and spec["mean"] >= 30.0:
+            for name, at in (("clicks1", eta), ("pulses_with_emission", 1.0)):
+                del recorded_se[name]
+                want = exact_miss_band(expected[name], spec["mean"], at)
+                assert rational_rel_error(stderr.pop(name), want) <= RATE_REL, name
         if spec["source_kind"] == "thermal":
             exact, exact_se = exact_emission(spec["mean"])
             for name in EMITTED:

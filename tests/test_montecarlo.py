@@ -462,6 +462,27 @@ class TestAgainstAnalytic:
         for name, entry in result.items():
             assert abs(entry["sigma"]) < 5.0, (name, entry)
 
+    @staticmethod
+    def _coherent_clicks1(mean, eta):
+        """The judge's clicks1 entry for a coherent saturation run of 1e6
+        pulses that all clicked."""
+        config = SimConfig(mode="saturation", pulses=10**6, seed=0,
+                           source_kind="coherent", mean=mean,
+                           chain=DetectorChain(eta1=eta))
+        counts = SimCounts(pulses=10**6, clicks1=10**6, pulses_with_emission=10**6)
+        return compare_with_analytic(config, counts)["clicks1"]
+
+    def test_saturation_click_band_keeps_the_miss(self):
+        # p = 1 - exp(-30) rounds near 1, so 1 - p would lose the miss's
+        # digits; the band carries the miss exp(-w) itself
+        entry = self._coherent_clicks1(30.0, 1.0)
+        want = math.sqrt(entry["analytic"] * math.exp(-30.0) / 10**6)
+        assert math.isclose(entry["stderr"], want, rel_tol=1e-15, abs_tol=0.0)
+
+    def test_saturation_click_band_never_vanishes(self):
+        # p = 1 - exp(-111) rounds to 1.0, where 1 - p reads 0
+        assert self._coherent_clicks1(300.0, 0.37)["stderr"] > 0.0
+
     def test_perfect_detectors_high_gain(self):
         # x = 0.93 pushes pulses past 64 photons, exercising the wide
         # binomial-split path

@@ -7,12 +7,13 @@ import pytest
 import oracle
 from spdc_stats import (
     ResourceLimitError,
-    mean_pairs_per_pulse,
+    SourceLaw,
     one_pair_rate,
     pair_rate,
     truncation_order,
 )
-from spdc_stats.photon_statistics import click_moment, emission_probability
+from spdc_stats.photon_statistics import (click_moment, emission_probability,
+                                          miss_probability)
 from checks import geometric_counts, within_printed
 from oracle import (
     CoherentDistribution,
@@ -170,28 +171,28 @@ class TestCoherentDistribution:
 
 class TestMeanAndMoments:
     def test_mean_closed_form(self):
-        assert mean_pairs_per_pulse(0.0) == 0.0
-        assert mean_pairs_per_pulse(0.5) == pytest.approx(1.0, rel=1e-15)
+        assert SourceLaw.geometric(0.0).mean == 0.0
+        assert SourceLaw.geometric(0.5).mean == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("x", X_GRID)
     def test_mean_series_matches_closed(self, x):
-        closed = mean_pairs_per_pulse(x)
+        closed = SourceLaw.geometric(x).mean
         series = oracle.mean_pairs_per_pulse(x)
         assert series == pytest.approx(closed, rel=1e-10)
 
     def test_mean_monotone_in_x(self):
         xs = np.linspace(0.0, 0.9, 40)
-        means = [mean_pairs_per_pulse(float(x)) for x in xs]
+        means = [SourceLaw.geometric(float(x)).mean for x in xs]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     def test_table_one_mean_values(self):
-        assert within_printed(mean_pairs_per_pulse(10 * 0.00135), "0.014", 0.02)
-        assert within_printed(mean_pairs_per_pulse(400 * 0.00098), "0.640", 0.02)
+        assert within_printed(SourceLaw.geometric(10 * 0.00135).mean, "0.014", 0.02)
+        assert within_printed(SourceLaw.geometric(400 * 0.00098).mean, "0.640", 0.02)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("x", [0.0135, 0.392, 0.6])
     def test_factorial_moment_two_paths(self, order, x):
-        closed = math.factorial(order) * mean_pairs_per_pulse(x) ** order
+        closed = math.factorial(order) * SourceLaw.geometric(x).mean ** order
         series = factorial_moment(x, order)
         mu = x / (1.0 - x)
         assert closed == pytest.approx(math.factorial(order) * mu**order, rel=1e-12)
@@ -207,6 +208,11 @@ LAWS = [("thermal", x) for x in (1e-6, 0.0135, 0.392, 0.9)] + [
 ]
 
 
+def law_of(kind: str, p: float) -> SourceLaw:
+    """The law whose sampler parameter is p: x (thermal) or the mean."""
+    return SourceLaw.geometric(p) if kind == "thermal" else SourceLaw.of_mean(kind, p)
+
+
 class TestSourceLaws:
     @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.2, 0.8, 1.0])
     @pytest.mark.parametrize("k", range(1, 7))
@@ -217,7 +223,7 @@ class TestSourceLaws:
         z = 1.0 - eta
         g = (1.0 - p) / (1.0 - p * z) if kind == "thermal" else math.exp(-p * (1.0 - z))
         tilted = p * z / (1.0 - p * z) if kind == "thermal" else p * z
-        got = g * click_moment(kind, tilted, 1.0, k)
+        got = g * click_moment(SourceLaw.of_mean(kind, tilted), 1.0, k)
         want = oracle.source_moment(kind, p, k, z)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
@@ -226,20 +232,49 @@ class TestSourceLaws:
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     def test_click_moment_matches_decimal(self, kind, mean, eta):
         for k in range(7):
-            got = click_moment(kind, mean, eta, k)
+            got = click_moment(SourceLaw.of_mean(kind, mean), eta, k)
             want = oracle.click_moment_decimal(kind, mean, eta, k)
             assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), k
 
     @pytest.mark.parametrize("kind,p", LAWS)
     def test_emission_probability_is_one_minus_vacuum(self, kind, p):
         vacuum = 1.0 - p if kind == "thermal" else math.exp(-p)
-        assert emission_probability(kind, p) == pytest.approx(
+        assert emission_probability(law_of(kind, p)) == pytest.approx(
             1.0 - vacuum, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     def test_empty_source(self, kind):
-        assert emission_probability(kind, 0.0) == 0.0
-        assert click_moment(kind, 0.0, 1.0, 6) == 0.0
+        law = SourceLaw.of_mean(kind, 0.0)
+        assert emission_probability(law) == 0.0
+        assert click_moment(law, 1.0, 6) == 0.0
+
+    @pytest.mark.parametrize("kind,p", LAWS)
+    def test_law_keeps_its_parameter(self, kind, p):
+        # the sampler reads p bit for bit, and of_mean forms it from the mean
+        law = law_of(kind, p)
+        assert law.kind == kind and law.p == p
+        assert law.mean == (p / (1.0 - p) if kind == "thermal" else p)
+        rebuilt = SourceLaw.of_mean(kind, law.mean)
+        assert rebuilt.mean == law.mean
+        assert math.isclose(rebuilt.p, p, rel_tol=4e-16, abs_tol=0.0)
+
+    @pytest.mark.parametrize("bad_x", [-0.1, 1.0, float("nan")])
+    def test_geometric_rejects_bad_x(self, bad_x):
+        with pytest.raises(ValueError, match="x"):
+            SourceLaw.geometric(bad_x)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 0.37, 1.0])
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 2.0, 30.0, 300.0])
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_miss_is_the_generating_function(self, kind, mean, eta):
+        # G(1 - eta) in 60-digit decimal, 1 / (1 + w) or exp(-w), at the
+        # float w = eta * mean: its rounding costs w ulps in exp(-w)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            w = Decimal(eta * mean)
+            want = 1 / (1 + w) if kind == "thermal" else (-w).exp()
+        got = miss_probability(SourceLaw.of_mean(kind, mean), eta)
+        assert math.isclose(got, float(want), rel_tol=2.3e-16, abs_tol=0.0)
 
 
 class TestRates:
