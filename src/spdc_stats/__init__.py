@@ -25,8 +25,8 @@ _PUBLIC = {
         "g2_heralded_predicted", "ideal_g", "report_for_row",
     ),
     "detector_model": (
-        "DetectorChain", "coincidence_rate", "detected_vs_incident",
-        "singles_rate", "split_coincidences", "two_arm_rates",
+        "DetectorChain", "detected_vs_incident", "split_coincidences",
+        "two_arm_rates",
     ),
     "errors": (
         "DataInconsistencyError", "DivergenceError", "InversionError",

@@ -9,10 +9,11 @@ balanced splitter onto two detectors.
 Every pair-mode rate is an entry of ``all_click``, a sum of cells of
 ``click_sets``: the distribution of the final click set, from one forward
 walk over the sets of detectors that have clicked, driven by the click
-sets one pair fires (``pair_outcomes``).  The walk rests on the
-memorylessness of the geometric law Pr(n) = (1 - x) x**n, and its terms
-are all positive, so each cell and rate keeps full relative precision for
-every x in [0, 1) and eta in [0, 1].  The series sums that define the
+sets one pair fires (``pair_outcomes``).  ``two_arm_rates`` and
+``split_coincidences`` each read all their rates from one such pass.  The
+walk rests on the memorylessness of the geometric law Pr(n) = (1 - x) x**n,
+and its terms are all positive, so each cell and rate keeps full relative
+precision for every x in [0, 1) and eta in [0, 1].  The series sums that define the
 rates are test references in ``tests/oracle.py``.
 """
 
@@ -155,37 +156,23 @@ def all_click(sets: list[float]) -> list[float]:
             for m in range(len(sets))]
 
 
-def singles_rate(f: float, x: float, eta: float) -> float:
-    """Singles click rate of one bucket detector on one arm, counts/s."""
+def _pair_rates(f: float, x: float, *etas: float) -> dict[str, float]:
+    """f times the ``all_click`` entry of each ``CLICK_MASKS`` tally that
+    the len(etas) detectors form, from one ``click_sets`` pass."""
     validate_positive(f, "repetition rate")
     x = validate_emission_parameter(x)
-    eta = validate_efficiency(eta)
-    # click_sets' cell {1} for one detector, written out
-    return f * x * eta / ((1.0 - x) + x * eta)
-
-
-def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
-    """Two-detector coincidence rate with one detector per arm, counts/s.
-
-    Never above ``singles_rate`` of either arm, as no coincidence can be.
-    """
-    validate_positive(f, "repetition rate")
-    x = validate_emission_parameter(x)
-    eta1 = validate_efficiency(eta1, "eta1")
-    eta2 = validate_efficiency(eta2, "eta2")
-    cc = f * all_click(click_sets(x, pair_outcomes(eta1, eta2)))[CLICK_MASKS["pair12"]]
-    # within ~1e-13 of eta = 1, where cc equals a singles rate, rounding
-    # can put cc an ulp above the separately computed singles rate
-    return min(cc, singles_rate(f, x, eta1), singles_rate(f, x, eta2))
+    etas = [validate_efficiency(eta, f"eta{i}") for i, eta in enumerate(etas, 1)]
+    p = all_click(click_sets(x, pair_outcomes(*etas)))
+    return {name: f * p[m] for name, m in CLICK_MASKS.items() if m < len(p)}
 
 
 def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePrediction:
-    """Singles and coincidence rates for the two-detector configuration."""
-    return RatePrediction(
-        sc1=singles_rate(f, x, eta1),
-        sc2=singles_rate(f, x, eta2),
-        cc=coincidence_rate(f, x, eta1, eta2),
-    )
+    """Singles and coincidence rates for the two-detector configuration,
+    counts/s.  Each is f times a correctly rounded sum of non-negative
+    ``click_sets`` cells, and cc sums a subset of either singles' cells,
+    so cc never exceeds sc1 or sc2."""
+    r = _pair_rates(f, x, eta1, eta2)
+    return RatePrediction(sc1=r["clicks1"], sc2=r["clicks2"], cc=r["pair12"])
 
 
 def split_coincidences(
@@ -198,15 +185,9 @@ def split_coincidences(
     and detector 3 sees n - k with eta3.  Every rate is an entry of
     ``all_click`` over one ``click_sets`` pass.
     """
-    validate_positive(f, "repetition rate")
-    x = validate_emission_parameter(x)
-    eta1 = validate_efficiency(eta1, "eta1")
-    eta2 = validate_efficiency(eta2, "eta2")
-    eta3 = validate_efficiency(eta3, "eta3")
-    p = all_click(click_sets(x, pair_outcomes(eta1, eta2, eta3)))
-    m = CLICK_MASKS
-    return RatePrediction(cc12=f * p[m["pair12"]], cc13=f * p[m["pair13"]],
-                          cc123=f * p[m["triple123"]], sc1h=f * p[m["clicks1"]])
+    r = _pair_rates(f, x, eta1, eta2, eta3)
+    return RatePrediction(cc12=r["pair12"], cc13=r["pair13"],
+                          cc123=r["triple123"], sc1h=r["clicks1"])
 
 
 def detected_vs_incident(
@@ -223,13 +204,8 @@ def detected_vs_incident(
     each term by the incident photon number, E[n (1 - (1-eta)**n)].  They
     are the k = 0 and k = 1 entries of ``photon_statistics.click_moment``.
     """
-    mean = float(mean)
-    if not 0.0 <= mean < math.inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mean!r}")
+    law = SourceLaw.of_mean(source_kind, float(mean))
     eta = validate_efficiency(eta)
-    if source_kind not in ("thermal", "coherent"):
-        raise ValueError(f"unknown source_kind {source_kind!r}")
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
-    law = SourceLaw.of_mean(source_kind, mean)
     return click_moment(law, eta, 0 if variant == "click" else 1)

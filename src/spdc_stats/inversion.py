@@ -35,9 +35,13 @@ point a row with cc == sc2 rounds to eta1 = 1 + 2.2e-16, so each eta is
 clamped to 1.
 
 The returned residual is the largest relative miss of the forward rates
-(singles_rate, coincidence_rate) at the solution.  It sits near machine
-precision; a result above RESIDUAL_MAX raises InversionError instead of
-being returned.
+(``two_arm_rates``) at the solution.  It sits near machine precision; a
+result above RESIDUAL_MAX raises InversionError instead of being returned.
+
+The solution is written once, in ``_solve``, in plain arithmetic.  The
+counting bands differentiate it by a complex step (W. Squire and G. Trapp,
+SIAM Rev. 40, 110 (1998)): for an analytic g, Im g(s + i h) / h is g'(s)
+to rounding for any small h, as no difference of nearby values is formed.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detector_model import coincidence_rate, singles_rate
+from .detector_model import two_arm_rates
 from .errors import DataInconsistencyError, InversionError
 from .photon_statistics import SourceLaw, one_pair_rate, pair_rate, validate_positive
 
@@ -178,26 +182,22 @@ def invert_counts(
             f"singles rate exceeds the repetition rate {f}"
         )
     s1, s2, c = sc1 / f, sc2 / f, cc / f
-    excess = c - s1 * s2
-    if not excess > 0:
+    if not c - s1 * s2 > 0:
         raise DataInconsistencyError(
             "count rates admit no solution: c > s1*s2 fails, coincidences "
             f"{cc} are at or below the accidental floor sc1*sc2/f = "
             f"{sc1 * sc2 / f:.6g}"
         )
-    x = s1 * s2 * ((1.0 - s1 - s2) + c) / excess
+    eta1, eta2, x = _solve(s1, s2, c)
     if not 0.0 < x < 1.0:
         raise DataInconsistencyError(
             f"count rates admit no solution: 0 < x < 1 fails, x = {x:.6g}"
         )
-    eta1 = min(s1 * (1.0 - x) / ((1.0 - s1) * x), 1.0)
-    eta2 = min(s2 * (1.0 - x) / ((1.0 - s2) * x), 1.0)
+    eta1, eta2 = min(eta1, 1.0), min(eta2, 1.0)
 
-    res = max(
-        abs(singles_rate(f, x, eta1) / sc1 - 1.0),
-        abs(singles_rate(f, x, eta2) / sc2 - 1.0),
-        abs(coincidence_rate(f, x, eta1, eta2) / cc - 1.0),
-    )
+    pred = two_arm_rates(f, x, eta1, eta2)
+    res = max(abs(pred.sc1 / sc1 - 1.0), abs(pred.sc2 / sc2 - 1.0),
+              abs(pred.cc / cc - 1.0))
     if not res <= RESIDUAL_MAX:
         raise InversionError(
             f"forward residual {res:.3e} of the explicit solution exceeds "
@@ -207,9 +207,7 @@ def invert_counts(
 
     sigmas = (None, None, None)
     if with_sigma:
-        sigmas = _propagate_sigma(
-            f, power_mw, (s1, s2, c), (eta1, eta2, x), integration_time
-        )
+        sigmas = _propagate_sigma(f, power_mw, (s1, s2, c), integration_time)
     return InversionResult(
         tau=x / power_mw,
         eta1=eta1,
@@ -223,28 +221,29 @@ def invert_counts(
     )
 
 
-def _propagate_sigma(f, power_mw, probs, params, integration_time):
+def _solve(s1, s2, c):
+    """The explicit solution (eta1, eta2, x) of the per-pulse rates, before
+    any check or clamp, in plain arithmetic that complex rates pass
+    through."""
+    x = s1 * s2 * ((1.0 - s1 - s2) + c) / (c - s1 * s2)
+    if x == 0.0:  # s1 s2 underflowed, and no efficiency solves the rates
+        return math.nan, math.nan, x
+    return (s1 * (1.0 - x) / ((1.0 - s1) * x),
+            s2 * (1.0 - x) / ((1.0 - s2) * x), x)
+
+
+def _propagate_sigma(f, power_mw, probs, integration_time):
     """1-sigma bands of (tau, eta1, eta2): the delta method on the explicit
-    solution, with the gradients taken in (s1, s2, c)."""
-    eta1, eta2, x = params
+    solution, with the gradients taken in (s1, s2, c) by a complex step of
+    1e-30 relative."""
+    steps = []
+    for k, p in enumerate(probs):
+        h = p * 1e-30
+        shifted = list(probs)
+        shifted[k] += h * 1j
+        steps.append([v.imag / h for v in _solve(*shifted)])
+    grads = list(zip(*steps))
     s1, s2, c = probs
-    d = c - s1 * s2
-    p = (1.0 - s1 - s2) + c
-    # x = s1 s2 p / d
-    dx = (
-        s2 * ((p - s1) * d + s1 * s2 * p) / d**2,
-        s1 * ((p - s2) * d + s1 * s2 * p) / d**2,
-        -s1 * s2 * (1.0 - s1) * (1.0 - s2) / d**2,
-    )
-    # d log eta_i = ds_i / (s_i (1 - s_i)) - dx / (x (1 - x))
-    dlogit = [v / (x * (1.0 - x)) for v in dx]
-    grads = (
-        [eta1 / (s1 * (1.0 - s1)) - eta1 * dlogit[0], -eta1 * dlogit[1],
-         -eta1 * dlogit[2]],
-        [-eta2 * dlogit[0], eta2 / (s2 * (1.0 - s2)) - eta2 * dlogit[1],
-         -eta2 * dlogit[2]],
-        dx,
-    )
     # multinomial covariance of the per-pulse click indicators: a
     # coincidence pulse is a click pulse in both arms
     cov_rates = (

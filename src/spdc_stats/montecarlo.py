@@ -115,12 +115,8 @@ class SimConfig:
             if self.x is None:
                 raise ValueError(f"mode {self.mode} requires x")
             validate_emission_parameter(self.x)
-        elif self.source_kind not in ("thermal", "coherent"):
-            raise ValueError("saturation mode requires source_kind thermal|coherent")
-        elif self.mean is None or not math.isfinite(self.mean) or self.mean < 0:
-            raise ValueError(
-                f"saturation mode requires a finite mean >= 0, got {self.mean!r}"
-            )
+        else:
+            self.law  # SourceLaw.of_mean checks source_kind and mean
         if self.chain is None:
             raise ValueError(f"mode {self.mode} requires chain")
         for i, eta in enumerate(self.etas, start=1):

@@ -70,7 +70,13 @@ class SourceLaw(NamedTuple):
 
     @classmethod
     def of_mean(cls, kind: str, mean: float) -> SourceLaw:
-        """The thermal or coherent law of the given mean."""
+        """The thermal or coherent law of the given mean, which must be
+        finite and >= 0."""
+        if kind not in ("thermal", "coherent"):
+            raise ValueError(f"unknown source_kind {kind!r}")
+        if mean is None or not 0.0 <= mean < math.inf:
+            raise ValueError(
+                f"mean photon number must be finite and >= 0, got {mean!r}")
         return cls(kind, mean, mean / (1.0 + mean) if kind == "thermal" else mean)
 
 

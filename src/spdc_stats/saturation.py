@@ -98,8 +98,7 @@ def saturation_gap(
 
 
 def click_gap(z: float) -> float:
-    """Click-variant gap as a function of z = eta * mean alone."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    """Click-variant gap as a function of z = eta * mean alone, for z
+    finite and >= 0."""
     return (click_moment(SourceLaw.of_mean("coherent", z), 1.0, 0)
             - click_moment(SourceLaw.of_mean("thermal", z), 1.0, 0))

@@ -112,19 +112,6 @@ def read_sweep(path) -> list[CountRecord]:
     return records
 
 
-def write_sweep(records: list[CountRecord], path) -> None:
-    has_optional = any(r.has_split_counts for r in records)
-    cols = SWEEP_COLUMNS + (SWEEP_OPTIONAL if has_optional else ())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in records:
-            row = [_fmt(r.power_mw), _fmt(r.sc1), _fmt(r.sc2), _fmt(r.cc)]
-            if has_optional:
-                row += [_fmt(r.cc12), _fmt(r.cc13), _fmt(r.cc123)]
-            writer.writerow(row)
-
-
 def _write_table(rows, columns: tuple[str, ...], path) -> None:
     """One CSV line per row: each column but the last is the attribute of
     that name, read from a failed row's record and "-" where it has none;

@@ -1,14 +1,17 @@
 """Shared test helpers: comparisons against printed references and exact
-rationals, and pair numbers drawn by the Monte Carlo kernel."""
+rationals, pair numbers drawn by the Monte Carlo kernel, and a sweep CSV
+writer for round trips through ``read_sweep``."""
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from spdc_stats.montecarlo import _geometric_draw
+from spdc_stats.sweepio import SWEEP_COLUMNS, SWEEP_OPTIONAL, _fmt
 
 
 def half_ulp(literal: str) -> float:
@@ -80,3 +83,18 @@ def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
             counts = np.pad(counts, (0, c.size - counts.size))
         counts[: c.size] += c
     return counts
+
+
+def write_sweep(records, path) -> None:
+    """Write CountRecords as a sweep CSV, with the split columns when any
+    record has them."""
+    has_optional = any(r.has_split_counts for r in records)
+    cols = SWEEP_COLUMNS + (SWEEP_OPTIONAL if has_optional else ())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for r in records:
+            row = [_fmt(r.power_mw), _fmt(r.sc1), _fmt(r.sc2), _fmt(r.cc)]
+            if has_optional:
+                row += [_fmt(r.cc12), _fmt(r.cc13), _fmt(r.cc123)]
+            writer.writerow(row)

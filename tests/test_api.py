@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import spdc_stats
+from checks import write_sweep
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 F = 76e6
@@ -110,8 +111,6 @@ def test_benchmark_metric_sources():
 POSITIVE_FINITE = {
     "pair_rate": lambda v: spdc_stats.pair_rate(v, 0.1),
     "one_pair_rate": lambda v: spdc_stats.one_pair_rate(v, 0.1),
-    "singles_rate": lambda v: spdc_stats.singles_rate(v, 0.1, 0.2),
-    "coincidence_rate": lambda v: spdc_stats.coincidence_rate(v, 0.1, 0.2, 0.3),
     "two_arm_rates": lambda v: spdc_stats.two_arm_rates(v, 0.1, 0.2, 0.3),
     "split_coincidences": lambda v: spdc_stats.split_coincidences(
         v, 0.1, 0.2, 0.3, 0.4),
@@ -148,7 +147,7 @@ def test_unknown_names_raise_attribute_error():
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory, bundled_records, inverted_rows):
     d = tmp_path_factory.mktemp("fresh")
-    spdc_stats.sweepio.write_sweep(bundled_records, d / "sweep.csv")
+    write_sweep(bundled_records, d / "sweep.csv")
     spdc_stats.write_table1_json(inverted_rows, F, d / "table1.json")
     return d
 

@@ -12,7 +12,7 @@ import pytest
 from spdc_stats import detected_vs_incident, g2_from_counts
 from spdc_stats.cli import main
 from spdc_stats.sweepio import bundled_path, load_bundled_csv
-from checks import half_ulp
+from checks import half_ulp, write_sweep
 
 TABLE2_TOLERANCES = {
     "g2_heralded": 0.01,
@@ -291,6 +291,28 @@ class TestCorrelations:
         assert ga != gb
 
 
+    def test_eta2_scale_flag_changes_prediction(self, invert_out, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        table1 = str(invert_out / "table1.json")
+        assert main(["correlations", table1, "--out", str(a)]) == 0
+        assert main(
+            ["correlations", table1, "--eta2-scale", "0.5", "--out", str(b)]
+        ) == 0
+        ga = float(read_csv(a)[0]["g2_predicted"])
+        gb = float(read_csv(b)[0]["g2_predicted"])
+        assert ga != gb
+
+    @pytest.mark.parametrize("scale", ["-0.5", "nan"])
+    def test_bad_eta2_scale_rejected(self, invert_out, tmp_path, capsys, scale):
+        code = main([
+            "correlations", str(invert_out / "table1.json"),
+            "--eta2-scale", scale, "--out", str(tmp_path / "t2.csv"),
+        ])
+        assert code == 1
+        assert "eta2 must lie in [0, 1]" in capsys.readouterr().err
+
+
 class TestSaturation:
     def test_default_grid_row_count(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -386,6 +408,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "spdc-stats: error:" in err and "mean" in err
 
+    def test_missing_mean_rejected(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--mode", "saturation", "--source-kind", "thermal",
+            "--eta1", "0.5", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spdc-stats: error:" in err and "mean" in err
+        assert "Traceback" not in err
+
     def test_split_at_tiny_x(self, tmp_path):
         # the three-fold rate at x = 1e-9 is ~6e-21 per pulse; it must come
         # out positive, not as a rounding residue below zero
@@ -427,7 +459,7 @@ class TestSimulate:
 
 class TestSweepRoundTrip:
     def test_plain_records(self, tmp_path, bundled_records):
-        from spdc_stats.sweepio import read_sweep, write_sweep
+        from spdc_stats.sweepio import read_sweep
 
         path = tmp_path / "sweep.csv"
         write_sweep(bundled_records, path)
@@ -435,7 +467,7 @@ class TestSweepRoundTrip:
 
     def test_split_records(self, tmp_path):
         from spdc_stats import CountRecord
-        from spdc_stats.sweepio import read_sweep, write_sweep
+        from spdc_stats.sweepio import read_sweep
 
         records = [
             CountRecord(power_mw=10, sc1=2.23e5, sc2=2.05e5, cc=4.5e4,

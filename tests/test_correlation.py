@@ -325,6 +325,21 @@ class TestReports:
         assert isinstance(out[0], CorrelationReport)
         assert out[1] is failed
 
+    def test_eta2_scale(self, inverted_rows):
+        row = inverted_rows[0]
+        report = report_for_row(row, eta2_scale=0.5)
+        assert report.g2_predicted == g2_heralded_predicted(
+            row.x, row.eta1, 0.5 * row.eta2, row.eta2 * DEFAULT_ETA3_SCALE
+        )
+
+    def test_branch_scaled_past_one_is_clamped(self):
+        # both branches at 1.2 predict as perfect detectors
+        row = _row(0.0135, eta2=0.6)
+        report = report_for_row(row, eta2_scale=2.0, eta3_scale=2.0)
+        assert report.g2_predicted == g2_heralded_predicted(
+            row.x, row.eta1, 1.0, 1.0
+        )
+
     def test_eta_scale_overrides(self, inverted_rows):
         row = inverted_rows[0]
         default = report_for_row(row)

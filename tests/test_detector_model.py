@@ -3,27 +3,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
-    coincidence_rate,
     detected_vs_incident,
     g2_heralded_predicted,
     pair_rate,
-    singles_rate,
     split_coincidences,
     truncation_order,
     two_arm_rates,
 )
-from spdc_stats.detector_model import click_probability, click_sets, pair_outcomes
+from spdc_stats.detector_model import (all_click, click_probability, click_sets,
+                                       pair_outcomes)
 from spdc_stats.saturation import curve
 from checks import rational_rel_error, within_printed
 
 F = 76e6
 X10 = 10 * 0.00135
 X400 = 400 * 0.00098
+# eta = 1 and its last ulps, where cc equals a singles rate, are drawn on
+# their own as well as log-uniformly
+ETAS = st.one_of(st.floats(math.log(1e-12), 0.0).map(math.exp), st.just(1.0),
+                 st.just(1.0 - 1e-13))
 
 
 def brute_singles(f, x, eta, n_max=400):
@@ -87,67 +92,70 @@ class TestClickProbability:
 
 class TestSinglesRate:
     def test_dead_detector(self):
-        assert singles_rate(F, 0.3, 0.0) == 0.0
+        assert two_arm_rates(F, 0.3, 0.0, 0.5).sc1 == 0.0
+        assert two_arm_rates(F, 0.3, 0.5, 0.0).sc2 == 0.0
 
     def test_table_one_singles(self):
-        assert within_printed(singles_rate(F, X10, 0.215), "223e3", 0.02)
-        assert within_printed(singles_rate(F, X10, 0.198), "205e3", 0.02)
+        pred = two_arm_rates(F, X10, 0.215, 0.198)
+        assert within_printed(pred.sc1, "223e3", 0.02)
+        assert within_printed(pred.sc2, "205e3", 0.02)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.128, 0.392, 0.5])
     @pytest.mark.parametrize("eta", [0.01, 0.215, 0.7, 0.99])
     def test_closed_matches_series(self, x, eta):
-        closed = singles_rate(F, x, eta)
-        series = oracle.singles_rate(F, x, eta)
-        assert series == pytest.approx(closed, rel=1e-10)
+        closed = two_arm_rates(F, x, eta, 0.3)
+        assert oracle.singles_rate(F, x, eta) == pytest.approx(closed.sc1, rel=1e-10)
+        assert oracle.singles_rate(F, x, 0.3) == pytest.approx(closed.sc2, rel=1e-10)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392])
     def test_closed_matches_brute_force(self, x):
-        assert singles_rate(F, x, 0.215) == pytest.approx(
+        assert two_arm_rates(F, x, 0.215, 0.198).sc1 == pytest.approx(
             brute_singles(F, x, 0.215), rel=1e-12
         )
 
     def test_small_eta_linearity(self):
         # detected rate approaches eta times the pair generation rate
         eta = 1e-5
-        ratio = singles_rate(F, 0.128, eta) / (eta * pair_rate(F, 0.128))
-        assert ratio == pytest.approx(1.0, rel=1e-3)
+        sc1 = two_arm_rates(F, 0.128, eta, 0.198).sc1
+        assert sc1 / (eta * pair_rate(F, 0.128)) == pytest.approx(1.0, rel=1e-3)
 
     def test_bounded_by_rep_rate(self):
-        assert singles_rate(F, 0.6, 0.99) < F
+        pred = two_arm_rates(F, 0.6, 0.99, 0.99)
+        assert pred.sc1 < F and pred.sc2 < F
 
 
 class TestCoincidenceRate:
     def test_dead_idler(self):
-        assert coincidence_rate(F, 0.3, 0.0, 0.5) == 0.0
+        assert two_arm_rates(F, 0.3, 0.0, 0.5).cc == 0.0
 
     def test_table_one_coincidences(self):
-        assert within_printed(coincidence_rate(F, X10, 0.215, 0.198), "45e3", 0.03)
+        assert within_printed(two_arm_rates(F, X10, 0.215, 0.198).cc, "45e3", 0.03)
         assert within_printed(
-            coincidence_rate(F, X400, 0.125, 0.107), "1.17e6", 0.03
+            two_arm_rates(F, X400, 0.125, 0.107).cc, "1.17e6", 0.03
         )
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.128, 0.392, 0.5])
     @pytest.mark.parametrize("eta", [0.01, 0.215, 0.99])
     def test_closed_matches_series(self, x, eta):
-        closed = coincidence_rate(F, x, eta, 0.7)
+        closed = two_arm_rates(F, x, eta, 0.7).cc
         series = oracle.coincidence_rate(F, x, eta, 0.7)
         assert series == pytest.approx(closed, rel=1e-10)
 
     def test_closed_matches_brute_force(self):
-        assert coincidence_rate(F, 0.392, 0.125, 0.107) == pytest.approx(
+        assert two_arm_rates(F, 0.392, 0.125, 0.107).cc == pytest.approx(
             brute_coincidence(F, 0.392, 0.125, 0.107), rel=1e-12
         )
 
     def test_symmetric_in_efficiencies(self):
-        assert coincidence_rate(F, 0.2, 0.3, 0.8) == pytest.approx(
-            coincidence_rate(F, 0.2, 0.8, 0.3), rel=1e-14
-        )
+        a, b = two_arm_rates(F, 0.2, 0.3, 0.8), two_arm_rates(F, 0.2, 0.8, 0.3)
+        assert a.cc == pytest.approx(b.cc, rel=1e-14)
+        assert a.sc1 == pytest.approx(b.sc2, rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.0135, 0.392])
     def test_bounded_by_singles(self, x):
-        cc = coincidence_rate(F, x, 0.215, 0.198)
-        assert cc <= singles_rate(F, x, 0.215)
-        assert cc <= singles_rate(F, x, 0.198)
+        pred = two_arm_rates(F, x, 0.215, 0.198)
+        assert pred.cc <= pred.sc1
+        assert pred.cc <= pred.sc2
 
     @pytest.mark.parametrize(
         "x, eta1, eta2",
@@ -155,16 +163,25 @@ class TestCoincidenceRate:
          (2.937202339284036e-07, 0.9224462048429088, 1.0)],
     )
     def test_bounded_by_singles_at_unit_efficiency(self, x, eta1, eta2):
-        # here cc equals a singles rate, and the unclamped closed form
-        # rounds it an ulp above
+        # here cc equals a singles rate: a sure click on one arm makes
+        # every click of the other a coincidence, so the two sums hold
+        # the same cells
         pred = two_arm_rates(F, x, eta1, eta2)
         assert pred.cc == min(pred.sc1, pred.sc2)
 
     def test_two_arm_rates_bundle(self):
+        # sc1, sc2 and cc are f times entries 1, 2 and 3 of all_click over
+        # one click_sets pass
         pred = two_arm_rates(F, X10, 0.215, 0.198)
-        assert pred.sc1 == singles_rate(F, X10, 0.215)
-        assert pred.sc2 == singles_rate(F, X10, 0.198)
-        assert pred.cc == coincidence_rate(F, X10, 0.215, 0.198)
+        p = all_click(click_sets(X10, pair_outcomes(0.215, 0.198)))
+        assert (pred.sc1, pred.sc2, pred.cc) == (F * p[1], F * p[2], F * p[3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_x=st.floats(math.log(1e-12), math.log(0.999999)),
+           eta1=ETAS, eta2=ETAS)
+    def test_coincidences_never_exceed_singles(self, log_x, eta1, eta2):
+        pred = two_arm_rates(F, math.exp(log_x), eta1, eta2)
+        assert pred.cc <= min(pred.sc1, pred.sc2)
 
 
 class TestSplitCoincidences:
@@ -224,10 +241,9 @@ class TestSplitCoincidences:
             assert rational_rel_error(got, g2) <= 4e-15, ("g2", x, etas)
             eta1, eta2, _ = etas
             pair = oracle.exact_all_click(x, eta1, eta2)
-            for field, got, mask in (
-                ("sc1", singles_rate(1.0, x, eta1), 1),
-                ("cc", coincidence_rate(1.0, x, eta1, eta2), 3),
-            ):
+            pred = two_arm_rates(1.0, x, eta1, eta2)
+            for field, mask in (("sc1", 1), ("sc2", 2), ("cc", 3)):
+                got = getattr(pred, field)
                 assert rational_rel_error(got, pair[mask]) <= 2e-15, (field, x, etas)
 
     @pytest.mark.parametrize(
@@ -257,10 +273,10 @@ class TestSplitCoincidences:
         # detector of efficiency eta/2 as far as branch pairs go
         pred = split_coincidences(F, 0.128, 0.215, 0.198, 0.163)
         assert pred.cc12 == pytest.approx(
-            coincidence_rate(F, 0.128, 0.215, 0.198 / 2.0), rel=1e-10
+            two_arm_rates(F, 0.128, 0.215, 0.198 / 2.0).cc, rel=1e-10
         )
         assert pred.cc13 == pytest.approx(
-            coincidence_rate(F, 0.128, 0.215, 0.163 / 2.0), rel=1e-10
+            two_arm_rates(F, 0.128, 0.215, 0.163 / 2.0).cc, rel=1e-10
         )
 
     def test_branch_swap_symmetry(self):
@@ -276,7 +292,8 @@ class TestSplitCoincidences:
 
     def test_heralding_singles_field(self):
         pred = split_coincidences(F, 0.128, 0.215, 0.198, 0.163)
-        assert pred.sc1h == pytest.approx(singles_rate(F, 0.128, 0.215), rel=1e-12)
+        assert pred.sc1h == pytest.approx(
+            two_arm_rates(F, 0.128, 0.215, 0.198).sc1, rel=1e-12)
 
     def test_back_solved_branch_sum_consistency(self):
         # with branch efficiencies set by the detector-efficiency ratio

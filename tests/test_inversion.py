@@ -15,10 +15,8 @@ from spdc_stats import (
     SimConfig,
     TableOneRow,
     build_table,
-    coincidence_rate,
     invert_counts,
     simulate,
-    singles_rate,
     two_arm_rates,
 )
 from spdc_stats import inversion
@@ -44,11 +42,11 @@ class TestInvertCounts:
 
     def test_reported_residual_is_recomputable(self):
         res = invert_counts(F, 10, 223e3, 205e3, 45e3)
-        x = 10 * res.tau
+        pred = two_arm_rates(F, 10 * res.tau, res.eta1, res.eta2)
         rel = max(
-            abs(singles_rate(F, x, res.eta1) / 223e3 - 1.0),
-            abs(singles_rate(F, x, res.eta2) / 205e3 - 1.0),
-            abs(coincidence_rate(F, x, res.eta1, res.eta2) / 45e3 - 1.0),
+            abs(pred.sc1 / 223e3 - 1.0),
+            abs(pred.sc2 / 205e3 - 1.0),
+            abs(pred.cc / 45e3 - 1.0),
         )
         assert rel == pytest.approx(res.residual, abs=1e-12)
 
@@ -93,6 +91,11 @@ class TestInvertCounts:
         # solution has x >= 1, i.e. eta <= 0
         with pytest.raises(DataInconsistencyError, match="0 < x < 1"):
             invert_counts(F, 10, 0.5 * F, 0.5 * F, 0.26 * F)
+
+    def test_rejects_rates_whose_product_underflows(self):
+        # s1 s2 underflows to 0, so x = 0 and no efficiency solves the rates
+        with pytest.raises(DataInconsistencyError, match="0 < x < 1"):
+            invert_counts(F, 10, 1e-170, 1e-170, 1e-170)
 
     @pytest.mark.parametrize(
         "sc1,sc2,cc,saturated",
@@ -220,9 +223,8 @@ class TestPropagateSigma:
         return sig[2] / power_mw, sig[0], sig[1]
 
     def assert_matches_numpy(self, power_mw, probs, params, integration_time):
-        args = (F, power_mw, probs, params, integration_time)
-        got = inversion._propagate_sigma(*args)
-        want = self.numpy_sigma(*args)
+        got = inversion._propagate_sigma(F, power_mw, probs, integration_time)
+        want = self.numpy_sigma(F, power_mw, probs, params, integration_time)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0)
 
@@ -240,13 +242,71 @@ class TestPropagateSigma:
         for _ in range(200):
             x = math.exp(rng.uniform(math.log(1e-6), math.log(0.9)))
             eta1, eta2 = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-            probs = (
-                singles_rate(1.0, x, eta1),
-                singles_rate(1.0, x, eta2),
-                coincidence_rate(1.0, x, eta1, eta2),
-            )
+            pred = two_arm_rates(1.0, x, eta1, eta2)
+            probs = (pred.sc1, pred.sc2, pred.cc)
             self.assert_matches_numpy(
                 rng.uniform(1.0, 400.0), probs, (eta1, eta2, x),
+                rng.uniform(1e-3, 10.0),
+            )
+
+
+def mpmath_sigma(f, power_mw, probs, integration_time):
+    """The bands from 50-digit mpmath derivatives of the explicit solution
+    at the float rates, through the same multinomial covariance."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def solution(s1, s2, c):
+        x = s1 * s2 * (1 - s1 - s2 + c) / (c - s1 * s2)
+        return s1 * (1 - x) / ((1 - s1) * x), s2 * (1 - x) / ((1 - s2) * x), x
+
+    orders = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with mp.workdps(50):
+        s = [mp.mpf(p) for p in probs]
+        grads = [
+            [mp.diff(lambda *v: solution(*v)[i], s, order) for order in orders]
+            for i in range(3)
+        ]
+        s1, s2, c = s
+        cov = [
+            [s1 * (1 - s1), c - s1 * s2, c * (1 - s1)],
+            [c - s1 * s2, s2 * (1 - s2), c * (1 - s2)],
+            [c * (1 - s1), c * (1 - s2), c * (1 - c)],
+        ]
+        pulses = mp.mpf(f) * mp.mpf(integration_time)
+        sig = [
+            mp.sqrt(sum(g[i] * cov[i][j] * g[j] for i in range(3) for j in range(3))
+                    / pulses)
+            for g in grads
+        ]
+        return float(sig[2] / power_mw), float(sig[0]), float(sig[1])
+
+
+class TestComplexStepBands:
+    """The complex-step bands against 50-digit derivatives of the same
+    explicit solution."""
+
+    @staticmethod
+    def assert_matches_mpmath(power_mw, probs, integration_time):
+        got = inversion._propagate_sigma(F, power_mw, probs, integration_time)
+        want = mpmath_sigma(F, power_mw, probs, integration_time)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0)
+
+    def test_bundled_rows(self, bundled_records):
+        for rec in bundled_records:
+            self.assert_matches_mpmath(
+                rec.power_mw, (rec.sc1 / F, rec.sc2 / F, rec.cc / F), 1.0)
+
+    def test_log_uniform_draws(self):
+        # x log-uniform over 1e-9 .. 0.99, efficiencies over 1e-3 .. 1
+        rng = random.Random(20261020)
+        for _ in range(200):
+            x = math.exp(rng.uniform(math.log(1e-9), math.log(0.99)))
+            eta1, eta2 = (math.exp(rng.uniform(math.log(1e-3), 0.0)) for _ in "12")
+            pred = two_arm_rates(1.0, x, eta1, eta2)
+            self.assert_matches_mpmath(
+                rng.uniform(1.0, 400.0), (pred.sc1, pred.sc2, pred.cc),
                 rng.uniform(1e-3, 10.0),
             )
 

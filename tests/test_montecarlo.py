@@ -155,7 +155,7 @@ class TestSimConfigValidation:
                 chain=DetectorChain(eta1=0.2, eta2=0.2),
             )
 
-    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0, None])
     def test_rejects_nonfinite_mean(self, mean):
         with pytest.raises(ValueError, match="mean"):
             saturation("coherent", mean, 100)

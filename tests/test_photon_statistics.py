@@ -258,6 +258,18 @@ class TestSourceLaws:
         assert rebuilt.mean == law.mean
         assert math.isclose(rebuilt.p, p, rel_tol=4e-16, abs_tol=0.0)
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, -0.5, -1.0, None])
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_of_mean_rejects_bad_mean(self, kind, mean):
+        # -0.5 gave negative click probabilities and -1.0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SourceLaw.of_mean(kind, mean)
+
+    def test_of_mean_rejects_unknown_kind(self):
+        # a squeezed law was read as the Poisson law
+        with pytest.raises(ValueError, match="source_kind"):
+            SourceLaw.of_mean("squeezed", 2.0)
+
     @pytest.mark.parametrize("bad_x", [-0.1, 1.0, float("nan")])
     def test_geometric_rejects_bad_x(self, bad_x):
         with pytest.raises(ValueError, match="x"):

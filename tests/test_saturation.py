@@ -136,6 +136,11 @@ class TestClickGapFunction:
         assert click_gap(GAP_PEAK_Z) > click_gap(GAP_PEAK_Z - 1e-3)
         assert click_gap(GAP_PEAK_Z) > click_gap(GAP_PEAK_Z + 1e-3)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+    def test_rejects_nonfinite_or_negative_z(self, z):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            click_gap(z)
+
     def test_matches_gap_product_form(self):
         eta, mean = 0.8, 2.0
         assert click_gap(eta * mean) == pytest.approx(
