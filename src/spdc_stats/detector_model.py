@@ -7,12 +7,11 @@ coincidence rates, and the rates seen when one arm is divided by a
 balanced splitter onto two detectors.
 
 Every pair-mode rate is an entry of ``all_click``, a sum of cells of
-``click_sets``: the distribution of the final click set, from one forward
-walk over the sets of detectors that have clicked, driven by the click
-sets one pair fires (``pair_outcomes``).  ``two_arm_rates`` and
-``split_coincidences`` each read all their rates from one such pass.  The
-walk rests on the memorylessness of the geometric law Pr(n) = (1 - x) x**n,
-and its terms are all positive, so each cell and rate keeps full relative
+``click_sets``: the distribution of the final click set, driven by the
+click sets one pair fires (``pair_outcomes``), for the thermal and the
+coherent law alike.  ``two_arm_rates`` and ``split_coincidences`` each read
+all their rates from one such pass, and so does the Monte Carlo's judge.
+Its terms are all positive, so each cell and rate keeps full relative
 precision for every x in [0, 1) and eta in [0, 1].  The series sums that define the
 rates are test references in ``tests/oracle.py``.
 """
@@ -23,8 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .photon_statistics import (SourceLaw, click_moment, validate_emission_parameter,
-                                validate_positive)
+from .photon_statistics import SourceLaw, click_moment, validate_positive
 
 # Branch efficiencies after the balanced splitter, relative to the full
 # signal-arm efficiency recovered by the inversion.  The transmitted
@@ -106,15 +104,18 @@ CLICK_MASKS = {"clicks1": 1, "clicks2": 2, "clicks3": 4, "pair12": 3, "pair13": 
                "triple123": 7}
 
 
-def pair_outcomes(eta1: float, eta2: float, eta3: float | None = None) -> list[float]:
+def pair_outcomes(eta1: float, eta2: float | None = None,
+                  eta3: float | None = None) -> list[float]:
     """Probability of each click set one pair fires, indexed by bitmask.
 
     The idler reaches detector 1 (bit 1) with probability eta1 and the
-    signal detector 2 (bit 2) with eta2.  Given eta3, a balanced splitter
-    sends the signal to detector 2 with eta2/2 or to detector 3 (bit 4)
-    with eta3/2.
+    signal detector 2 (bit 2) with eta2; without eta2, detector 1 is
+    alone.  Given eta3, a balanced splitter sends the signal to detector 2
+    with eta2/2 or to detector 3 (bit 4) with eta3/2.
     """
-    if eta3 is None:
+    if eta2 is None:
+        signal = [1.0, 0.0]
+    elif eta3 is None:
         signal = [1.0 - eta2, 0.0, eta2, 0.0]
     else:
         # the miss as a sum of positive terms keeps its relative precision
@@ -125,28 +126,39 @@ def pair_outcomes(eta1: float, eta2: float, eta3: float | None = None) -> list[f
     return [idler[t & 1] * signal[t & ~1] for t in range(len(signal))]
 
 
-def click_sets(x: float, outcomes: list[float]) -> list[float]:
-    """Per-pulse P(the detectors that click are exactly S), for every mask S.
+def click_sets(law: SourceLaw, outcomes: list[float]) -> list[float]:
+    """Per-pulse P(the detectors that click are exactly S), for every mask S,
+    when each pair of the law fires click set t with probability outcomes[t].
 
-    Under the geometric law a pulse is a walk over the sets of detectors
-    that have clicked.  It starts at the empty set; each step the source
-    emits one more pair with probability x or stops with probability
-    1 - x, and a pair that fires click set t (probability outcomes[t])
-    moves the walk from c to c | t.  Leaving c, it stops with probability
-    (1 - x) / den(c) or moves to c | t != c with x * outcomes[t] / den(c),
-    where den(c) = (1 - x) + x * (sum of those outcomes[t]).  Moves go to
+    Thermal: the law is memoryless, so a pulse is a walk over the sets of
+    detectors that have clicked.  Leaving c, it stops with
+    1 / den(c) or moves to c | t != c with mean * outcomes[t] / den(c),
+    where den(c) = 1 + mean * (sum of those outcomes[t]).  Moves go to
     larger masks, so a pass in increasing order has the probability of
-    reaching c complete when it leaves c.  Every term is positive.
+    reaching c complete when it leaves c.  It is plain arithmetic, so it
+    also runs on complex numbers.  Coherent: the pairs that fire each set t
+    are independent Poisson(w) clusters, w = mean * outcomes[t], so step t
+    keeps a cell with exp(-w) and moves it to c | t with -expm1(-w).  Every
+    term is positive.
     """
-    u = 1.0 - x
-    reach = [1.0] + [0.0] * (len(outcomes) - 1)
+    mean = law.mean
+    cells = [1.0] + [0.0] * (len(outcomes) - 1)
+    if law.kind == "coherent":
+        for t, p in enumerate(outcomes):
+            if p:
+                stay, fire = math.exp(-mean * p), -math.expm1(-mean * p)
+                for c in range(len(cells)):
+                    if c | t != c:
+                        cells[c | t] += cells[c] * fire
+                        cells[c] *= stay
+        return cells
     for c in range(len(outcomes)):
         moves = [(c | t, p) for t, p in enumerate(outcomes) if p and c | t != c]
-        den = u + x * sum(p for _, p in moves)
+        den = 1.0 + mean * sum(p for _, p in moves)
         for b, p in moves:
-            reach[b] += reach[c] * x * p / den
-        reach[c] *= u / den
-    return reach
+            cells[b] += cells[c] * mean * p / den
+        cells[c] /= den
+    return cells
 
 
 def all_click(sets: list[float]) -> list[float]:
@@ -160,9 +172,9 @@ def _pair_rates(f: float, x: float, *etas: float) -> dict[str, float]:
     """f times the ``all_click`` entry of each ``CLICK_MASKS`` tally that
     the len(etas) detectors form, from one ``click_sets`` pass."""
     validate_positive(f, "repetition rate")
-    x = validate_emission_parameter(x)
+    law = SourceLaw.geometric(x)
     etas = [validate_efficiency(eta, f"eta{i}") for i, eta in enumerate(etas, 1)]
-    p = all_click(click_sets(x, pair_outcomes(*etas)))
+    p = all_click(click_sets(law, pair_outcomes(*etas)))
     return {name: f * p[m] for name, m in CLICK_MASKS.items() if m < len(p)}
 
 

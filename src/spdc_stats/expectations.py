@@ -5,25 +5,20 @@ For every tally that ``montecarlo.simulate`` counts, this module gives its
 per-pulse expectation and variance in closed form, and
 ``compare_with_analytic`` turns a run's tallies into sigma distances.
 
-- The emission moments, and in saturation mode the detector's clicks1 and
-  clicked_photons, each sum n**k 1{click} per pulse for a detector of
-  efficiency eta (eta = 1 for the emission moments).  One table names each
-  one's (k, eta); its expectation is ``photon_statistics.click_moment`` of
-  the law ``config.law`` and, for k >= 1, its variance the 2k entry minus
-  the expectation squared.
-- Every click indicator has the Bernoulli variance p (1 - p) per pulse:
-  the k = 0 tallies, the pair-mode click and coincidence tallies (the
-  entries of ``detector_model.all_click`` that ``CLICK_MASKS`` names) and
-  pulses_with_emission (``photon_statistics.emission_probability``).  In
-  saturation mode p nears 1, so 1 - p is the law's ``miss_probability``
-  at eta (1 for pulses_with_emission); in the pair modes p <= x, exact.
-- g2's error is the delta method on the analytic click-set cells
-  (``detector_model.click_sets``, ``correlation.g2_stderr``).
+- The emission moments, and in saturation mode clicked_photons, each sum
+  n**k 1{click} per pulse, k >= 1, for a detector of efficiency eta (1 for
+  the emission moments): its expectation is ``photon_statistics.click_moment``
+  of ``config.law`` and its variance the 2k entry minus the square.
+- Every click tally, in every mode, is the ``detector_model.all_click``
+  entry that ``CLICK_MASKS`` names over one ``click_sets`` pass.  Its
+  variance is p q per pulse, where the miss q is the sum of the cells that
+  are not supersets of its mask; pulses_with_emission reads q = G(0) from
+  the empty cell of one perfect detector.
+- g2's error is the delta method on the same cells (``correlation.g2_stderr``).
 
 A config is read by duck typing: its mode, its detector efficiencies in
-bit order ``config.etas``, its ``SourceLaw`` ``config.law`` and, in the
-pair modes, its x.  So this module imports nothing from ``montecarlo`` and
-never loads numpy.
+bit order ``config.etas`` and its ``SourceLaw`` ``config.law``.  So this
+module imports nothing from ``montecarlo`` and never loads numpy.
 """
 
 from __future__ import annotations
@@ -32,34 +27,39 @@ import math
 
 from .correlation import g2_from_counts, g2_stderr
 from .detector_model import CLICK_MASKS, all_click, click_sets, pair_outcomes
-from .photon_statistics import click_moment, emission_probability, miss_probability
+from .photon_statistics import click_moment, emission_probability
 
 # emission-moment tallies and the (k, eta) of each: every photon counts
 _EMITTED = {"emitted": (1, 1.0), "emitted_sq": (2, 1.0), "emitted_cu": (3, 1.0)}
 
 
 def _judge(config):
-    """The per-pulse expectations, and what their errors read: the law, the
-    (k, eta) of every tally that sums n**k 1{click}, and in the pair modes
-    the ``click_sets`` distribution."""
-    law, sets = config.law, None
+    """The per-pulse expectations, the per-pulse variance of every tally
+    but g2, and the ``click_sets`` cells that g2's error reads."""
+    law = config.law
+    rows = dict(_EMITTED)
     if config.mode == "saturation":
-        (eta,) = config.etas
-        rows = {**_EMITTED, "clicks1": (0, eta), "clicked_photons": (1, eta)}
-    else:
-        rows = _EMITTED
-        sets = click_sets(config.x, pair_outcomes(*config.etas))
-    out = {name: click_moment(law, eta, k) for name, (k, eta) in rows.items()}
-    out["pulses_with_emission"] = emission_probability(law)
-    if sets is not None:
-        clicks = all_click(sets)
-        out.update((n, clicks[m]) for n, m in CLICK_MASKS.items() if m < len(clicks))
+        rows["clicked_photons"] = (1, config.etas[0])
+    out, variance = {}, {}
+    for name, (k, eta) in rows.items():
+        out[name] = click_moment(law, eta, k)
+        variance[name] = click_moment(law, eta, 2 * k) - out[name] ** 2
+    # a perfect detector stays dark only on an empty pulse
+    p = out["pulses_with_emission"] = emission_probability(law)
+    variance["pulses_with_emission"] = p * click_sets(law, pair_outcomes(1.0))[0]
+    sets = click_sets(law, pair_outcomes(*config.etas))
+    clicks = all_click(sets)
+    for name, m in CLICK_MASKS.items():
+        if m < len(sets):
+            out[name] = clicks[m]
+            variance[name] = clicks[m] * math.fsum(
+                q for s, q in enumerate(sets) if s & m != m)
     # the same rule compare_with_analytic applies to the observed pairs:
     # with no pair coincidences the g2 estimator is undefined
     if "triple123" in out and out["pair12"] + out["pair13"] > 0:
         out["g2"] = g2_from_counts(
             out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
-    return out, (law, rows, sets)
+    return out, variance, sets
 
 
 def analytic_expectations(config) -> dict[str, float]:
@@ -76,7 +76,7 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
     sigma is 0 when the standard error vanishes and the values agree
     exactly, inf when they differ with zero standard error.
     """
-    expected, (law, rows, sets) = _judge(config)
+    expected, variance, sets = _judge(config)
     m = CLICK_MASKS
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
@@ -94,14 +94,7 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
                            sets[m["clicks1"]], counts.pulses)
         else:
             mc = counts.fraction(name)
-            k, eta = rows.get(name, (0, 1.0))
-            if k:
-                variance = click_moment(law, eta, 2 * k) - target**2
-            elif config.mode == "saturation":
-                variance = target * miss_probability(law, eta)
-            else:
-                variance = target * (1.0 - target)
-            se = math.sqrt(max(variance, 0.0) / counts.pulses)
+            se = math.sqrt(max(variance[name], 0.0) / counts.pulses)
         if se == 0.0:
             sigma = 0.0 if mc == target else math.inf
         else:

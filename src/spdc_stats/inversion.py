@@ -49,9 +49,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detector_model import two_arm_rates
+from .detector_model import two_arm_rates, validate_efficiency
 from .errors import DataInconsistencyError, InversionError
-from .photon_statistics import SourceLaw, one_pair_rate, pair_rate, validate_positive
+from .photon_statistics import (SourceLaw, one_pair_rate, pair_rate,
+                                validate_emission_parameter, validate_positive)
 
 # exact SI values (2019 redefinition)
 _PLANCK = 6.62607015e-34  # J s
@@ -138,6 +139,12 @@ class TableOneRow:
     cc12: float | None = None
     cc13: float | None = None
     cc123: float | None = None
+
+    def __post_init__(self):
+        # Table 2 reads these from a table1.json that may have been edited
+        validate_emission_parameter(self.x)
+        validate_efficiency(self.eta1, "eta1")
+        validate_efficiency(self.eta2, "eta2")
 
 
 @dataclass(frozen=True)

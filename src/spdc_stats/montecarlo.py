@@ -93,7 +93,8 @@ class SimConfig:
     mode "two_arm" uses x and chain (eta1, eta2); "heralded_split" uses x
     and chain (eta1, eta2, eta3) where eta2/eta3 are post-splitter branch
     efficiencies; "saturation" uses source_kind ("thermal" or "coherent"),
-    mean, and chain.eta1 as the single detector efficiency.
+    mean, and chain.eta1 as the single detector efficiency.  A field the
+    mode does not use must be None.
     """
 
     mode: str
@@ -122,6 +123,14 @@ class SimConfig:
         for i, eta in enumerate(self.etas, start=1):
             if eta is None:
                 raise ValueError(f"mode {self.mode} requires chain.eta{i}")
+        # a field the mode never reads would be recorded as if it applied
+        ignored = ("x",) if self.mode == "saturation" else ("source_kind", "mean")
+        foreign = [name for name in ignored if getattr(self, name) is not None]
+        chain = (self.chain.eta1, self.chain.eta2, self.chain.eta3)
+        foreign += [f"chain.eta{i}" for i, eta in enumerate(chain, start=1)
+                    if i > len(self.etas) and eta is not None]
+        if foreign:
+            raise ValueError(f"mode {self.mode} does not use {', '.join(foreign)}")
 
     @property
     def law(self) -> SourceLaw:

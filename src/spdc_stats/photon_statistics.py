@@ -15,9 +15,10 @@ A law is one value, ``SourceLaw``: its kind, its mean, and p, the
 parameter the sampler's event count and geometric draw read bit for bit.
 ("thermal", x) is the geometric law above, G(z) = (1 - x) / (1 - x z), of
 mean x / (1 - x); ("coherent", nu) the Poisson law G(z) = exp(-nu (1 - z)).
-``click_moment``, the one closed form of every click probability and
-moment, reads the mean, since x = mean / (1 + mean) loses about mean ulps;
-``miss_probability`` is G(1 - eta).  The module also owns the truncation
+``click_moment``, the one closed form of every click moment, reads the
+mean, since x = mean / (1 + mean) loses about mean ulps.  Miss
+probabilities such as G(1 - eta) are cells of ``detector_model.click_sets``,
+which serves both laws.  The module also owns the truncation
 policy of the test references' series (``truncation_order``) and the check
 every repetition rate, counting time and pulse count passes
 (``validate_positive``).  It is scalar ``math`` code without numpy; the
@@ -119,13 +120,6 @@ def one_pair_rate(f: float, x: float) -> float:
 def emission_probability(law: SourceLaw) -> float:
     """P(n >= 1) = 1 - G(0) of the law."""
     return law.p if law.kind == "thermal" else -math.expm1(-law.p)
-
-
-def miss_probability(law: SourceLaw, eta: float) -> float:
-    """G(1 - eta): the chance that a bucket detector of efficiency eta stays
-    dark, 1 / (1 + w) or exp(-w) with w = eta * mean."""
-    w = eta * law.mean
-    return 1.0 / (1.0 + w) if law.kind == "thermal" else math.exp(-w)
 
 
 def _reduced_moment(law: SourceLaw, j: int) -> int:

@@ -231,9 +231,3 @@ def bundled_path(name: str):
 def load_bundled_sweep(name: str = "table1_measured.csv") -> list[CountRecord]:
     with resources.as_file(bundled_path(name)) as path:
         return read_sweep(path)
-
-
-def load_bundled_csv(name: str) -> list[dict[str, str]]:
-    """Bundled CSV as a list of raw string dicts (values as printed)."""
-    with bundled_path(name).open(newline="") as fh:
-        return list(csv.DictReader(fh))

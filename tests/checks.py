@@ -1,6 +1,7 @@
 """Shared test helpers: comparisons against printed references and exact
-rationals, pair numbers drawn by the Monte Carlo kernel, and a sweep CSV
-writer for round trips through ``read_sweep``."""
+rationals, pair numbers drawn by the Monte Carlo kernel, a sweep CSV
+writer for round trips through ``read_sweep``, and a reader of the bundled
+reference CSVs."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from spdc_stats.montecarlo import _geometric_draw
-from spdc_stats.sweepio import SWEEP_COLUMNS, SWEEP_OPTIONAL, _fmt
+from spdc_stats.sweepio import SWEEP_COLUMNS, SWEEP_OPTIONAL, _fmt, bundled_path
 
 
 def half_ulp(literal: str) -> float:
@@ -98,3 +99,9 @@ def write_sweep(records, path) -> None:
             if has_optional:
                 row += [_fmt(r.cc12), _fmt(r.cc13), _fmt(r.cc123)]
             writer.writerow(row)
+
+
+def load_bundled_csv(name: str) -> list[dict[str, str]]:
+    """Bundled CSV as a list of raw string dicts (values as printed)."""
+    with bundled_path(name).open(newline="") as fh:
+        return list(csv.DictReader(fh))

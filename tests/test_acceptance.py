@@ -30,8 +30,7 @@ from spdc_stats import (
     split_coincidences,
     two_arm_rates,
 )
-from spdc_stats.sweepio import load_bundled_csv
-from checks import half_ulp
+from checks import half_ulp, load_bundled_csv
 
 F = 76e6
 ETA3_RATIO = 0.56 / 0.68

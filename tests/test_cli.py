@@ -11,8 +11,8 @@ import pytest
 
 from spdc_stats import detected_vs_incident, g2_from_counts
 from spdc_stats.cli import main
-from spdc_stats.sweepio import bundled_path, load_bundled_csv
-from checks import half_ulp, write_sweep
+from spdc_stats.sweepio import bundled_path
+from checks import half_ulp, load_bundled_csv, write_sweep
 
 TABLE2_TOLERANCES = {
     "g2_heralded": 0.01,
@@ -235,8 +235,15 @@ class TestCorrelations:
             ([1], "row 1: not an object"),
             ([{"sc1": "1e5"}], "sc1 must be a number"),
             ([{"eta2": "a"}], "eta2 must be a number"),
+            ([{}, {}, {}, {"eta1": float("nan")}],
+             "row 4: eta1 must lie in [0, 1], got nan"),
+            ([{}, {}, {}, {"x": 1.5}],
+             "row 4: emission parameter x must lie in [0, 1), got 1.5"),
+            ([{}, {}, {}, {"eta2": -0.2}],
+             "row 4: eta2 must lie in [0, 1], got -0.2"),
         ],
-        ids=["rows-string", "row-number", "sc1-string", "eta2-string"],
+        ids=["rows-string", "row-number", "sc1-string", "eta2-string",
+             "eta1-nan", "x-above-1", "eta2-negative"],
     )
     def test_malformed_table1_json(self, tmp_path, capsys, rows, fragment):
         good = {
@@ -388,6 +395,19 @@ class TestSimulate:
         code = main(self.BASE + ["--threads", threads, "--out", str(out)])
         assert code == 1
         assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ignored_options_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "simulate", "--mode", "two_arm", "--x", "0.1", "--eta1", "0.2",
+            "--eta2", "0.2", "--eta3", "0.9", "--source-kind", "coherent",
+            "--mean", "5", "--pulses", "10000", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["spdc-stats: error: mode two_arm does not use "
+                       "source_kind, mean, chain.eta3"]
         assert not out.exists()
 
     def test_missing_detector_rejected(self, tmp_path, capsys):

@@ -71,7 +71,7 @@ class TestG2Stderr:
     def assert_matches_oracle(x, eta1, eta2, eta3, pulses):
         # the band on the model's cells against the exact quadratic form on
         # the exact cells
-        sets = click_sets(x, pair_outcomes(eta1, eta2, eta3))
+        sets = click_sets(SourceLaw.geometric(x), pair_outcomes(eta1, eta2, eta3))
         got = g2_stderr(sets[7], sets[3] + sets[5], sets[1], pulses)
         exact = oracle.exact_click_sets(x, eta1, eta2, eta3)
         want = oracle.exact_g2_stderr(exact[7], exact[3] + exact[5], exact[1],

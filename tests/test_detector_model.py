@@ -10,6 +10,7 @@ import oracle
 from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
+    SourceLaw,
     detected_vs_incident,
     g2_heralded_predicted,
     pair_rate,
@@ -19,6 +20,7 @@ from spdc_stats import (
 )
 from spdc_stats.detector_model import (all_click, click_probability, click_sets,
                                        pair_outcomes)
+from spdc_stats.photon_statistics import click_moment
 from spdc_stats.saturation import curve
 from checks import rational_rel_error, within_printed
 
@@ -173,7 +175,7 @@ class TestCoincidenceRate:
         # sc1, sc2 and cc are f times entries 1, 2 and 3 of all_click over
         # one click_sets pass
         pred = two_arm_rates(F, X10, 0.215, 0.198)
-        p = all_click(click_sets(X10, pair_outcomes(0.215, 0.198)))
+        p = all_click(click_sets(SourceLaw.geometric(X10), pair_outcomes(0.215, 0.198)))
         assert (pred.sc1, pred.sc2, pred.cc) == (F * p[1], F * p[2], F * p[3])
 
     @settings(max_examples=300, deadline=None)
@@ -259,7 +261,7 @@ class TestSplitCoincidences:
         for etas in itertools.chain(itertools.product(grid, repeat=3),
                                     itertools.product(grid, repeat=2)):
             exact = oracle.exact_click_sets(x, *etas)
-            got = click_sets(x, pair_outcomes(*etas))
+            got = click_sets(SourceLaw.geometric(x), pair_outcomes(*etas))
             for mask, (cell, want) in enumerate(zip(got, exact)):
                 assert rational_rel_error(cell, want) <= 2e-15, (mask, x, etas)
 
@@ -335,6 +337,54 @@ class TestSplitCoincidences:
     def test_truncation_cap(self):
         with pytest.raises(ResourceLimitError):
             oracle.split_coincidences(F, 0.999, 0.2, 0.2, 0.2)
+
+
+# the eta grid of test_click_sets_match_exact_rational
+CELL_ETAS = [0.0, 1e-12, 1e-9, 0.163, 0.215, 0.5, 1.0 - 1e-13, 1.0]
+
+
+class TestClickSets:
+    @pytest.mark.parametrize(
+        "mean", [0.0, 1e-12, 1e-6, 1e-3, 0.0135, 0.5, 2.0, 30.0, 300.0])
+    def test_coherent_cells_match_inclusion_exclusion(self, mean):
+        # every cell for 1, 2 and 3 detectors against the Moebius inversion
+        # of P(the final set lies within T) = exp(-sum of w_t over t not
+        # within T), at the float rates w_t = mean * o_t; 400 digits, since
+        # at 160 the inversion's own cancellation at mean 300 exceeds the
+        # error measured.  A cell that is exactly 0 must come out 0.
+        mpmath = pytest.importorskip("mpmath")
+        law = SourceLaw.of_mean("coherent", mean)
+        setups = itertools.chain(itertools.product(CELL_ETAS, repeat=3),
+                                 itertools.product(CELL_ETAS, repeat=2),
+                                 itertools.product(CELL_ETAS, repeat=1))
+        with mpmath.workdps(400):
+            for etas in setups:
+                outcomes = pair_outcomes(*etas)
+                within = [mpmath.exp(-mpmath.fsum(
+                    mean * o for t, o in enumerate(outcomes) if t & ~top))
+                    for top in range(len(outcomes))]
+                got = click_sets(law, outcomes)
+                for mask, cell in enumerate(got):
+                    want = mpmath.fsum(
+                        (-1) ** (mask ^ sub).bit_count() * within[sub]
+                        for sub in range(len(outcomes)) if sub & mask == sub)
+                    if want == 0:
+                        assert cell == 0.0, (mask, mean, etas)
+                    else:
+                        assert abs(cell / want - 1) <= 2e-15, (mask, mean, etas)
+
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_one_detector_is_the_click_moment(self, kind):
+        # the saturation grid of test_judge_parity: one detector's cells are
+        # the miss G(1 - eta), 1 / (1 + w) or exp(-w) at w = eta * mean, and
+        # the click probability of click_moment, bit for bit
+        for mean in (0.0, 1e-3, 0.5, 2.0, 30.0, 300.0):
+            law = SourceLaw.of_mean(kind, mean)
+            for eta in (0.0, 1e-12, 1e-9, 0.37, 0.8, 1.0):
+                w = eta * mean
+                miss = 1.0 / (1.0 + w) if kind == "thermal" else math.exp(-w)
+                got = click_sets(law, pair_outcomes(eta))
+                assert got == [miss, click_moment(law, eta, 0)], (mean, eta)
 
 
 class TestDetectedVsIncident:

@@ -167,6 +167,32 @@ class TestSimConfigValidation:
                 chain=DetectorChain(eta1=0.5),
             )
 
+    @pytest.mark.parametrize("mode, field, value", [
+        ("two_arm", "source_kind", "coherent"),
+        ("two_arm", "mean", 5.0),
+        ("two_arm", "chain.eta3", 0.9),
+        ("heralded_split", "source_kind", "thermal"),
+        ("heralded_split", "mean", 5.0),
+        ("saturation", "x", 0.3),
+        ("saturation", "chain.eta2", 0.4),
+        ("saturation", "chain.eta3", 0.4),
+    ])
+    def test_rejects_a_field_the_mode_ignores(self, mode, field, value):
+        # a config records every field, so one its run never read would
+        # read as if it applied
+        used = {"two_arm": dict(x=0.1, chain=dict(eta1=0.2, eta2=0.2)),
+                "heralded_split": dict(x=0.1, chain=dict(eta1=0.2, eta2=0.2,
+                                                         eta3=0.2)),
+                "saturation": dict(source_kind="coherent", mean=1.0,
+                                   chain=dict(eta1=0.5))}[mode]
+        if field.startswith("chain."):
+            used["chain"][field.removeprefix("chain.")] = value
+        else:
+            used[field] = value
+        used["chain"] = DetectorChain(**used["chain"])
+        with pytest.raises(ValueError, match=f"mode {mode} does not use {field}$"):
+            SimConfig(mode=mode, pulses=100, seed=1, **used)
+
 
 class TestDeterminism:
     def test_identical_configs_identical_counts(self):

@@ -12,8 +12,8 @@ from spdc_stats import (
     pair_rate,
     truncation_order,
 )
-from spdc_stats.photon_statistics import (click_moment, emission_probability,
-                                          miss_probability)
+from spdc_stats.detector_model import click_sets, pair_outcomes
+from spdc_stats.photon_statistics import click_moment, emission_probability
 from checks import geometric_counts, within_printed
 from oracle import (
     CoherentDistribution,
@@ -279,13 +279,14 @@ class TestSourceLaws:
     @pytest.mark.parametrize("mean", [0.0, 1e-3, 2.0, 30.0, 300.0])
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     def test_miss_is_the_generating_function(self, kind, mean, eta):
-        # G(1 - eta) in 60-digit decimal, 1 / (1 + w) or exp(-w), at the
-        # float w = eta * mean: its rounding costs w ulps in exp(-w)
+        # the empty cell of one detector's click sets against G(1 - eta) in
+        # 60-digit decimal, 1 / (1 + w) or exp(-w), at the float
+        # w = eta * mean: its rounding costs w ulps in exp(-w)
         with localcontext() as ctx:
             ctx.prec = 60
             w = Decimal(eta * mean)
             want = 1 / (1 + w) if kind == "thermal" else (-w).exp()
-        got = miss_probability(SourceLaw.of_mean(kind, mean), eta)
+        got = click_sets(SourceLaw.of_mean(kind, mean), pair_outcomes(eta))[0]
         assert math.isclose(got, float(want), rel_tol=2.3e-16, abs_tol=0.0)
 
 
