@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "cli": (),
     "correlation": (
-        "CorrelationReport", "build_table_two", "g2_from_counts",
-        "g2_heralded_predicted", "ideal_g", "report_for_row",
+        "CorrelationReport", "build_table_two", "g2_heralded_predicted",
+        "ideal_g", "report_for_row",
     ),
     "detector_model": (
-        "DetectorChain", "detected_vs_incident", "split_coincidences",
-        "two_arm_rates",
+        "DetectorChain", "detected_vs_incident", "g2_from_counts",
+        "split_coincidences", "two_arm_rates",
     ),
     "errors": (
         "DataInconsistencyError", "DivergenceError", "InversionError",

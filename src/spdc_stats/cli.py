@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 # Each command imports the modules it runs, so a fresh process loads only
@@ -214,8 +213,8 @@ def cmd_simulate(args) -> int:
     sigmas = [entry["sigma"] for entry in comparison.values()]
     max_sigma = max(sigmas) if sigmas else 0.0
     payload = {
-        "config": asdict(config),
-        "counts": counts.to_dict(),
+        "config": dict(config._asdict(), chain=config.chain._asdict()),
+        "counts": counts._asdict(),
         "comparison": comparison,
         "max_sigma": max_sigma,
         "sigma_limit": SIGMA_LIMIT,

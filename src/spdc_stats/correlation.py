@@ -8,12 +8,11 @@ All values are normalized zero-delay correlations of a pair-number law
   N = 2n photons per pulse ("pooled"), each a ratio of the law's reduced
   factorial moments r_j = G^(j)(1) / mean**j.  For the geometric law they
   are Table 2's ideal columns: 2 and 6, 2x, 1/(2x) + 3/2 and 3(1 + x)/x.
-- g2_from_counts: the experimental estimator 2 * CC123 * SC1 /
-  (CC12 + CC13)**2 applied to measured counts; g2_stderr is its 1-sigma
-  band on the exclusive click-set cells.
-- g2_heralded_predicted: the same estimator applied to the detector-model
-  rate predictions for a given (x, eta1, eta2, eta3), which accounts for
-  multi-pair emission seen through lossy bucket detectors.
+- g2_heralded_predicted: the experimental estimator 2 * CC123 * SC1 /
+  (CC12 + CC13)**2 (``detector_model.g2_from_counts``) applied to the
+  detector-model rate predictions for a given (x, eta1, eta2, eta3), which
+  accounts for multi-pair emission seen through lossy bucket detectors.
+  Table 2's g2_measured applies it to a row's measured split counts.
 
 The counting estimator is normalized differently from the heralded g2.
 For balanced branches (CC12 = CC13) it is exactly half the product form
@@ -31,50 +30,13 @@ series and raw-moment formulas that define them are test references in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .detector_model import DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, split_coincidences
+from .detector_model import (DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, g2_from_counts,
+                             split_coincidences)
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
-from .photon_statistics import (SourceLaw, _reduced_moment, emission_probability,
-                                validate_positive)
-
-
-def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
-    """Experimental zero-delay g2 estimator 2 * cc123 * sc1 / (cc12 + cc13)**2."""
-    for name, v in (("sc1", sc1), ("cc12", cc12), ("cc13", cc13), ("cc123", cc123)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v!r}")
-    denom = cc12 + cc13
-    if denom == 0:
-        raise DivergenceError("cc12 + cc13 = 0: g2 estimator undefined")
-    return 2.0 * cc123 * sc1 / denom**2
-
-
-def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
-    """Standard error of the counting estimator over ``pulses`` pulses.
-
-    t, q, h are the per-pulse probabilities of the exclusive click sets:
-    the triple, a pair without the triple, and the herald alone; a negative
-    one, which no pulse can produce, raises ValueError.  With s = t + q + h
-    (click1) and u = 2t + q (pair12 + pair13) the estimator is
-    g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2, -2B/u**2
-    and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has
-    degree 0, so the delta method under the cells' multinomial covariance
-    is a sum of positive terms and nothing cancels:
-
-        Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
-    """
-    validate_positive(pulses, "pulses")
-    for name, v in (("t", t), ("q", q), ("h", h)):
-        if v < 0:
-            raise ValueError(f"cell {name} must be non-negative, got {v!r}")
-    u = 2.0 * t + q
-    if u == 0:
-        raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
-    a = (q * q + q * h - 2.0 * t * h) / u
-    b = t * (q + 2.0 * h) / u
-    return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
+from .photon_statistics import SourceLaw, _reduced_moment, emission_probability
 
 
 def ideal_g(law: SourceLaw, order: int, field: str) -> float:
@@ -125,8 +87,7 @@ def g2_heralded_predicted(
     return g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """One power point's correlation values.
 
     g2_measured comes from measured split counts when the sweep row

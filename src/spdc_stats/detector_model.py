@@ -14,14 +14,20 @@ all their rates from one such pass, and so does the Monte Carlo's judge.
 Its terms are all positive, so each cell and rate keeps full relative
 precision for every x in [0, 1) and eta in [0, 1].  The series sums that define the
 rates are test references in ``tests/oracle.py``.
+
+The module also owns the counting g2 estimator on split counts,
+``g2_from_counts``, and its 1-sigma band on the exclusive click-set cells,
+``g2_stderr``: ``correlation`` applies them to the rate model and to
+measured rows, and the Monte Carlo's judge to tallies.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .errors import DivergenceError
 from .photon_statistics import SourceLaw, click_moment, validate_positive
 
 # Branch efficiencies after the balanced splitter, relative to the full
@@ -56,29 +62,38 @@ def click_probability(n: int, eta: float) -> float:
     return -math.expm1(n * math.log1p(-eta))
 
 
-@dataclass(frozen=True)
-class DetectorChain:
-    """Heralding-arm efficiency plus one or two analysis-arm efficiencies.
-
-    eta2 and eta3 are the full branch efficiencies after the balanced
-    splitter; the factor 1/2 from the splitter itself is applied by
-    ``pair_outcomes``, not folded into these numbers.
-    """
-
+class _ChainFields(NamedTuple):
     eta1: float
     eta2: float | None = None
     eta3: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta1", validate_efficiency(self.eta1, "eta1"))
-        for name in ("eta2", "eta3"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, validate_efficiency(value, name))
+
+class DetectorChain(_ChainFields):
+    """Heralding-arm efficiency plus one or two analysis-arm efficiencies.
+
+    eta2 and eta3 are the full branch efficiencies after the balanced
+    splitter; the factor 1/2 from the splitter itself is applied by
+    ``pair_outcomes``, not folded into these numbers.  Every given eta is
+    checked and stored as a float, also through ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, eta1: float, eta2: float | None = None,
+                eta3: float | None = None):
+        eta1 = validate_efficiency(eta1, "eta1")
+        if eta2 is not None:
+            eta2 = validate_efficiency(eta2, "eta2")
+        if eta3 is not None:
+            eta3 = validate_efficiency(eta3, "eta3")
+        return super().__new__(cls, eta1, eta2, eta3)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(NamedTuple):
     """Predicted count rates in counts/s.
 
     sc1, sc2, cc apply to the two-detector configuration; cc12, cc13,
@@ -200,6 +215,43 @@ def split_coincidences(
     r = _pair_rates(f, x, eta1, eta2, eta3)
     return RatePrediction(cc12=r["pair12"], cc13=r["pair13"],
                           cc123=r["triple123"], sc1h=r["clicks1"])
+
+
+def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
+    """Experimental zero-delay g2 estimator 2 * cc123 * sc1 / (cc12 + cc13)**2."""
+    for name, v in (("sc1", sc1), ("cc12", cc12), ("cc13", cc13), ("cc123", cc123)):
+        if v < 0:
+            raise ValueError(f"{name} must be non-negative, got {v!r}")
+    denom = cc12 + cc13
+    if denom == 0:
+        raise DivergenceError("cc12 + cc13 = 0: g2 estimator undefined")
+    return 2.0 * cc123 * sc1 / denom**2
+
+
+def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
+    """Standard error of the counting estimator over ``pulses`` pulses.
+
+    t, q, h are the per-pulse probabilities of the exclusive click sets:
+    the triple, a pair without the triple, and the herald alone; a negative
+    one, which no pulse can produce, raises ValueError.  With s = t + q + h
+    (click1) and u = 2t + q (pair12 + pair13) the estimator is
+    g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2, -2B/u**2
+    and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has
+    degree 0, so the delta method under the cells' multinomial covariance
+    is a sum of positive terms and nothing cancels:
+
+        Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
+    """
+    validate_positive(pulses, "pulses")
+    for name, v in (("t", t), ("q", q), ("h", h)):
+        if v < 0:
+            raise ValueError(f"cell {name} must be non-negative, got {v!r}")
+    u = 2.0 * t + q
+    if u == 0:
+        raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
+    a = (q * q + q * h - 2.0 * t * h) / u
+    b = t * (q + 2.0 * h) / u
+    return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
 
 
 def detected_vs_incident(

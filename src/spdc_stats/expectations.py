@@ -14,7 +14,7 @@ per-pulse expectation and variance in closed form, and
   variance is p q per pulse, where the miss q is the sum of the cells that
   are not supersets of its mask; pulses_with_emission reads q = G(0) from
   the empty cell of one perfect detector.
-- g2's error is the delta method on the same cells (``correlation.g2_stderr``).
+- g2's error is the delta method on the same cells (``detector_model.g2_stderr``).
 
 A config is read by duck typing: its mode, its detector efficiencies in
 bit order ``config.etas`` and its ``SourceLaw`` ``config.law``.  So this
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 
-from .correlation import g2_from_counts, g2_stderr
-from .detector_model import CLICK_MASKS, all_click, click_sets, pair_outcomes
+from .detector_model import (CLICK_MASKS, all_click, click_sets, g2_from_counts,
+                             g2_stderr, pair_outcomes)
 from .photon_statistics import click_moment, emission_probability
 
 # emission-moment tallies and the (k, eta) of each: every photon counts

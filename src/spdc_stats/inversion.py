@@ -4,8 +4,7 @@ Measured singles rates SC1, SC2 and the coincidence rate CC of a
 two-detector pair experiment overdetermine nothing: they are exactly three
 equations in the three unknowns (x, eta1, eta2), where x = p * tau is the
 per-pulse emission parameter at pump power p.  This module solves that
-system, derives the generation-rate columns that follow from x, and
-calibrates detector efficiency from an attenuated-laser measurement.
+system and derives the generation-rate columns that follow from x.
 
 The system has an exact solution.  Write s_i = SC_i/f and c = CC/f for
 the per-pulse click probabilities and z_i = 1 - eta_i.  A geometric
@@ -47,29 +46,18 @@ to rounding for any small h, as no difference of nearby values is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .detector_model import two_arm_rates, validate_efficiency
 from .errors import DataInconsistencyError, InversionError
 from .photon_statistics import (SourceLaw, one_pair_rate, pair_rate,
                                 validate_emission_parameter, validate_positive)
 
-# exact SI values (2019 redefinition)
-_PLANCK = 6.62607015e-34  # J s
-_SPEED_OF_LIGHT = 299792458.0  # m/s
-
 # largest relative forward residual a returned inversion may carry
 RESIDUAL_MAX = 1e-9
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One measured sweep row: pump power and count rates in counts/s.
-
-    cc12, cc13, cc123 are the split-configuration coincidences; they are
-    optional and must be given together or not at all.
-    """
-
+class _RecordFields(NamedTuple):
     power_mw: float
     sc1: float
     sc2: float
@@ -78,9 +66,20 @@ class CountRecord:
     cc13: float | None = None
     cc123: float | None = None
 
-    def __post_init__(self):
-        for name in ("power_mw", "sc1", "sc2", "cc", "cc12", "cc13", "cc123"):
-            value = getattr(self, name)
+
+class CountRecord(_RecordFields):
+    """One measured sweep row: pump power and count rates in counts/s.
+
+    cc12, cc13, cc123 are the split-configuration coincidences; they are
+    optional and must be given together or not at all.  The checks run on
+    every construction, ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.power_mw <= 0:
@@ -94,14 +93,18 @@ class CountRecord:
             raise ValueError("cc12, cc13, cc123 must be all present or all absent")
         if all(present) and any(v < 0 for v in split):
             raise ValueError("split coincidence rates must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
     @property
     def has_split_counts(self) -> bool:
         return self.cc12 is not None
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(NamedTuple):
     """Solution of the three-rate system with its forward residual.
 
     iterations is always 0: the solution is explicit.  The field stays so
@@ -119,10 +122,7 @@ class InversionResult:
     eta2_sigma: float | None = None
 
 
-@dataclass(frozen=True)
-class TableOneRow:
-    """Measured rates plus everything the inversion derives from them."""
-
+class _RowFields(NamedTuple):
     power_mw: float
     sc1: float
     sc2: float
@@ -140,15 +140,30 @@ class TableOneRow:
     cc13: float | None = None
     cc123: float | None = None
 
-    def __post_init__(self):
+
+class TableOneRow(_RowFields):
+    """Measured rates plus everything the inversion derives from them.
+
+    x, eta1 and eta2 are checked on every construction, ``_replace``
+    included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Table 2 reads these from a table1.json that may have been edited
         validate_emission_parameter(self.x)
         validate_efficiency(self.eta1, "eta1")
         validate_efficiency(self.eta2, "eta2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FailedRow:
+class FailedRow(NamedTuple):
     """A sweep row whose inversion raised; the sweep continues without it."""
 
     record: CountRecord
@@ -266,20 +281,6 @@ def _propagate_sigma(f, power_mw, probs, integration_time):
 
     sig_eta1, sig_eta2, sig_x = map(sigma, grads)
     return sig_x / power_mw, sig_eta1, sig_eta2
-
-
-def sde_from_attenuated_laser(sc: float, power: float, wavelength: float) -> float:
-    """System detection efficiency from an attenuated-laser calibration.
-
-    The incident photon flux is power * wavelength / (h c), so
-    SDE = sc * h * c / (power * wavelength).  SI units: power in W,
-    wavelength in m, sc in counts/s.
-    """
-    if sc < 0:
-        raise ValueError(f"count rate must be non-negative, got {sc!r}")
-    if power <= 0 or wavelength <= 0:
-        raise ValueError("power and wavelength must be positive")
-    return sc * _PLANCK * _SPEED_OF_LIGHT / (power * wavelength)
 
 
 def row_from_inversion(

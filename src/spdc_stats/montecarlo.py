@@ -40,13 +40,18 @@ order.  Emission moments come from a histogram of n.  Every click tally
 is the count of the AND of the click masks of its ``CLICK_MASKS`` entry,
 for the entries below 2**D.
 
-Each worker thread runs every T-th chunk through one set of scratch arrays
-sized to a chunk: three 8-byte arrays and D + 1 bool masks, four in
-heralded_split.  Every ufunc and gather writes into them through out=, so
-a chunk allocates no array but its random words.  Chunks default to 2**15
-events, so a heralded_split chunk's words take 1.3 MB.  2**16 ran 2-7 %
-faster at 1e7 pulses with two threads, but raised the peak RSS of ten such
-runs from 45-48 to 51 MB.
+With T workers, each runs every T-th chunk: worker 0 on the calling
+thread, the others on plain ``threading.Thread``s, all joined before the
+rows are summed.  An exception that ends a worker is raised again,
+unchanged, in the caller.  The calling thread page-faults no more per
+chunk than a started thread (``getrusage`` ru_minflt, ~5 per 2**15-event
+coherent chunk on either).  Each worker runs its chunks through one set
+of scratch arrays sized to a chunk: three 8-byte arrays and D + 1 bool
+masks, four in heralded_split.  Every ufunc and gather writes into them
+through out=, so a chunk allocates no array but its random words.
+Chunks default to 2**15 events, so a heralded_split chunk's words take
+1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two threads, but raised
+the peak RSS of ten such runs from 45-48 to 51 MB.
 
 This module samples and tallies; ``expectations`` judges a run against
 the analytic model.  Both read the source through ``SimConfig.law``, whose
@@ -64,9 +69,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Callable
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,17 +90,7 @@ _GUIDE_BUCKETS = 4096
 _TWO53 = float(1 << 53)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Complete description of one simulation; equal configs give equal output.
-
-    mode "two_arm" uses x and chain (eta1, eta2); "heralded_split" uses x
-    and chain (eta1, eta2, eta3) where eta2/eta3 are post-splitter branch
-    efficiencies; "saturation" uses source_kind ("thermal" or "coherent"),
-    mean, and chain.eta1 as the single detector efficiency.  A field the
-    mode does not use must be None.
-    """
-
+class _ConfigFields(NamedTuple):
     mode: str
     pulses: int
     seed: int
@@ -105,7 +99,22 @@ class SimConfig:
     source_kind: str | None = None
     mean: float | None = None
 
-    def __post_init__(self):
+
+class SimConfig(_ConfigFields):
+    """Complete description of one simulation; equal configs give equal output.
+
+    mode "two_arm" uses x and chain (eta1, eta2); "heralded_split" uses x
+    and chain (eta1, eta2, eta3) where eta2/eta3 are post-splitter branch
+    efficiencies; "saturation" uses source_kind ("thermal" or "coherent"),
+    mean, and chain.eta1 as the single detector efficiency.  A field the
+    mode does not use must be None.  The checks run on every construction,
+    ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in _DETECTORS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.pulses, int) or self.pulses < 1:
@@ -126,11 +135,15 @@ class SimConfig:
         # a field the mode never reads would be recorded as if it applied
         ignored = ("x",) if self.mode == "saturation" else ("source_kind", "mean")
         foreign = [name for name in ignored if getattr(self, name) is not None]
-        chain = (self.chain.eta1, self.chain.eta2, self.chain.eta3)
-        foreign += [f"chain.eta{i}" for i, eta in enumerate(chain, start=1)
+        foreign += [f"chain.eta{i}" for i, eta in enumerate(self.chain, start=1)
                     if i > len(self.etas) and eta is not None]
         if foreign:
             raise ValueError(f"mode {self.mode} does not use {', '.join(foreign)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
     @property
     def law(self) -> SourceLaw:
@@ -146,12 +159,10 @@ class SimConfig:
         bit 2**(i - 1) of ``detector_model.pair_outcomes``): (eta1,) for
         saturation, (eta1, eta2) for two_arm, (eta1, eta2, eta3) for
         heralded_split."""
-        chain = self.chain
-        return (chain.eta1, chain.eta2, chain.eta3)[: _DETECTORS[self.mode]]
+        return self.chain[: _DETECTORS[self.mode]]
 
 
-@dataclass(frozen=True)
-class SimCounts:
+class SimCounts(NamedTuple):
     """Exact integer tallies from one simulation.
 
     clicks1..3 are per-detector singles; pair12/pair13 are coincidences of
@@ -179,11 +190,12 @@ class SimCounts:
         return getattr(self, field) / self.pulses
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The tallies by field name: ``_asdict()``."""
+        return self._asdict()
 
 
 # the tallies of a kernel row, in SimCounts order, and their columns
-_TALLY_FIELDS = tuple(f.name for f in fields(SimCounts) if f.name != "pulses")
+_TALLY_FIELDS = SimCounts._fields[1:]
 _COL = {name: i for i, name in enumerate(_TALLY_FIELDS)}
 
 
@@ -514,11 +526,13 @@ def simulate(
     chunk_pulses counts emitting pulses per work chunk and must be a
     positive multiple of 4 (stream-seek alignment).  Worker w of T runs
     the chunks w, w + T, w + 2T, ... through its own scratch arrays, sized
-    to one chunk, and returns one tally row; the rows are summed.  The
-    default chunk, 2**15, holds a heralded_split chunk's random words to
-    1.3 MB; larger chunks save little per chunk and raise the peak memory.
-    The click thresholds and the guide table of the module docstring are
-    built here, once per call.
+    to one chunk, and returns one tally row; worker 0 runs here, the others
+    on threads started here.  The rows are summed once every thread is
+    joined, and an exception that ended a worker is raised here as it was
+    raised there.  The default chunk, 2**15, holds a heralded_split
+    chunk's random words to 1.3 MB; larger chunks save little per chunk
+    and raise the peak memory.  The click thresholds and the guide table
+    of the module docstring are built here, once per call.
     """
     if chunk_pulses < 4 or chunk_pulses % 4 != 0:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
@@ -542,13 +556,25 @@ def simulate(
         kernel = _ChunkKernel(config, worst)
         size = jobs[0][1]
         workers = min(threads, len(jobs))
-        if workers == 1:
-            total = kernel.run_stripe(jobs, size)
-        else:
-            stripes = [jobs[w::workers] for w in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = pool.map(lambda s: kernel.run_stripe(s, size), stripes)
-                total = np.sum(list(rows), axis=0)
+        # each worker's row, or the exception that ended it
+        rows = [None] * workers
+
+        def work(w):
+            try:
+                rows[w] = kernel.run_stripe(jobs[w::workers], size)
+            except BaseException as exc:  # raised below, once all are joined
+                rows[w] = exc
+
+        pool = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+        for thread in pool:
+            thread.start()
+        work(0)
+        for thread in pool:
+            thread.join()
+        for row in rows:
+            if isinstance(row, BaseException):
+                raise row
+        total = np.sum(rows, axis=0)
     return SimCounts(
         pulses=config.pulses, **dict(zip(_TALLY_FIELDS, total.tolist()))
     )

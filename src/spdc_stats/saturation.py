@@ -18,7 +18,7 @@ E[n**k 1{click}]: k = 0 for the click variant, k = 1 for the literal one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .detector_model import detected_vs_incident, validate_efficiency
 from .photon_statistics import SourceLaw, click_moment
@@ -38,8 +38,7 @@ def default_mean_grid() -> tuple[float, ...]:
     return tuple(10.0 ** y for y in exponents)
 
 
-@dataclass(frozen=True)
-class SaturationCurve:
+class SaturationCurve(NamedTuple):
     """Detected signal versus mean incident photon number for one source."""
 
     source_kind: str

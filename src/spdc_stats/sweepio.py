@@ -12,7 +12,6 @@ non-negative.  Derived tables are emitted as CSV (for diffing) and JSON
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -133,26 +132,22 @@ def write_table1_csv(rows: list[TableOneRow | FailedRow], path) -> None:
 
 
 def _as_json(item: CountRecord | TableOneRow, status: str) -> dict:
-    row = {f.name: getattr(item, f.name) for f in dataclasses.fields(item)}
-    row["status"] = status
-    return row
+    return dict(item._asdict(), status=status)
 
 
 def _from_json(cls, raw: dict):
     """``cls`` built from the keys of ``raw`` that name its fields; a field
     with a default may be absent, and other keys (such as an old table's
     ``solver``) are ignored.  Each field must be a JSON number, or null
-    where its default is None."""
+    where it has a default, which is None for every field."""
+    defaults = cls._field_defaults
     values = {}
-    for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING:
-            value = raw[f.name]
-        else:
-            value = raw.get(f.name, f.default)
+    for name in cls._fields:
+        value = raw.get(name, defaults[name]) if name in defaults else raw[name]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number and (value is not None or f.default is not None):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
-        values[f.name] = value
+        if not number and (value is not None or name not in defaults):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        values[name] = value
     return cls(**values)
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: comparisons against printed references and exact
 rationals, pair numbers drawn by the Monte Carlo kernel, a sweep CSV
-writer for round trips through ``read_sweep``, and a reader of the bundled
-reference CSVs."""
+writer for round trips through ``read_sweep``, a reader of the bundled
+reference CSVs, and the attenuated-laser efficiency calibration, which no
+package code calls."""
 
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ import numpy as np
 
 from spdc_stats.montecarlo import _geometric_draw
 from spdc_stats.sweepio import SWEEP_COLUMNS, SWEEP_OPTIONAL, _fmt, bundled_path
+
+# exact SI values (2019 redefinition)
+_PLANCK = 6.62607015e-34  # J s
+_SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 def half_ulp(literal: str) -> float:
@@ -105,3 +110,17 @@ def load_bundled_csv(name: str) -> list[dict[str, str]]:
     """Bundled CSV as a list of raw string dicts (values as printed)."""
     with bundled_path(name).open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def sde_from_attenuated_laser(sc: float, power: float, wavelength: float) -> float:
+    """System detection efficiency from an attenuated-laser calibration.
+
+    The incident photon flux is power * wavelength / (h c), so
+    SDE = sc * h * c / (power * wavelength).  SI units: power in W,
+    wavelength in m, sc in counts/s.
+    """
+    if sc < 0:
+        raise ValueError(f"count rate must be non-negative, got {sc!r}")
+    if power <= 0 or wavelength <= 0:
+        raise ValueError("power and wavelength must be positive")
+    return sc * _PLANCK * _SPEED_OF_LIGHT / (power * wavelength)

@@ -34,6 +34,9 @@ if argv:
         code = cli.main(argv)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "spdc_stats")
 numpy = "numpy" in sys.modules
+# neither is needed: the records are named tuples, the workers plain threads
+dataclasses = "dataclasses" in sys.modules
+futures = "concurrent.futures" in sys.modules
 unresolved = []
 for dotted in spdc_stats.__all__ + extra_names:
     obj = spdc_stats
@@ -43,6 +46,7 @@ for dotted in spdc_stats.__all__ + extra_names:
     except AttributeError:
         unresolved.append(dotted)
 print(json.dumps({"code": code, "loaded": loaded, "numpy": numpy,
+                  "dataclasses": dataclasses, "futures": futures,
                   "unresolved": unresolved}))
 """
 
@@ -53,8 +57,7 @@ LOADED = {
     "invert": PATH_MODULES | {"inversion", "sweepio"},
     "correlations": PATH_MODULES | {"correlation", "inversion", "sweepio"},
     "saturation": PATH_MODULES | {"inversion", "saturation", "sweepio"},
-    "simulate": PATH_MODULES | {
-        "correlation", "expectations", "inversion", "montecarlo"},
+    "simulate": PATH_MODULES | {"expectations", "montecarlo"},
 }
 
 
@@ -119,7 +122,7 @@ POSITIVE_FINITE = {
         v, 10, 223e3, 205e3, 45e3),
     "invert_counts.integration_time": lambda v: spdc_stats.invert_counts(
         F, 10, 223e3, 205e3, 45e3, with_sigma=True, integration_time=v),
-    "g2_stderr.pulses": lambda v: spdc_stats.correlation.g2_stderr(
+    "g2_stderr.pulses": lambda v: spdc_stats.detector_model.g2_stderr(
         0.001, 0.018, 0.081, v),
 }
 
@@ -142,6 +145,58 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         spdc_stats.no_such_name
     assert "RatePrediction" not in spdc_stats.__all__
+
+
+# each validating record: valid keyword arguments, one field set invalid,
+# and the error its checks raise
+VALID_RECORD = {
+    "DetectorChain": dict(eta1=0.2, eta2=0.3, eta3=0.4),
+    "CountRecord": dict(power_mw=10.0, sc1=2e5, sc2=2e5, cc=4e4),
+    "TableOneRow": dict(power_mw=10.0, sc1=2e5, sc2=2e5, cc=4e4, tau=1e-3,
+                        eta1=0.2, eta2=0.2, pair_rate=1e6, one_pair_rate=1e6,
+                        mean_pairs=0.01, x=0.01, residual=0.0, iterations=0),
+    "SimConfig": dict(mode="two_arm", pulses=1000, seed=1, x=0.1,
+                      chain=spdc_stats.DetectorChain(eta1=0.2, eta2=0.2)),
+}
+INVALID_FIELD = [
+    ("DetectorChain", "eta1", -0.5, "eta1 must lie in [0, 1], got -0.5"),
+    ("DetectorChain", "eta3", math.nan, "eta3 must lie in [0, 1], got nan"),
+    ("CountRecord", "power_mw", 0.0, "power must be positive, got 0.0"),
+    ("CountRecord", "sc2", math.inf, "sc2 must be finite, got inf"),
+    ("CountRecord", "cc12", 1.0,
+     "cc12, cc13, cc123 must be all present or all absent"),
+    ("TableOneRow", "x", 1.0, "emission parameter x must lie in [0, 1), got 1.0"),
+    ("TableOneRow", "eta2", 1.5, "eta2 must lie in [0, 1], got 1.5"),
+    ("SimConfig", "mode", "split", "unknown mode 'split'"),
+    ("SimConfig", "pulses", 0, "pulses must be a positive integer, got 0"),
+    ("SimConfig", "mean", 5.0, "mode two_arm does not use mean"),
+]
+
+
+@pytest.mark.parametrize("how", ["positional", "keyword", "_make", "_replace"])
+@pytest.mark.parametrize("record, field, value, message", INVALID_FIELD,
+                         ids=[f"{r}.{f}" for r, f, *_ in INVALID_FIELD])
+def test_records_cannot_be_built_invalid(record, field, value, message, how):
+    cls = getattr(spdc_stats, record)
+    valid = cls(**VALID_RECORD[record])
+    values = valid._asdict()
+    values[field] = value
+    build = {
+        "positional": lambda: cls(*values.values()),
+        "keyword": lambda: cls(**values),
+        "_make": lambda: cls._make(values.values()),
+        "_replace": lambda: valid._replace(**{field: value}),
+    }[how]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_detector_chain_stores_floats_on_replace():
+    chain = spdc_stats.DetectorChain(eta1=1)._replace(eta2=0)
+    assert chain == (1.0, 0.0, None)
+    assert [type(eta) for eta in chain[:2]] == [float, float]
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +233,8 @@ def test_fresh_process_loads_only_its_path(command, cli_inputs, tmp_path):
         {"spdc_stats"} | {f"spdc_stats.{m}" for m in LOADED[command]}
     )
     assert result["numpy"] is (command == "simulate")
+    assert result["dataclasses"] is False
+    assert result["futures"] is False
     assert result["unresolved"] == []
 
 

@@ -381,6 +381,12 @@ class TestSimulate:
             entry = payload["comparison"][name]
             assert abs(entry["mc"] - entry["analytic"]) <= 5 * entry["stderr"]
 
+    def test_config_chain_is_an_object(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(self.BASE + ["--out", str(out)]) == 0
+        chain = json.loads(out.read_text())["config"]["chain"]
+        assert chain == {"eta1": 0.215, "eta2": 0.198, "eta3": None}
+
     def test_zero_pulses_rejected(self, tmp_path, capsys):
         code = main([
             "simulate", "--mode", "two_arm", "--x", "0.1", "--eta1", "0.2",

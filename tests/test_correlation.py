@@ -22,8 +22,8 @@ from spdc_stats import (
     report_for_row,
     simulate,
 )
-from spdc_stats.correlation import g2_stderr
-from spdc_stats.detector_model import DEFAULT_ETA3_SCALE, click_sets, pair_outcomes
+from spdc_stats.detector_model import (DEFAULT_ETA3_SCALE, click_sets, g2_stderr,
+                                       pair_outcomes)
 from checks import g2_cells, rational_rel_error, within_printed
 
 X10 = 10 * 0.00135

@@ -20,8 +20,7 @@ from spdc_stats import (
     two_arm_rates,
 )
 from spdc_stats import inversion
-from spdc_stats.inversion import sde_from_attenuated_laser
-from checks import within_printed
+from checks import sde_from_attenuated_laser, within_printed
 
 F = 76e6
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from spdc_stats import (
     g2_heralded_predicted,
     simulate,
 )
-from spdc_stats.correlation import g2_stderr
-from spdc_stats.detector_model import click_probability
+from spdc_stats.detector_model import click_probability, g2_stderr
 from spdc_stats.montecarlo import (
     DEFAULT_CHUNK_PULSES,
     _GUIDE_BUCKETS,
@@ -219,6 +219,30 @@ class TestDeterminism:
     def test_chunk_alignment_required(self):
         with pytest.raises(ValueError, match="multiple of 4"):
             simulate(two_arm(0.1, 100), chunk_pulses=6)
+
+
+class TestWorkerErrors:
+    def test_error_in_a_later_stripe_reaches_the_caller(self, monkeypatch):
+        class StripeError(Exception):
+            pass
+
+        raised = []
+        run_stripe = _ChunkKernel.run_stripe
+
+        def failing(kernel, jobs, size):
+            if jobs[0][0] == 0:  # the first stripe runs as usual
+                return run_stripe(kernel, jobs, size)
+            raised.append(StripeError(f"stripe from event {jobs[0][0]}"))
+            raise raised[-1]
+
+        monkeypatch.setattr(_ChunkKernel, "run_stripe", failing)
+        config = two_arm(0.392, 10_000, seed=3)
+        before = threading.active_count()
+        with pytest.raises(StripeError) as info:
+            simulate(config, threads=2, chunk_pulses=1024)
+        assert info.value is raised[0]
+        assert str(info.value) == "stripe from event 1024"
+        assert threading.active_count() == before
 
 
 class TestEventCountKey:
