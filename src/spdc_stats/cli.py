@@ -14,7 +14,6 @@ inversion; 3 Monte Carlo disagreed with the analytic model beyond 5 sigma.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -193,6 +192,8 @@ def cmd_saturation(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import json
+
     # the one subcommand that needs numpy, so the only one that loads it
     from . import expectations, montecarlo
 

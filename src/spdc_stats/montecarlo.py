@@ -36,9 +36,11 @@ u = ((w >> 11) + 1) / 2**53 that defined it.  Two identities carry it:
   table indexed by w >> 52.
 
 The geometric draw keeps the float steps of u, log and division in their
-order.  Emission moments come from a histogram of n.  Every click tally
-is the count of the AND of the click masks of its ``CLICK_MASKS`` entry,
-for the entries below 2**D.
+order.  Each draw comes with the largest n it can give, which sizes the
+click tables and the overflow guard.  The emission moments are the sums
+of n, n**2 and n**3 over the chunk.  Every click tally is the count of
+the AND of the click masks of its ``CLICK_MASKS`` entry, for the entries
+below 2**D.
 
 With T workers, each runs every T-th chunk: worker 0 on the calling
 thread, the others on plain ``threading.Thread``s, all joined before the
@@ -292,8 +294,9 @@ def _truncated_poisson_cdf(mean: float) -> np.ndarray:
 _Draw = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
 
 
-def _geometric_draw(x: float) -> _Draw:
-    """n = 1 + floor(log(u) / log(x)) with u = ((w >> 11) + 1) * 2**-53.
+def _geometric_draw(x: float) -> tuple[_Draw, int]:
+    """n = 1 + floor(log(u) / log(x)) with u = ((w >> 11) + 1) * 2**-53,
+    and the largest n it can give, at the least u, 2**-53.
 
     This inverts the cdf of the geometric law Pr(n) = (1 - x) x**(n - 1),
     n >= 1, which is the pair number conditioned on n >= 1.  Every n equals
@@ -317,12 +320,12 @@ def _geometric_draw(x: float) -> _Draw:
         np.add(n, 1, out=n)
         return int(n.max())
 
-    return draw
+    return draw, 1 + math.floor(53.0 * math.log(2.0) / -log_x)
 
 
-def _poisson_draw(cdf: np.ndarray) -> _Draw:
+def _poisson_draw(cdf: np.ndarray) -> tuple[_Draw, int]:
     """n = 1 + searchsorted(cdf, u, side="left") on raw words, through an
-    integer guide table.
+    integer guide table, and the largest n it can give, cdf.size.
 
     With a = w >> 11 and u = (a + 1) / 2**53, cdf_j < u <=> a >= C_j, where
     C_j = floor(cdf_j * 2**53), <=> w >= C_j * 2**11.  So the draw counts the
@@ -363,12 +366,12 @@ def _poisson_draw(cdf: np.ndarray) -> _Draw:
             top = int(n.max())
         return top
 
-    return draw
+    return draw, n_max
 
 
-def _event_photon_sampler(config: SimConfig) -> _Draw:
-    """The draw of pair numbers of emitting pulses (n >= 1) for config."""
-    law = config.law
+def _event_photon_sampler(law: SourceLaw) -> tuple[_Draw, int]:
+    """The draw of pair numbers of emitting pulses (n >= 1) under law, and
+    the largest n it can give; law must emit."""
     if law.kind == "thermal":
         return _geometric_draw(law.p)
     return _poisson_draw(_truncated_poisson_cdf(law.p))
@@ -402,47 +405,28 @@ def _click_thresholds(eta: float, top: int) -> np.ndarray:
     return thr << np.uint64(11)
 
 
-def _clicks(
-    words: np.ndarray,
-    thr: np.ndarray,
-    n: np.ndarray,
-    gathered: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Click mask (into out) of a detector reached by n photons, one word
-    each; thr is from _click_thresholds and gathered is uint64 scratch.
-
-    The gather clips instead of raising: with mode "raise" numpy buffers
-    out, which allocates, so the caller bounds n against the table.
-    """
-    np.take(thr, n, out=gathered, mode="clip")
-    return np.less(words, gathered, out=out)
-
-
 class _ChunkKernel:
     """The tables of one simulate call and the chunk loop that reads them.
 
     Tables: the event draw, the click thresholds of each detector for every
-    n up to worst, the columns of the ``CLICK_MASKS`` tallies its detectors
-    form, and n, n**2, n**3 for the emission moments.
+    n up to worst, the largest n the draw gives, and the columns of the
+    ``CLICK_MASKS`` tallies its detectors form.
     """
 
-    def __init__(self, config: SimConfig, worst: int):
+    def __init__(self, config: SimConfig, draw: _Draw, worst: int):
         etas = config.etas
         self.seed = config.seed
         self.mode = config.mode
         self.split = config.mode == "heralded_split"
         self.stride = 1 + self.split + len(etas)
         self.worst = worst
-        self.draw = _event_photon_sampler(config)
+        self.draw = draw
         self.thr = [_click_thresholds(eta, worst) for eta in etas]
         # each click tally's column and the detectors that must all click
         self.tallies = [
             (_COL[name], [i for i in range(len(etas)) if mask >> i & 1])
             for name, mask in CLICK_MASKS.items() if mask < 1 << len(etas)
         ]
-        k = np.arange(worst + 1, dtype=np.int64)
-        self.powers = np.stack((k, k * k, k * k * k))
 
     def run_stripe(self, jobs: list[tuple[int, int]], size: int) -> np.ndarray:
         """Summed tallies of the chunks (start, m) in jobs, m <= size.
@@ -488,7 +472,11 @@ class _ChunkKernel:
             if self.split and i:
                 # detector 2 takes n - k3, then detector 3 n - (n - k3) = k3
                 seen = np.subtract(n, k, out=k)
-            _clicks(words[:, first + i], thr, seen, a, mask)
+            # a word clicks below its threshold for seen photons; the gather
+            # clips instead of raising: with mode "raise" numpy buffers out,
+            # which allocates, so top is bounded against the tables above
+            np.take(thr, seen, out=a, mode="clip")
+            np.less(words[:, first + i], a, out=mask)
         for col, detectors in self.tallies:
             hit = clicked[detectors[0]]
             for i in detectors[1:]:
@@ -497,21 +485,11 @@ class _ChunkKernel:
         if self.mode == "saturation":
             row[_COL["clicked_photons"]] += np.multiply(n, clicked[0], out=k).sum()
 
-        # emission moments from the histogram of n, exact in int64 under the
-        # overflow guard of simulate
+        # emission moments, exact in int64 under the overflow guard of simulate
+        square = np.multiply(n, n, out=k)
         e = _COL["emitted"]
-        row[e : e + 3] += self.powers[:, : top + 1] @ np.bincount(n)
+        row[e : e + 3] += (n.sum(), square.sum(), np.dot(square, n))
         row[_COL["pulses_with_emission"]] += m
-
-
-def _max_draw(config: SimConfig) -> int:
-    """Largest photon number a single pulse can produce."""
-    law = config.law
-    if emission_probability(law) == 0.0:
-        return 0
-    if law.kind == "coherent":
-        return len(_truncated_poisson_cdf(law.p))
-    return 1 + int(math.floor(53.0 * math.log(2.0) / -math.log(law.p)))
 
 
 def simulate(
@@ -540,7 +518,10 @@ def simulate(
         threads = os.cpu_count() or 1
     elif threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    worst = _max_draw(config)
+    law = config.law
+    draw, worst = None, 0
+    if emission_probability(law) > 0.0:
+        draw, worst = _event_photon_sampler(law)
     if config.pulses * max(worst, 1) ** 3 >= 2**63:
         raise ResourceLimitError(
             f"{config.pulses} pulses with draws up to {worst} photons "
@@ -553,7 +534,7 @@ def simulate(
     ]
     total = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
     if jobs:
-        kernel = _ChunkKernel(config, worst)
+        kernel = _ChunkKernel(config, draw, worst)
         size = jobs[0][1]
         workers = min(threads, len(jobs))
         # each worker's row, or the exception that ended it

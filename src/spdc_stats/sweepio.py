@@ -12,17 +12,17 @@ non-negative.  Derived tables are emitted as CSV (for diffing) and JSON
 from __future__ import annotations
 
 import csv
-import json
 from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import SweepFormatError
-from .inversion import CountRecord, FailedRow, TableOneRow
 
 if TYPE_CHECKING:
-    # an annotation only; importing it would load the correlation module
-    # for subcommands that never build Table 2
+    # annotations only: each function that builds or tests a record imports
+    # its type, and JSON is imported where it is read or written, so the
+    # saturation curves load neither inversion, correlation nor json
     from .correlation import CorrelationReport
+    from .inversion import CountRecord, FailedRow, TableOneRow
 
 SWEEP_COLUMNS = ("power_mw", "sc1", "sc2", "cc")
 SWEEP_OPTIONAL = ("cc12", "cc13", "cc123")
@@ -63,6 +63,8 @@ def _parse_float(text: str, line: int, column: str) -> float:
 def read_sweep(path) -> list[CountRecord]:
     """Parse and validate a sweep CSV; raises SweepFormatError with the
     offending 1-based line number on any malformation."""
+    from .inversion import CountRecord
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -115,6 +117,8 @@ def _write_table(rows, columns: tuple[str, ...], path) -> None:
     """One CSV line per row: each column but the last is the attribute of
     that name, read from a failed row's record and "-" where it has none;
     the last is the row's status."""
+    from .inversion import FailedRow
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -154,6 +158,10 @@ def _from_json(cls, raw: dict):
 def write_table1_json(
     rows: list[TableOneRow | FailedRow], f: float, path
 ) -> None:
+    import json
+
+    from .inversion import FailedRow
+
     payload = {
         "repetition_rate_hz": f,
         "rows": [
@@ -168,6 +176,10 @@ def write_table1_json(
 
 
 def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
+    import json
+
+    from .inversion import CountRecord, FailedRow, TableOneRow
+
     with open(path, encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:

@@ -74,7 +74,7 @@ def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
     Philox(seed), taken a million at a time; that draw returns n + 1, the
     pair number of a pulse known to emit.
     """
-    draw = _geometric_draw(x)
+    draw, _ = _geometric_draw(x)
     bit_generator = np.random.Philox(seed)
     block = 1 << 20
     a = np.empty(block, dtype=np.uint64)

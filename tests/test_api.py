@@ -23,9 +23,12 @@ F = 76e6
 
 # Run in a fresh interpreter: import the package, run one subcommand (or
 # none), then report what is loaded and which public names fail to resolve.
+# argv[1] is the JSON list of extra names, parsed only after the run so that
+# the script's own json import does not hide the run's; the run's
+# arguments follow it.
 FRESH_PROCESS = """
-import contextlib, io, json, sys
-argv, extra_names = json.loads(sys.argv[1])
+import contextlib, io, sys
+argv = sys.argv[2:]
 import spdc_stats
 code = None
 if argv:
@@ -37,6 +40,9 @@ numpy = "numpy" in sys.modules
 # neither is needed: the records are named tuples, the workers plain threads
 dataclasses = "dataclasses" in sys.modules
 futures = "concurrent.futures" in sys.modules
+has_json = "json" in sys.modules  # before this script imports it
+import json
+extra_names = json.loads(sys.argv[1])
 unresolved = []
 for dotted in spdc_stats.__all__ + extra_names:
     obj = spdc_stats
@@ -47,7 +53,7 @@ for dotted in spdc_stats.__all__ + extra_names:
         unresolved.append(dotted)
 print(json.dumps({"code": code, "loaded": loaded, "numpy": numpy,
                   "dataclasses": dataclasses, "futures": futures,
-                  "unresolved": unresolved}))
+                  "json": has_json, "unresolved": unresolved}))
 """
 
 # What each fresh run loads: a subcommand loads only the modules it runs.
@@ -56,7 +62,7 @@ LOADED = {
     "import": set(),
     "invert": PATH_MODULES | {"inversion", "sweepio"},
     "correlations": PATH_MODULES | {"correlation", "inversion", "sweepio"},
-    "saturation": PATH_MODULES | {"inversion", "saturation", "sweepio"},
+    "saturation": PATH_MODULES | {"saturation", "sweepio"},
     "simulate": PATH_MODULES | {"expectations", "montecarlo"},
 }
 
@@ -223,7 +229,7 @@ def test_fresh_process_loads_only_its_path(command, cli_inputs, tmp_path):
     extra = ["sweepio.write_curves_csv"] + sorted(bench_names())
     src = Path(spdc_stats.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_PROCESS, json.dumps([argv, extra])],
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps(extra), *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0, proc.stderr
@@ -235,6 +241,8 @@ def test_fresh_process_loads_only_its_path(command, cli_inputs, tmp_path):
     assert result["numpy"] is (command == "simulate")
     assert result["dataclasses"] is False
     assert result["futures"] is False
+    # only the commands that read or write JSON load it
+    assert result["json"] is (command in {"invert", "correlations", "simulate"})
     assert result["unresolved"] == []
 
 

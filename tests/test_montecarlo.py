@@ -23,10 +23,8 @@ from spdc_stats.montecarlo import (
     _ChunkKernel,
     _binomial_half,
     _click_thresholds,
-    _clicks,
     _event_photon_sampler,
     _geometric_draw,
-    _max_draw,
     _poisson_draw,
     _truncated_poisson_cdf,
     _uniforms,
@@ -114,7 +112,7 @@ class TestGeometricSampler:
 
     def test_integer_nonnegative(self):
         words = np.random.Philox(3).random_raw(10_000)
-        n = draw_words(_geometric_draw(0.7), words)
+        n = draw_words(_geometric_draw(0.7)[0], words)
         assert np.issubdtype(n.dtype, np.integer)
         assert n.min() >= 1
 
@@ -297,7 +295,7 @@ class TestEventSampler:
 
     @pytest.mark.parametrize("mean", [0.1, 10.0])
     def test_zero_truncated_poisson_law(self, mean):
-        draw = _event_photon_sampler(saturation("coherent", mean, 1))
+        draw, _ = _event_photon_sampler(saturation("coherent", mean, 1).law)
         n = draw_words(draw, np.random.Philox(key=8).random_raw(1_000_000))
         assert n.min() >= 1
         scale = math.exp(-mean) / -math.expm1(-mean)
@@ -367,7 +365,7 @@ class TestScratchReuse:
 class TestKernelTables:
     """The word-domain kernel against the float computations it replaces."""
 
-    TOP = _max_draw(heralded(0.99, 1))
+    TOP = _geometric_draw(0.99)[1]
 
     @pytest.mark.parametrize("eta", [0.0, 1e-12, 0.125, 0.6, 1.0])
     def test_integer_threshold_is_float_compare(self, eta):
@@ -380,9 +378,7 @@ class TestKernelTables:
         a = np.clip(a, 0, 2**53 - 1).astype(np.uint64)
         low = np.array([0, 0x7FF] * 3 * (self.TOP + 1), dtype=np.uint64)
         words = (a << np.uint64(11)) | low
-        clicks = _clicks(
-            words, thr, n, np.empty_like(words), np.empty(n.size, dtype=bool)
-        )
+        clicks = words < thr[n]
         p = np.array([click_probability(k, eta) for k in range(self.TOP + 1)])
         assert np.array_equal(clicks, _uniforms(words) < p[n])
 
@@ -414,7 +410,7 @@ class TestKernelTables:
     @pytest.mark.parametrize("mean", [0.1, 10.0, 100.0, 1000.0])
     def test_guide_table_is_searchsorted(self, mean):
         cdf = _truncated_poisson_cdf(mean)
-        draw = _poisson_draw(cdf)
+        draw, _ = _poisson_draw(cdf)
         philox = np.random.Philox(key=int(mean * 10)).random_raw(1_000_000)
         ends = self._bucket_words()
         for words in (ends, philox, self._threshold_words(cdf)):
@@ -430,14 +426,41 @@ class TestKernelTables:
         for words in (edges, philox):
             u = _uniforms(words)
             expected = 1 + np.floor(np.log(u) / math.log(x)).astype(np.int64)
-            n = draw_words(_geometric_draw(x), words)
+            n = draw_words(_geometric_draw(x)[0], words)
             assert np.array_equal(n, expected)
+
+    @pytest.mark.parametrize("x", [1e-6, 0.0135, 0.392, 0.5, 0.99])
+    def test_geometric_bound_is_the_draw_of_word_zero(self, x):
+        # word 0 gives the least u, 2**-53, and so the largest n
+        draw, bound = _geometric_draw(x)
+        assert draw_words(draw, np.zeros(1, dtype=np.uint64)).tolist() == [bound]
+
+    @pytest.mark.parametrize("mean", [0.1, 10.0, 300.0])
+    def test_poisson_bound_covers_the_last_word(self, mean):
+        # word 2**64 - 1 gives u = 1, and so the largest n
+        draw, bound = _poisson_draw(_truncated_poisson_cdf(mean))
+        last = np.array([2**64 - 1], dtype=np.uint64)
+        assert draw_words(draw, last)[0] <= bound
+
+    def test_one_poisson_table_per_simulate(self, monkeypatch):
+        calls = []
+
+        def counted(mean):
+            calls.append(mean)
+            return _truncated_poisson_cdf(mean)
+
+        monkeypatch.setattr(
+            "spdc_stats.montecarlo._truncated_poisson_cdf", counted
+        )
+        simulate(saturation("coherent", 10.0, 10_000))
+        assert calls == [10.0]
 
     def test_photon_number_past_tables_raises(self):
         # the clipped gathers never see an n beyond the tables
         config = saturation("thermal", 10.0, 1_000, seed=1)
+        draw, _ = _event_photon_sampler(config.law)
         with pytest.raises(IndexError, match="past the click tables"):
-            _ChunkKernel(config, 3).run_stripe([(0, 512)], 512)
+            _ChunkKernel(config, draw, 3).run_stripe([(0, 512)], 512)
 
     def test_binomial_half_fast_path_is_popcount(self):
         ns = np.random.default_rng(4).integers(0, 64, 5000)
