@@ -25,8 +25,8 @@ _PUBLIC = {
         "ideal_g", "report_for_row",
     ),
     "detector_model": (
-        "DetectorChain", "detected_vs_incident", "g2_from_counts",
-        "split_coincidences", "two_arm_rates",
+        "DetectorChain", "g2_from_counts", "split_coincidences",
+        "two_arm_rates",
     ),
     "errors": (
         "DataInconsistencyError", "DivergenceError", "InversionError",

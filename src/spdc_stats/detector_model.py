@@ -28,7 +28,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DivergenceError
-from .photon_statistics import SourceLaw, click_moment, validate_positive
+from .photon_statistics import SourceLaw, validate_positive
 
 # Branch efficiencies after the balanced splitter, relative to the full
 # signal-arm efficiency recovered by the inversion.  The transmitted
@@ -252,24 +252,3 @@ def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
     a = (q * q + q * h - 2.0 * t * h) / u
     b = t * (q + 2.0 * h) / u
     return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
-
-
-def detected_vs_incident(
-    source_kind: str,
-    mean: float,
-    eta: float,
-    variant: str = "click",
-) -> float:
-    """Per-pulse detected signal versus mean incident photon number.
-
-    source_kind is "thermal" (geometric distribution of mean ``mean``) or
-    "coherent" (Poisson of mean ``mean``).  The "click" variant returns
-    the click probability E[1 - (1-eta)**n]; the "literal" variant weights
-    each term by the incident photon number, E[n (1 - (1-eta)**n)].  They
-    are the k = 0 and k = 1 entries of ``photon_statistics.click_moment``.
-    """
-    law = SourceLaw.of_mean(source_kind, float(mean))
-    eta = validate_efficiency(eta)
-    if variant not in ("click", "literal"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return click_moment(law, eta, 0 if variant == "click" else 1)

@@ -60,10 +60,7 @@ the analytic model.  Both read the source through ``SimConfig.law``, whose
 closed forms live in ``photon_statistics``.  This is the one module of the
 package that imports numpy.  The package loads it on first use of a
 sampler name, and the CLI only for ``simulate``, so the analytic paths
-start without numpy.  It therefore also holds the array tables only the
-sampler needs: the Poisson pmf (``poisson_pmf``) and the log-binomial
-weights of the n >= 64 split path (``log_factorials``,
-``log_binomial_half``).  The click thresholds are built per n from the
+start without numpy.  The click thresholds are built per n from the
 scalar law ``detector_model.click_probability``.
 """
 
@@ -119,9 +116,10 @@ class SimConfig(_ConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.mode not in _DETECTORS:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.pulses, int) or self.pulses < 1:
+        # exactly int: a bool is an int, but True is no pulse count or seed
+        if type(self.pulses) is not int or self.pulses < 1:
             raise ValueError(f"pulses must be a positive integer, got {self.pulses!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
         if self.mode != "saturation":
             if self.x is None:
@@ -212,37 +210,6 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     ) / _TWO53
 
 
-def poisson_pmf(nu: float, n_max: int, n_min: int = 0) -> np.ndarray:
-    """Poisson(nu) probabilities for n = n_min .. n_max.
-
-    One anchor at the mode (clipped to the range) is evaluated in log
-    space; every other entry follows from it by the recurrence
-    Pr(n + 1) = Pr(n) nu / (n + 1), run outward in both directions.
-    """
-    if nu == 0.0:
-        out = np.zeros(n_max - n_min + 1)
-        if n_min == 0:
-            out[0] = 1.0
-        return out
-    m = min(max(int(nu), n_min), n_max)
-    up = np.cumprod(nu / np.arange(m + 1, n_max + 1, dtype=np.float64))
-    down = np.cumprod(np.arange(m, n_min, -1, dtype=np.float64) / nu)
-    anchor = math.exp(m * math.log(nu) - nu - math.lgamma(m + 1.0))
-    return anchor * np.concatenate((down[::-1], [1.0], up))
-
-
-def log_factorials(n_max: int) -> np.ndarray:
-    """log(k!) for k = 0 .. n_max."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-
-
-def log_binomial_half(n: int, log_fact: np.ndarray) -> np.ndarray:
-    """log(C(n, k) / 2**n) for k = 0 .. n, given log_fact = log_factorials(m)
-    for some m >= n."""
-    head = log_fact[: n + 1]
-    return head[n] - head - head[::-1] - n * math.log(2.0)
-
-
 # _LOW_BITS[n] keeps the low n bits of a word, n = 0 .. 63
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
@@ -269,10 +236,12 @@ def _binomial_half(
     slow = np.flatnonzero(~fast)
     u = _uniforms(words[slow])
     ns = n[slow]
-    log_fact = log_factorials(int(ns.max()))
-    for nv in np.unique(ns):
+    # log(k!) for k = 0 .. ns.max(), and log(C(nv, k) / 2**nv) from them
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(ns.max()) + 1)])
+    for nv in np.unique(ns).tolist():
         sel = ns == nv
-        cdf = np.cumsum(np.exp(log_binomial_half(int(nv), log_fact)))
+        head = log_fact[: nv + 1]
+        cdf = np.cumsum(np.exp(head[nv] - head - head[::-1] - nv * math.log(2.0)))
         cdf[-1] = 1.0
         out[slow[sel]] = np.searchsorted(cdf, u[sel], side="left")
     return out
@@ -280,11 +249,20 @@ def _binomial_half(
 
 def _truncated_poisson_cdf(mean: float) -> np.ndarray:
     """Cumulative Poisson table conditioned on n >= 1: entry i is
-    Pr(n <= i + 1 | n >= 1), long enough that the tail is below 2**-53."""
+    Pr(n <= i + 1 | n >= 1), long enough that the tail is below 2**-53;
+    mean must be > 0.
+
+    Pr(m) at the mode m is evaluated in log space, and every other entry
+    follows from it by Pr(n + 1) = Pr(n) mean / (n + 1), run outward.
+    """
     n_max = int(mean + 12.0 * math.sqrt(mean) + 40.0)
     if n_max > 200_000:
         raise ResourceLimitError(f"Poisson mean {mean} too large to tabulate")
-    cdf = np.cumsum(poisson_pmf(mean, n_max, n_min=1))
+    m = max(int(mean), 1)
+    up = np.cumprod(mean / np.arange(m + 1, n_max + 1, dtype=np.float64))
+    down = np.cumprod(np.arange(m, 1, -1, dtype=np.float64) / mean)
+    anchor = math.exp(m * math.log(mean) - mean - math.lgamma(m + 1.0))
+    cdf = np.cumsum(anchor * np.concatenate((down[::-1], [1.0], up)))
     return cdf / cdf[-1]
 
 
@@ -304,9 +282,13 @@ def _geometric_draw(x: float) -> tuple[_Draw, int]:
     exactly, the scaling by a power of two is exact, log, then a true
     division by log(x) (a multiply by 1 / log(x) would round differently),
     then a truncating cast, which is floor because the ratio is >= 0 or
-    -0.0.  u lives in a's buffer.
+    -0.0.  u lives in a's buffer.  x rounds to 1.0 only from a thermal mean
+    of 2**53 or more; there the draws have no bound: ResourceLimitError.
     """
     log_x = math.log(x)
+    if log_x == 0.0:
+        raise ResourceLimitError(
+            f"thermal draws at x = {x} (a mean of 2**53 or more) have no bound")
 
     def draw(w, a, n, mask):
         u = a.view(np.float64)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .detector_model import detected_vs_incident, validate_efficiency
+from .detector_model import validate_efficiency
 from .photon_statistics import SourceLaw, click_moment
 
 # z where (1 + z)^2 = exp(z): the click-variant gap peaks here.
@@ -58,16 +58,20 @@ def curve(
     variant: str = "click",
     mean_grid: Sequence[float] | None = None,
 ) -> SaturationCurve:
-    """Evaluate the detected-vs-incident curve on a mean grid."""
+    """Evaluate the detected-vs-incident curve on a mean grid: the click
+    probability E[1{click}] ("click") or E[n 1{click}] ("literal")."""
     eta = validate_efficiency(eta)
+    if variant not in ("click", "literal"):
+        raise ValueError(f"unknown variant {variant!r}")
     if mean_grid is None:
         means = default_mean_grid()
     else:
         means = tuple(float(m) for m in mean_grid)
     if not means:
         raise ValueError("mean_grid must be non-empty")
+    k = 0 if variant == "click" else 1
     detected = tuple(
-        detected_vs_incident(source_kind, m, eta, variant) for m in means
+        click_moment(SourceLaw.of_mean(source_kind, m), eta, k) for m in means
     )
     return SaturationCurve(
         source_kind=source_kind,

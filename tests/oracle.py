@@ -5,10 +5,11 @@ defined by a sum over the per-pulse photon-number distribution.  This module
 evaluates those defining sums term by term, and the pooled signal-idler
 correlations also through raw moments, so the tests can check each closed
 form against an independent path.  It shares the package's truncation
-policy (``truncation_order``) and the Monte Carlo's Poisson and binomial
-tables (``poisson_pmf``, ``log_binomial_half``), writes the per-photon click
-law in numpy itself, and calls none of the package's closed forms.  The
-pair-mode click probabilities are also given as exact rationals, by
+policy (``truncation_order``), computes its own Poisson and binomial
+weights (``poisson_pmf`` in decimal arithmetic, ``_split_weights`` from
+exact integers), writes the per-photon click law in numpy itself, imports
+nothing from the Monte Carlo and calls none of the package's closed forms.
+The pair-mode click probabilities are also given as exact rationals, by
 inclusion-exclusion over the generating function (``exact_all_click``), and
 so are the click-set cells (``exact_click_sets``) and the counting g2
 estimator's standard error on them, as the unreduced quadratic form
@@ -33,7 +34,6 @@ import numpy as np
 
 from spdc_stats import ResourceLimitError
 from spdc_stats.detector_model import RatePrediction
-from spdc_stats.montecarlo import log_binomial_half, log_factorials, poisson_pmf
 from spdc_stats.photon_statistics import (
     EPS_TRUNC_DEFAULT,
     N_MAX_CAP,
@@ -43,9 +43,18 @@ from spdc_stats.photon_statistics import (
 
 _SERIES_BLOCK = 256
 
-# Exact integer binomials are used up to this n; beyond it the weights
-# C(n, k) / 2**n are formed in log space to avoid overflow.
-_EXACT_BINOM_MAX_N = 60
+
+def poisson_pmf(nu: float, n_max: int) -> np.ndarray:
+    """Poisson(nu) probabilities for n = 0 .. n_max: Pr(0) = exp(-nu) and
+    Pr(n) = Pr(n - 1) nu / n in 40-digit decimal arithmetic, each rounded
+    once to a double.  The decimal exponent range holds every term, so
+    none underflows before that rounding."""
+    with localcontext(Context(prec=40)):
+        d = Decimal(nu)
+        terms = [(-d).exp()]
+        for n in range(1, n_max + 1):
+            terms.append(terms[-1] * d / n)
+    return np.array([float(t) for t in terms])
 
 
 def click_probability(n, eta: float):
@@ -275,10 +284,9 @@ def coincidence_rate(f: float, x: float, eta1: float, eta2: float) -> float:
 
 
 def _split_weights(n: int) -> np.ndarray:
-    """Binomial weights C(n, k) / 2**n for k = 0 .. n."""
-    if n <= _EXACT_BINOM_MAX_N:
-        return np.array([math.comb(n, j) for j in range(n + 1)]) * 2.0 ** (-n)
-    return np.exp(log_binomial_half(n, log_factorials(n)))
+    """Binomial weights C(n, k) / 2**n for k = 0 .. n; Python's true
+    division of integers rounds each correctly, for every n."""
+    return np.array([math.comb(n, k) / 2**n for k in range(n + 1)])
 
 
 def _split_weight_fn(eta1, eta2, eta3, which):

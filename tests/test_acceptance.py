@@ -21,8 +21,8 @@ from spdc_stats import (
     build_table,
     build_table_two,
     compare_with_analytic,
+    curve,
     default_mean_grid,
-    detected_vs_incident,
     ideal_g,
     invert_counts,
     saturation_gap,
@@ -218,8 +218,8 @@ def test_criterion_6_saturation_properties():
             for eta in etas
         ]
         monotone = monotone and all(b > a for a, b in zip(gaps, gaps[1:]))
-    coh = detected_vs_incident("coherent", 2.0, 0.8)
-    th = detected_vs_incident("thermal", 2.0, 0.8)
+    coh = curve("coherent", 0.8, mean_grid=[2.0]).detected[0]
+    th = curve("thermal", 0.8, mean_grid=[2.0]).detected[0]
     spot = (
         abs(coh - (1.0 - np.exp(-1.6))) < 1e-12
         and abs(th - (1.0 - 1.0 / 2.6)) < 1e-12

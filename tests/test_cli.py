@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from spdc_stats import detected_vs_incident, g2_from_counts
+from spdc_stats import SourceLaw, g2_from_counts
 from spdc_stats.cli import main
+from spdc_stats.photon_statistics import click_moment
 from spdc_stats.sweepio import bundled_path
 from checks import half_ulp, load_bundled_csv, write_sweep
 
@@ -337,9 +338,8 @@ class TestSaturation:
         rows = read_csv(out)
         assert len(rows) == 120
         for r in rows[::17]:
-            want = detected_vs_incident(
-                r["source_kind"], float(r["mean"]), 0.8, variant="click"
-            )
+            law = SourceLaw.of_mean(r["source_kind"], float(r["mean"]))
+            want = click_moment(law, 0.8, 0)
             assert float(r["detected"]) == pytest.approx(want, rel=1e-12)
 
     def test_literal_variant(self, tmp_path):
@@ -349,9 +349,8 @@ class TestSaturation:
             "--out", str(out),
         ]) == 0
         row = read_csv(out)[0]
-        want = detected_vs_incident(
-            row["source_kind"], float(row["mean"]), 0.5, variant="literal"
-        )
+        law = SourceLaw.of_mean(row["source_kind"], float(row["mean"]))
+        want = click_moment(law, 0.5, 1)
         assert float(row["detected"]) == pytest.approx(want, rel=1e-12)
 
 
@@ -443,6 +442,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "spdc-stats: error:" in err and "mean" in err
         assert "Traceback" not in err
+
+    def test_thermal_mean_past_two53_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "simulate", "--mode", "saturation", "--source-kind", "thermal",
+            "--mean", "1e16", "--eta1", "0.5", "--pulses", "10",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["spdc-stats: error: thermal draws at x = 1.0 "
+                       "(a mean of 2**53 or more) have no bound"]
+        assert not out.exists()
 
     def test_split_at_tiny_x(self, tmp_path):
         # the three-fold rate at x = 1e-9 is ~6e-21 per pulse; it must come

@@ -11,7 +11,6 @@ from spdc_stats import (
     DetectorChain,
     ResourceLimitError,
     SourceLaw,
-    detected_vs_incident,
     g2_heralded_predicted,
     pair_rate,
     split_coincidences,
@@ -388,17 +387,20 @@ class TestClickSets:
 
 
 class TestDetectedVsIncident:
+    """The saturation response: ``click_moment`` at k = 0 (click) and k = 1
+    (literal), which ``saturation.curve`` reads."""
+
     def test_zero_mean(self):
-        assert detected_vs_incident("thermal", 0.0, 0.7) == 0.0
-        assert detected_vs_incident("coherent", 0.0, 0.7) == 0.0
+        assert click_moment(SourceLaw.of_mean("thermal", 0.0), 0.7, 0) == 0.0
+        assert click_moment(SourceLaw.of_mean("coherent", 0.0), 0.7, 0) == 0.0
 
     def test_coherent_click_value(self):
-        got = detected_vs_incident("coherent", 2.0, 0.8, variant="click")
+        got = click_moment(SourceLaw.of_mean("coherent", 2.0), 0.8, 0)
         assert got == pytest.approx(1.0 - math.exp(-1.6), rel=1e-12)
         assert got == pytest.approx(0.7981, abs=5e-5)
 
     def test_thermal_click_value(self):
-        got = detected_vs_incident("thermal", 2.0, 0.8, variant="click")
+        got = click_moment(SourceLaw.of_mean("thermal", 2.0), 0.8, 0)
         assert got == pytest.approx(1.0 - 1.0 / 2.6, rel=1e-12)
         assert got == pytest.approx(0.6154, abs=5e-5)
 
@@ -406,17 +408,17 @@ class TestDetectedVsIncident:
     @pytest.mark.parametrize("variant", ["click", "literal"])
     @pytest.mark.parametrize("mean", [0.01, 0.5, 2.0, 8.0])
     def test_closed_matches_series(self, kind, variant, mean):
-        closed = detected_vs_incident(kind, mean, 0.8, variant)
+        closed = curve(kind, 0.8, variant, mean_grid=[mean]).detected[0]
         series = oracle.detected_vs_incident(kind, mean, 0.8, variant)
         assert series == pytest.approx(closed, rel=1e-9)
 
     def test_literal_formulas(self):
         mean, eta = 2.0, 0.8
-        thermal = detected_vs_incident("thermal", mean, eta, variant="literal")
+        thermal = click_moment(SourceLaw.of_mean("thermal", mean), eta, 1)
         assert thermal == pytest.approx(
             mean - (1.0 - eta) * mean / (1.0 + eta * mean) ** 2, rel=1e-12
         )
-        coherent = detected_vs_incident("coherent", mean, eta, variant="literal")
+        coherent = click_moment(SourceLaw.of_mean("coherent", mean), eta, 1)
         assert coherent == pytest.approx(
             mean - mean * (1.0 - eta) * math.exp(-eta * mean), rel=1e-12
         )
@@ -427,39 +429,38 @@ class TestDetectedVsIncident:
         "eta", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.37, 0.8, 1.0]
     )
     def test_literal_precise_as_eta_vanishes(self, kind, mean, eta):
-        got = detected_vs_incident(kind, mean, eta, variant="literal")
+        got = curve(kind, eta, "literal", mean_grid=[mean]).detected[0]
         want = oracle.detected_literal_decimal(kind, mean, eta)
         assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
 
     def test_click_dominance_and_small_mean_ratio(self):
-        for mean in [0.1, 1.0, 5.0]:
-            coh = detected_vs_incident("coherent", mean, 0.6)
-            th = detected_vs_incident("thermal", mean, 0.6)
-            assert coh > th
-        ratio = detected_vs_incident("coherent", 1e-3, 0.6) / detected_vs_incident(
-            "thermal", 1e-3, 0.6
-        )
+        coh = curve("coherent", 0.6, mean_grid=[0.1, 1.0, 5.0, 1e-3]).detected
+        th = curve("thermal", 0.6, mean_grid=[0.1, 1.0, 5.0, 1e-3]).detected
+        for c, t in zip(coh[:3], th[:3]):
+            assert c > t
+        ratio = coh[3] / th[3]
         assert ratio == pytest.approx(1.0, abs=1e-2)
 
     def test_monotone_in_mean(self):
         means = np.logspace(-2, 2, 30)
-        vals = [detected_vs_incident("thermal", float(m), 0.5) for m in means]
+        vals = curve("thermal", 0.5, mean_grid=means).detected
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     @pytest.mark.parametrize("variant", ["click", "literal"])
     @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan, -1.0])
     def test_rejects_nonfinite_or_negative_mean(self, kind, variant, mean):
+        k = 0 if variant == "click" else 1
         with pytest.raises(ValueError, match="finite and >= 0"):
-            detected_vs_incident(kind, mean, 0.5, variant)
+            click_moment(SourceLaw.of_mean(kind, mean), 0.5, k)
         with pytest.raises(ValueError, match="finite and >= 0"):
             curve(kind, 0.5, variant, mean_grid=[mean])
 
     def test_rejects_unknown_labels(self):
         with pytest.raises(ValueError, match="source_kind"):
-            detected_vs_incident("squeezed", 1.0, 0.5)
+            curve("squeezed", 0.5, mean_grid=[1.0])
         with pytest.raises(ValueError, match="variant"):
-            detected_vs_incident("thermal", 1.0, 0.5, variant="other")
+            curve("thermal", 0.5, "other", mean_grid=[1.0])
 
 
 class TestDetectorChain:

@@ -13,8 +13,8 @@ keep every expectation bit-identical and every standard error within
 - g2's standard error is held to the exact delta-method band on the exact
   click-set cells (``oracle.exact_g2_stderr``) within ``RATE_REL``; the
   record is 4.29e-10 off it at x = 0.99, etas (0.215, 1, 1).
-- Saturation's clicked_photons, the literal ``detected_vs_incident``, may
-  move by an ulp or two at eta >= 0.37 (``LITERAL_REL``).  At eta <= 1e-9
+- Saturation's clicked_photons, E[n 1{click}] (``click_moment`` at k = 1,
+  the literal saturation curve), may move by an ulp or two at eta >= 0.37 (``LITERAL_REL``).  At eta <= 1e-9
   the recorded form lost up to 1.3e-7 to cancellation, so there it is held
   to the 50-digit reference instead.
 - Its standard error is held to the 60-digit decimal reference

@@ -128,12 +128,21 @@ class TestSimConfigValidation:
                 mode="two_arm", pulses=10.5, seed=1, x=0.1,
                 chain=DetectorChain(eta1=0.2, eta2=0.2),
             )
+        # a bool is an int, but True would run one pulse
+        for flag in (True, False):
+            with pytest.raises(ValueError) as info:
+                two_arm(0.1, flag)
+            assert str(info.value) == f"pulses must be a positive integer, got {flag}"
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError, match="seed"):
             two_arm(0.1, 100, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             two_arm(0.1, 100, seed=2**64)
+        for flag in (True, False):
+            with pytest.raises(ValueError) as info:
+                two_arm(0.1, 100, seed=flag)
+            assert str(info.value) == "seed must be an integer in [0, 2**64)"
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -630,6 +639,17 @@ class TestResourceGuards:
             chain=DetectorChain(eta1=0.2, eta2=0.2),
         )
         with pytest.raises(ResourceLimitError, match="overflow"):
+            simulate(config)
+
+    def test_thermal_mean_past_two53_rejected(self):
+        # mean / (1 + mean) rounds to x = 1.0, where log(x) = 0 and the
+        # geometric draw has no bound
+        config = SimConfig(
+            mode="saturation", pulses=10, seed=1, source_kind="thermal",
+            mean=1e16, chain=DetectorChain(eta1=0.5),
+        )
+        assert config.law.p == 1.0
+        with pytest.raises(ResourceLimitError, match="no bound"):
             simulate(config)
 
     def test_poisson_table_cap(self):

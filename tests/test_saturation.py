@@ -9,9 +9,9 @@ from spdc_stats import (
     click_gap,
     curve,
     default_mean_grid,
-    detected_vs_incident,
     saturation_gap,
 )
+from spdc_stats.photon_statistics import SourceLaw, click_moment
 
 
 class TestCurve:
@@ -38,7 +38,7 @@ class TestCurve:
         cv = curve("thermal", eta=0.37, variant="literal")
         for mean, detected in cv.points:
             assert detected == pytest.approx(
-                detected_vs_incident("thermal", mean, 0.37, variant="literal"),
+                click_moment(SourceLaw.of_mean("thermal", mean), 0.37, 1),
                 rel=1e-12,
             )
 
@@ -111,17 +111,16 @@ class TestGap:
 
     def test_variants_agree_to_first_order(self):
         for kind in ("thermal", "coherent"):
-            click = detected_vs_incident(kind, 1e-3, 0.5, variant="click")
-            literal = detected_vs_incident(kind, 1e-3, 0.5, variant="literal")
+            click = curve(kind, 0.5, "click", mean_grid=[1e-3]).detected[0]
+            literal = curve(kind, 0.5, "literal", mean_grid=[1e-3]).detected[0]
             assert click / literal == pytest.approx(1.0, abs=0.01)
 
     def test_literal_variant_changes_sign(self):
         # the photon-weighted curves cross: below the click peak the
         # thermal tail's high-n pulses dominate the coherent mean
         def literal_gap(mean, eta):
-            return detected_vs_incident(
-                "coherent", mean, eta, variant="literal"
-            ) - detected_vs_incident("thermal", mean, eta, variant="literal")
+            return (click_moment(SourceLaw.of_mean("coherent", mean), eta, 1)
+                    - click_moment(SourceLaw.of_mean("thermal", mean), eta, 1))
 
         assert literal_gap(4.0, 0.5) < 0.0
         assert literal_gap(20.0, 0.5) > 0.0
