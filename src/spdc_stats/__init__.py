@@ -39,7 +39,7 @@ _PUBLIC = {
     "expectations": ("analytic_expectations", "compare_with_analytic"),
     "montecarlo": ("SimConfig", "SimCounts", "simulate"),
     "photon_statistics": (
-        "SourceLaw", "one_pair_rate", "pair_rate", "truncation_order",
+        "SourceLaw", "truncation_order",
     ),
     "saturation": (
         "GAP_PEAK_Z", "SaturationCurve", "click_gap", "curve",

@@ -48,6 +48,8 @@ def ideal_g(law: SourceLaw, order: int, field: str) -> float:
     i <= k of k!/i! C(i, k - i) r_i / (4 mean)**(k - i), every term
     positive, which diverges at mean 0 (DivergenceError).
     """
+    if type(order) is not int or order < 1:  # True is no order, 2.5 no factorial
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
     k = order
     if field == "arm":
         return float(_reduced_moment(law, k))

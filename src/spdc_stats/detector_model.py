@@ -15,10 +15,10 @@ Its terms are all positive, so each cell and rate keeps full relative
 precision for every x in [0, 1) and eta in [0, 1].  The series sums that define the
 rates are test references in ``tests/oracle.py``.
 
-The module also owns the counting g2 estimator on split counts,
-``g2_from_counts``, and its 1-sigma band on the exclusive click-set cells,
-``g2_stderr``: ``correlation`` applies them to the rate model and to
-measured rows, and the Monte Carlo's judge to tallies.
+The module also owns the counting g2 estimator ``g2_from_counts``, which
+``correlation`` applies to the rate model and to measured rows and the
+Monte Carlo's judge to a run's tallies, and ``g2_stderr``, its band on the
+exclusive click-set cells, whose forms give the judge g2's expectation and error.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ per-pulse expectation and variance in closed form, and
   variance is p q per pulse, where the miss q is the sum of the cells that
   are not supersets of its mask; pulses_with_emission reads q = G(0) from
   the empty cell of one perfect detector.
-- g2's error is the delta method on the same cells (``detector_model.g2_stderr``).
+- g2's expectation and variance are the forms ``detector_model.g2_stderr``
+  derives on the same cells; only the run's g2 reads ``g2_from_counts``.
 
 A config is read by duck typing: its mode, its detector efficiencies in
 bit order ``config.etas`` and its ``SourceLaw`` ``config.law``.  So this
@@ -34,8 +35,7 @@ _EMITTED = {"emitted": (1, 1.0), "emitted_sq": (2, 1.0), "emitted_cu": (3, 1.0)}
 
 
 def _judge(config):
-    """The per-pulse expectations, the per-pulse variance of every tally
-    but g2, and the ``click_sets`` cells that g2's error reads."""
+    """The per-pulse expectation and variance of every tally, and of g2."""
     law = config.law
     rows = dict(_EMITTED)
     if config.mode == "saturation":
@@ -54,12 +54,13 @@ def _judge(config):
             out[name] = clicks[m]
             variance[name] = clicks[m] * math.fsum(
                 q for s, q in enumerate(sets) if s & m != m)
-    # the same rule compare_with_analytic applies to the observed pairs:
-    # with no pair coincidences the g2 estimator is undefined
-    if "triple123" in out and out["pair12"] + out["pair13"] > 0:
-        out["g2"] = g2_from_counts(
-            out["clicks1"], out["pair12"], out["pair13"], out["triple123"])
-    return out, variance, sets
+    if config.mode == "heralded_split":
+        # the exclusive cells: the triple, a pair without it, the herald alone
+        t, q, h = sets[7], sets[3] + sets[5], sets[1]
+        if 2.0 * t + q > 0:  # as for a run: with no pairs, g2 is undefined
+            out["g2"] = 2.0 * (t + q + h) * t / (2.0 * t + q) ** 2
+            variance["g2"] = g2_stderr(t, q, h, 1.0) ** 2
+    return out, variance
 
 
 def analytic_expectations(config) -> dict[str, float]:
@@ -76,25 +77,20 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
     sigma is 0 when the standard error vanishes and the values agree
     exactly, inf when they differ with zero standard error.
     """
-    expected, variance, sets = _judge(config)
-    m = CLICK_MASKS
+    expected, variance = _judge(config)
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
-        if name == "g2":
-            if counts.pair12 + counts.pair13 == 0:
-                # no pair coincidences to form the ratio estimator; the raw
-                # tallies still constrain the run
-                continue
+        if name != "g2":
+            mc = counts.fraction(name)
+        elif counts.pair12 + counts.pair13:
             mc = g2_from_counts(
                 counts.clicks1, counts.pair12, counts.pair13, counts.triple123
             )
-            # the error at the analytic rates: taken at the observed ones, a
-            # run that sees few triples gets too small an error
-            se = g2_stderr(sets[m["triple123"]], sets[m["pair12"]] + sets[m["pair13"]],
-                           sets[m["clicks1"]], counts.pulses)
         else:
-            mc = counts.fraction(name)
-            se = math.sqrt(max(variance[name], 0.0) / counts.pulses)
+            # no pair coincidences to form the ratio estimator; the raw
+            # tallies still constrain the run
+            continue
+        se = math.sqrt(max(variance[name], 0.0) / counts.pulses)
         if se == 0.0:
             sigma = 0.0 if mc == target else math.inf
         else:

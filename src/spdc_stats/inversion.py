@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 from .detector_model import two_arm_rates, validate_efficiency
 from .errors import DataInconsistencyError, InversionError
-from .photon_statistics import (SourceLaw, one_pair_rate, pair_rate,
-                                validate_emission_parameter, validate_positive)
+from .photon_statistics import (SourceLaw, validate_emission_parameter,
+                                validate_positive)
 
 # largest relative forward residual a returned inversion may carry
 RESIDUAL_MAX = 1e-9
@@ -98,10 +98,6 @@ class CountRecord(_RecordFields):
     @classmethod
     def _make(cls, iterable):  # _replace builds through here
         return cls(*iterable)
-
-    @property
-    def has_split_counts(self) -> bool:
-        return self.cc12 is not None
 
 
 class InversionResult(NamedTuple):
@@ -286,6 +282,7 @@ def _propagate_sigma(f, power_mw, probs, integration_time):
 def row_from_inversion(
     record: CountRecord, inv: InversionResult, f: float
 ) -> TableOneRow:
+    law = SourceLaw.geometric(inv.x)
     return TableOneRow(
         power_mw=record.power_mw,
         sc1=record.sc1,
@@ -294,9 +291,9 @@ def row_from_inversion(
         tau=inv.tau,
         eta1=inv.eta1,
         eta2=inv.eta2,
-        pair_rate=pair_rate(f, inv.x),
-        one_pair_rate=one_pair_rate(f, inv.x),
-        mean_pairs=SourceLaw.geometric(inv.x).mean,
+        pair_rate=f * law.mean,
+        one_pair_rate=f * (1.0 - inv.x) * inv.x,
+        mean_pairs=law.mean,
         x=inv.x,
         residual=inv.residual,
         iterations=inv.iterations,

@@ -75,8 +75,7 @@ import numpy as np
 
 from .detector_model import CLICK_MASKS, DetectorChain, click_probability
 from .errors import ResourceLimitError
-from .photon_statistics import (SourceLaw, emission_probability,
-                                validate_emission_parameter)
+from .photon_statistics import SourceLaw, emission_probability
 
 # each mode and the number of detectors it reads
 _DETECTORS = {"two_arm": 2, "heralded_split": 3, "saturation": 1}
@@ -121,12 +120,9 @@ class SimConfig(_ConfigFields):
             raise ValueError(f"pulses must be a positive integer, got {self.pulses!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if self.mode != "saturation":
-            if self.x is None:
-                raise ValueError(f"mode {self.mode} requires x")
-            validate_emission_parameter(self.x)
-        else:
-            self.law  # SourceLaw.of_mean checks source_kind and mean
+        if self.mode != "saturation" and self.x is None:
+            raise ValueError(f"mode {self.mode} requires x")
+        self.law  # SourceLaw checks x, or source_kind and mean
         if self.chain is None:
             raise ValueError(f"mode {self.mode} requires chain")
         for i, eta in enumerate(self.etas, start=1):
@@ -188,10 +184,6 @@ class SimCounts(NamedTuple):
 
     def fraction(self, field: str) -> float:
         return getattr(self, field) / self.pulses
-
-    def to_dict(self) -> dict:
-        """The tallies by field name: ``_asdict()``."""
-        return self._asdict()
 
 
 # the tallies of a kernel row, in SimCounts order, and their columns

@@ -40,7 +40,9 @@ N_MAX_CAP = 10_000
 
 
 def validate_emission_parameter(x: float) -> float:
-    """Check 0 <= x < 1 and return x as a float."""
+    """Check 0 <= x < 1 and return x as a float; a bool is no x."""
+    if isinstance(x, bool):  # float(False) would pass as 0.0
+        raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
     x = float(x)
     if not 0.0 <= x < 1.0 or math.isnan(x):
         raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
@@ -72,10 +74,10 @@ class SourceLaw(NamedTuple):
     @classmethod
     def of_mean(cls, kind: str, mean: float) -> SourceLaw:
         """The thermal or coherent law of the given mean, which must be
-        finite and >= 0."""
+        finite and >= 0, and not a bool."""
         if kind not in ("thermal", "coherent"):
             raise ValueError(f"unknown source_kind {kind!r}")
-        if mean is None or not 0.0 <= mean < math.inf:
+        if mean is None or isinstance(mean, bool) or not 0.0 <= mean < math.inf:
             raise ValueError(
                 f"mean photon number must be finite and >= 0, got {mean!r}")
         return cls(kind, mean, mean / (1.0 + mean) if kind == "thermal" else mean)
@@ -102,19 +104,6 @@ def truncation_order(x: float, eps_trunc: float = EPS_TRUNC_DEFAULT) -> int:
             f"(x={x}, eps_trunc={eps_trunc})"
         )
     return n_max
-
-
-def pair_rate(f: float, x: float) -> float:
-    """Total pair generation rate N = f * x / (1 - x), in pairs/s."""
-    validate_positive(f, "repetition rate")
-    return f * SourceLaw.geometric(x).mean
-
-
-def one_pair_rate(f: float, x: float) -> float:
-    """Rate of pulses containing exactly one pair, N1 = f * (1-x) * x."""
-    validate_positive(f, "repetition rate")
-    x = validate_emission_parameter(x)
-    return f * (1.0 - x) * x
 
 
 def emission_probability(law: SourceLaw) -> float:

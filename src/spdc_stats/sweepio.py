@@ -179,11 +179,15 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
     import json
 
     from .inversion import CountRecord, FailedRow, TableOneRow
+    from .photon_statistics import validate_positive
 
     with open(path, encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:
-        f = float(payload["repetition_rate_hz"])
+        f = payload["repetition_rate_hz"]
+        if isinstance(f, bool) or not isinstance(f, (int, float)):
+            raise TypeError(f"repetition_rate_hz must be a number, got {f!r}")
+        validate_positive(f, "repetition_rate_hz")
         raw_rows = payload["rows"]
         if not isinstance(raw_rows, list):
             raise TypeError(f"rows must be a list, got {raw_rows!r}")
@@ -208,7 +212,7 @@ def read_table1_json(path) -> tuple[float, list[TableOneRow | FailedRow]]:
             raise SweepFormatError(
                 f"invalid inversion table row {index}: {exc}"
             ) from None
-    return f, rows
+    return float(f), rows
 
 
 def write_table2_csv(

@@ -94,7 +94,7 @@ def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
 def write_sweep(records, path) -> None:
     """Write CountRecords as a sweep CSV, with the split columns when any
     record has them."""
-    has_optional = any(r.has_split_counts for r in records)
+    has_optional = any(r.cc12 is not None for r in records)
     cols = SWEEP_COLUMNS + (SWEEP_OPTIONAL if has_optional else ())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

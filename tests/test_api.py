@@ -118,8 +118,6 @@ def test_benchmark_metric_sources():
 # every public entry point that takes a repetition rate, a counting time or
 # a pulse count, with valid values for all its other arguments
 POSITIVE_FINITE = {
-    "pair_rate": lambda v: spdc_stats.pair_rate(v, 0.1),
-    "one_pair_rate": lambda v: spdc_stats.one_pair_rate(v, 0.1),
     "two_arm_rates": lambda v: spdc_stats.two_arm_rates(v, 0.1, 0.2, 0.3),
     "split_coincidences": lambda v: spdc_stats.split_coincidences(
         v, 0.1, 0.2, 0.3, 0.4),

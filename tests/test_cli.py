@@ -242,9 +242,17 @@ class TestCorrelations:
              "row 4: emission parameter x must lie in [0, 1), got 1.5"),
             ([{}, {}, {}, {"eta2": -0.2}],
              "row 4: eta2 must lie in [0, 1], got -0.2"),
+            # a dict sets top-level keys, over one good row
+            ({"repetition_rate_hz": float("nan")},
+             "table: repetition_rate_hz must be positive and finite, got nan"),
+            ({"repetition_rate_hz": True},
+             "table: repetition_rate_hz must be a number, got True"),
+            ({"repetition_rate_hz": -5},
+             "table: repetition_rate_hz must be positive and finite, got -5"),
         ],
         ids=["rows-string", "row-number", "sc1-string", "eta2-string",
-             "eta1-nan", "x-above-1", "eta2-negative"],
+             "eta1-nan", "x-above-1", "eta2-negative", "rate-nan", "rate-true",
+             "rate-negative"],
     )
     def test_malformed_table1_json(self, tmp_path, capsys, rows, fragment):
         good = {
@@ -254,10 +262,13 @@ class TestCorrelations:
             "pair_rate": 7.6e5, "one_pair_rate": 7.5e5, "mean_pairs": 0.01,
             "residual": 0.0, "iterations": 0,
         }
+        top = {"repetition_rate_hz": 76e6}
+        if isinstance(rows, dict):
+            top, rows = {**top, **rows}, [{}]
         if isinstance(rows, list):
             rows = [{**good, **r} if isinstance(r, dict) else r for r in rows]
         table1 = tmp_path / "table1.json"
-        table1.write_text(json.dumps({"repetition_rate_hz": 76e6, "rows": rows}))
+        table1.write_text(json.dumps({**top, "rows": rows}))
         code = main(["correlations", str(table1),
                      "--out", str(tmp_path / "table2.csv")])
         assert code == 1

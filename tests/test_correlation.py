@@ -223,6 +223,12 @@ class TestIdealG:
         with pytest.raises(ValueError, match="field"):
             g(0.1, 2, "idler")
 
+    @pytest.mark.parametrize("order", [0, -1, True, 2.5])
+    @pytest.mark.parametrize("field", ["arm", "heralded", "pooled"])
+    def test_rejects_an_order_below_one_or_not_an_int(self, order, field):
+        with pytest.raises(ValueError, match=f"order must be an integer >= 1, got {order}"):
+            g(0.1, order, field)
+
 
 class TestTableTwoValues:
     def test_low_power_row(self):

@@ -12,7 +12,6 @@ from spdc_stats import (
     ResourceLimitError,
     SourceLaw,
     g2_heralded_predicted,
-    pair_rate,
     split_coincidences,
     truncation_order,
     two_arm_rates,
@@ -118,7 +117,8 @@ class TestSinglesRate:
         # detected rate approaches eta times the pair generation rate
         eta = 1e-5
         sc1 = two_arm_rates(F, 0.128, eta, 0.198).sc1
-        assert sc1 / (eta * pair_rate(F, 0.128)) == pytest.approx(1.0, rel=1e-3)
+        mean = SourceLaw.geometric(0.128).mean
+        assert sc1 / (eta * F * mean) == pytest.approx(1.0, rel=1e-3)
 
     def test_bounded_by_rep_rate(self):
         pred = two_arm_rates(F, 0.6, 0.99, 0.99)

@@ -7,8 +7,11 @@ both sides of a gate alike, and cancels.  Each row of ``MATRIX`` plants a
 runs ``simulate`` on the fixed large-count ``CONFIGS`` (the baseline counts
 are reused when ``montecarlo`` does not bind the formula) and reads the
 largest ``compare_with_analytic`` sigma over them.  A row marked caught
-must then exceed the 5-sigma gate; a row marked not caught is a known blind
-spot and must stay below it, so closing one shows up here too.
+must then exceed the 5-sigma gate; a row marked not caught would be a known
+blind spot and must stay below it, so closing one shows up here too.  No
+known blind spot is left: every row, the g2 estimator included, is caught.
+The judge forms g2's expectation from the click-set cells, so only the run's
+side reads ``g2_from_counts``.
 
 The error is a factor 0.99 on a probability or a law parameter, which
 keeps it a probability, and 1.01 on the truncated Poisson cdf: entries
@@ -70,8 +73,9 @@ MATRIX = [
     ("click_moment", "photon_statistics", _scaled_output, True),
     ("click_sets", "detector_model", _scaled_output, True),
     ("pair_outcomes", "detector_model", _scaled_output, True),
-    # both sides of the g2 gate read the estimator, so its error cancels
-    ("g2_from_counts", "detector_model", _scaled_output, False),
+    # only the run's side of the g2 gate reads the estimator; the judge
+    # forms g2 from the click-set cells, so no known blind spot is left
+    ("g2_from_counts", "detector_model", _scaled_output, True),
     ("_geometric_draw", "montecarlo", _scaled_argument, True),
     ("_truncated_poisson_cdf", "montecarlo", _raised_cdf, True),
 ]

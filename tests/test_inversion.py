@@ -349,14 +349,6 @@ class TestCountRecord:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CountRecord(**values)
 
-    def test_has_split_counts(self):
-        bare = CountRecord(power_mw=10, sc1=2e5, sc2=2e5, cc=4e4)
-        assert not bare.has_split_counts
-        full = CountRecord(
-            power_mw=10, sc1=2e5, sc2=2e5, cc=4e4, cc12=2e4, cc13=1.8e4, cc123=77
-        )
-        assert full.has_split_counts
-
 
 class TestBuildTable:
     def test_empty_input(self):

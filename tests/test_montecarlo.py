@@ -162,10 +162,18 @@ class TestSimConfigValidation:
                 chain=DetectorChain(eta1=0.2, eta2=0.2),
             )
 
-    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0, None])
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0, None,
+                                      True, False])
     def test_rejects_nonfinite_mean(self, mean):
         with pytest.raises(ValueError, match="mean"):
             saturation("coherent", mean, 100)
+
+    @pytest.mark.parametrize("x", [True, False])
+    def test_rejects_bool_x(self, x):
+        # float(False) is 0.0, but a config records x as given
+        with pytest.raises(ValueError) as info:
+            two_arm(x, 100)
+        assert str(info.value) == f"emission parameter x must lie in [0, 1), got {x}"
 
     def test_saturation_needs_source(self):
         with pytest.raises(ValueError, match="source_kind"):
@@ -296,7 +304,7 @@ class TestEventSampler:
     def test_judge_covers_the_tallies(self, config, p_emit):
         # every tally the sampler counts has an expectation, and every
         # expectation but g2 names a tally
-        counts = simulate(config).to_dict()
+        counts = simulate(config)._asdict()
         expected = analytic_expectations(config)
         tallied = {name for name, v in counts.items() if v and name != "pulses"}
         assert tallied <= set(expected)
@@ -504,12 +512,6 @@ class TestTallies:
     def test_fraction_helper(self):
         counts = simulate(two_arm(0.128, 50_000))
         assert counts.fraction("clicks1") == counts.clicks1 / counts.pulses
-
-    def test_to_dict_round_trip(self):
-        counts = simulate(two_arm(0.128, 50_000))
-        d = counts.to_dict()
-        assert d["pulses"] == 50_000
-        assert d["pair12"] == counts.pair12
 
 
 class TestAgainstAnalytic:

@@ -8,8 +8,6 @@ import oracle
 from spdc_stats import (
     ResourceLimitError,
     SourceLaw,
-    one_pair_rate,
-    pair_rate,
     truncation_order,
 )
 from spdc_stats.detector_model import click_sets, pair_outcomes
@@ -291,21 +289,16 @@ class TestSourceLaws:
 
 
 class TestRates:
-    def test_pair_rate_zero(self):
-        assert pair_rate(76e6, 0.0) == 0.0
-        assert one_pair_rate(76e6, 0.0) == 0.0
-
-    def test_table_one_rates(self):
-        assert within_printed(pair_rate(76e6, 10 * 0.00135), "1.04e6", 0.02)
-        assert within_printed(pair_rate(76e6, 400 * 0.00098), "48.62e6", 0.02)
-        assert within_printed(one_pair_rate(76e6, 10 * 0.00135), "1.01e6", 0.02)
-        assert within_printed(one_pair_rate(76e6, 400 * 0.00098), "18.08e6", 0.02)
-
-    def test_rejects_bad_rep_rate(self):
-        with pytest.raises(ValueError):
-            pair_rate(0.0, 0.1)
-        with pytest.raises(ValueError):
-            one_pair_rate(-5.0, 0.1)
+    def test_table_one_rates(self, inverted_rows):
+        rows = {row.power_mw: row for row in inverted_rows}
+        assert within_printed(rows[10].pair_rate, "1.04e6", 0.02)
+        assert within_printed(rows[400].pair_rate, "48.62e6", 0.02)
+        assert within_printed(rows[10].one_pair_rate, "1.01e6", 0.02)
+        assert within_printed(rows[400].one_pair_rate, "18.08e6", 0.02)
+        # both columns are f times the row's law, bit for bit (f = 76 MHz)
+        for row in inverted_rows:
+            assert row.pair_rate == 76e6 * row.mean_pairs
+            assert row.one_pair_rate == 76e6 * (1 - row.x) * row.x
 
 
 class TestWeightedPairSum:
