@@ -8,11 +8,12 @@ All values are normalized zero-delay correlations of a pair-number law
   N = 2n photons per pulse ("pooled"), each a ratio of the law's reduced
   factorial moments r_j = G^(j)(1) / mean**j.  For the geometric law they
   are Table 2's ideal columns: 2 and 6, 2x, 1/(2x) + 3/2 and 3(1 + x)/x.
-- g2_heralded_predicted: the experimental estimator 2 * CC123 * SC1 /
-  (CC12 + CC13)**2 (``detector_model.g2_from_counts``) applied to the
-  detector-model rate predictions for a given (x, eta1, eta2, eta3), which
-  accounts for multi-pair emission seen through lossy bucket detectors.
-  Table 2's g2_measured applies it to a row's measured split counts.
+- g2_heralded_predicted: the expectation of the experimental estimator
+  2 * CC123 * SC1 / (CC12 + CC13)**2 on the detector model's click-set
+  cells for a given (x, eta1, eta2, eta3), which accounts for multi-pair
+  emission seen through lossy bucket detectors.  Table 2's g2_measured
+  applies the estimator (``detector_model.g2_from_counts``) to a row's
+  measured split counts.
 
 The counting estimator is normalized differently from the heralded g2.
 For balanced branches (CC12 = CC13) it is exactly half the product form
@@ -32,8 +33,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .detector_model import (DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, g2_from_counts,
-                             split_coincidences)
+from .detector_model import (DEFAULT_ETA2_SCALE, DEFAULT_ETA3_SCALE, click_sets,
+                             g2_from_counts, g2_on_cells, pair_outcomes,
+                             validate_efficiency)
 from .errors import DivergenceError
 from .inversion import FailedRow, TableOneRow
 from .photon_statistics import SourceLaw, _reduced_moment, emission_probability
@@ -66,27 +68,20 @@ def ideal_g(law: SourceLaw, order: int, field: str) -> float:
                for i in range(k, (k - 1) // 2, -1))
 
 
-def g2_heralded_predicted(
-    x: float,
-    eta1: float,
-    eta2: float,
-    eta3: float,
-) -> float:
-    """g2 the splitter measurement would report, from the rate model.
-
-    Applies the counting estimator to the predicted rates for emission
-    parameter x seen by the heralding detector eta1 and the two
-    post-splitter branches eta2, eta3.  The repetition rate cancels in
-    the estimator, so the per-pulse rates of ``split_coincidences``
-    (f = 1) are used.
+def g2_heralded_predicted(x: float, eta1: float, eta2: float, eta3: float) -> float:
+    """g2 the splitter measurement would report: the counting estimator's
+    expectation (``detector_model.g2_on_cells``) on the click-set cells of
+    the geometric law of x, seen by the herald eta1 and the branches eta2
+    and eta3.
 
     At x = 0 the limit 0 is returned (one pair at most, no accidentals).
     """
-    # split_coincidences validates x and every eta, also at x = 0
-    rates = split_coincidences(1.0, x, eta1, eta2, eta3)
+    law = SourceLaw.geometric(x)
+    etas = [validate_efficiency(eta, f"eta{i}")
+            for i, eta in enumerate((eta1, eta2, eta3), 1)]
     if x == 0.0:
         return 0.0
-    return g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
+    return g2_on_cells(click_sets(law, pair_outcomes(*etas)))[0]
 
 
 class CorrelationReport(NamedTuple):

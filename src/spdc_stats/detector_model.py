@@ -15,10 +15,10 @@ Its terms are all positive, so each cell and rate keeps full relative
 precision for every x in [0, 1) and eta in [0, 1].  The series sums that define the
 rates are test references in ``tests/oracle.py``.
 
-The module also owns the counting g2 estimator ``g2_from_counts``, which
-``correlation`` applies to the rate model and to measured rows and the
-Monte Carlo's judge to a run's tallies, and ``g2_stderr``, its band on the
-exclusive click-set cells, whose forms give the judge g2's expectation and error.
+The module also owns the counting g2 estimator.  ``g2_from_counts`` applies
+it to counts: measured rows and a run's tallies.  ``g2_on_cells`` gives its
+expectation and variance on the split setup's click-set cells, which
+``correlation``'s predicted g2, the Monte Carlo's judge and ``g2_stderr`` read.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ DEFAULT_ETA3_SCALE = 0.56 / 0.68
 
 
 def validate_efficiency(eta: float, name: str = "eta") -> float:
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0 or math.isnan(eta):
+    """Check 0 <= eta <= 1 and return eta as a float; a bool is no eta."""
+    value = float(eta)  # NaN fails the range test
+    if isinstance(eta, bool) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
-    return eta
+    return value
 
 
 def click_probability(n: int, eta: float) -> float:
@@ -228,21 +229,22 @@ def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
     return 2.0 * cc123 * sc1 / denom**2
 
 
-def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
-    """Standard error of the counting estimator over ``pulses`` pulses.
+def g2_on_cells(sets: list[float]) -> tuple[float, float]:
+    """The counting estimator's per-pulse expectation and variance on the
+    split setup's ``click_sets`` cells.
 
-    t, q, h are the per-pulse probabilities of the exclusive click sets:
-    the triple, a pair without the triple, and the herald alone; a negative
-    one, which no pulse can produce, raises ValueError.  With s = t + q + h
-    (click1) and u = 2t + q (pair12 + pair13) the estimator is
-    g = 2 s t / u**2, whose derivatives in t, q, h are 2A/u**2, -2B/u**2
-    and 2t/u**2 for A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has
-    degree 0, so the delta method under the cells' multinomial covariance
-    is a sum of positive terms and nothing cancels:
+    t = cell 7 (the triple), q = cells 3 + 5 (a pair without the triple)
+    and h = cell 1 (the herald alone) are exclusive; a negative one, which
+    no pulse can produce, raises ValueError.  With s = t + q + h (click1)
+    and u = 2t + q (pair12 + pair13) the estimator is g = 2 s t / u**2,
+    whose derivatives in t, q, h are 2A/u**2, -2B/u**2 and 2t/u**2 for
+    A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has degree 0, so the
+    delta method under the cells' multinomial covariance is a sum of
+    positive terms and nothing cancels:
 
         Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
     """
-    validate_positive(pulses, "pulses")
+    t, q, h = sets[7], sets[3] + sets[5], sets[1]
     for name, v in (("t", t), ("q", q), ("h", h)):
         if v < 0:
             raise ValueError(f"cell {name} must be non-negative, got {v!r}")
@@ -251,4 +253,12 @@ def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
         raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
     a = (q * q + q * h - 2.0 * t * h) / u
     b = t * (q + 2.0 * h) / u
-    return 2.0 / u**2 * math.sqrt((t * a * a + q * b * b + h * t * t) / pulses)
+    return (2.0 * (t + q + h) * t / u**2,
+            (2.0 / u**2) ** 2 * (t * a * a + q * b * b + h * t * t))
+
+
+def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:
+    """Standard error of the counting estimator over ``pulses`` pulses, from
+    the variance of ``g2_on_cells`` at cells 7, 3 + 5 and 1 of t, q, h."""
+    validate_positive(pulses, "pulses")
+    return math.sqrt(g2_on_cells([0.0, h, 0.0, q, 0.0, 0.0, 0.0, t])[1] / pulses)

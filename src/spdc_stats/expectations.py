@@ -14,8 +14,8 @@ per-pulse expectation and variance in closed form, and
   variance is p q per pulse, where the miss q is the sum of the cells that
   are not supersets of its mask; pulses_with_emission reads q = G(0) from
   the empty cell of one perfect detector.
-- g2's expectation and variance are the forms ``detector_model.g2_stderr``
-  derives on the same cells; only the run's g2 reads ``g2_from_counts``.
+- g2's expectation and variance are ``detector_model.g2_on_cells`` on the
+  same cells; only the run's g2 reads ``g2_from_counts``.
 
 A config is read by duck typing: its mode, its detector efficiencies in
 bit order ``config.etas`` and its ``SourceLaw`` ``config.law``.  So this
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .detector_model import (CLICK_MASKS, all_click, click_sets, g2_from_counts,
-                             g2_stderr, pair_outcomes)
+                             g2_on_cells, pair_outcomes)
 from .photon_statistics import click_moment, emission_probability
 
 # emission-moment tallies and the (k, eta) of each: every photon counts
@@ -54,12 +54,9 @@ def _judge(config):
             out[name] = clicks[m]
             variance[name] = clicks[m] * math.fsum(
                 q for s, q in enumerate(sets) if s & m != m)
-    if config.mode == "heralded_split":
-        # the exclusive cells: the triple, a pair without it, the herald alone
-        t, q, h = sets[7], sets[3] + sets[5], sets[1]
-        if 2.0 * t + q > 0:  # as for a run: with no pairs, g2 is undefined
-            out["g2"] = 2.0 * (t + q + h) * t / (2.0 * t + q) ** 2
-            variance["g2"] = g2_stderr(t, q, h, 1.0) ** 2
+    # as for a run: without pair12 + pair13, g2 is undefined
+    if config.mode == "heralded_split" and clicks[3] + clicks[5] > 0:
+        out["g2"], variance["g2"] = g2_on_cells(sets)
     return out, variance
 
 

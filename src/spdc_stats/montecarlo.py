@@ -30,10 +30,11 @@ u = ((w >> 11) + 1) / 2**53 that defined it.  Two identities carry it:
   1 - (1 - eta)**n.  Scaling by 2**53 is exact, so that is (w >> 11) <
   thr[n] with thr[n] = max(ceil(p[n] 2**53) - 1, 0); and (w >> 11) < T <=>
   w < T 2**11, so the test is w < (thr << 11)[n] with no shift of the word.
-- Coherent draws.  searchsorted(cdf, u, "left") counts the entries cdf_j <
-  u, and cdf_j < u <=> w >= floor(cdf_j 2**53) 2**11, so the zero-truncated
-  Poisson draw counts integer word thresholds, through a 4096-bucket guide
-  table indexed by w >> 52.
+- Cdf inversions.  searchsorted(cdf, u, "left") counts the entries cdf_j <
+  u, and cdf_j < u <=> w >= floor(cdf_j 2**53) 2**11, so it counts integer
+  word thresholds (``_word_thresholds``): through a 4096-bucket guide table
+  indexed by w >> 52 in the zero-truncated Poisson draw, and by binary
+  search in the splitter's rare n >= 64 path.
 
 The geometric draw keeps the float steps of u, log and division in their
 order.  Each draw comes with the largest n it can give, which sizes the
@@ -53,7 +54,9 @@ masks, four in heralded_split.  Every ufunc and gather writes into them
 through out=, so a chunk allocates no array but its random words.
 Chunks default to 2**15 events, so a heralded_split chunk's words take
 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two threads, but raised
-the peak RSS of ten such runs from 45-48 to 51 MB.
+the peak RSS of ten such runs from 45-48 to 51 MB.  numpy's Philox words
+take 45-61 % of a 2**15-event chunk in every mode (2 vCPUs, numpy 2.4.6),
+and the contract fixes their layout, so the kernel is at its floor.
 
 This module samples and tallies; ``expectations`` judges a run against
 the analytic model.  Both read the source through ``SimConfig.law``, whose
@@ -191,17 +194,6 @@ _TALLY_FIELDS = SimCounts._fields[1:]
 _COL = {name: i for i, name in enumerate(_TALLY_FIELDS)}
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to floats in (0, 1]: ((w >> 11) + 1) / 2**53.
-
-    The chunk kernel reads the words through identities that are exact for
-    every word, so only the rare n >= 64 split path forms these floats.
-    """
-    return (
-        np.right_shift(words, np.uint64(11)).astype(np.float64) + 1.0
-    ) / _TWO53
-
-
 # _LOW_BITS[n] keeps the low n bits of a word, n = 0 .. 63
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
@@ -214,8 +206,9 @@ def _binomial_half(
 
     For n <= 63 the k value is the popcount of the low n bits, which is an
     exact fair-coin count per photon; that path works in out alone.  Larger
-    n (rare) fall back to CDF inversion on the uniform derived from the same
-    word, so the result stays a pure function of (n, word).
+    n (rare) fall back to inverting the Binomial(n, 1/2) cdf on the same
+    word through its ``_word_thresholds``, so the result stays a pure
+    function of (n, word).
     """
     if top <= 63:
         bits = out.view(np.uint64)
@@ -226,8 +219,7 @@ def _binomial_half(
     fast = n <= 63
     out[fast] = np.bitwise_count(words[fast] & _LOW_BITS[n[fast]])
     slow = np.flatnonzero(~fast)
-    u = _uniforms(words[slow])
-    ns = n[slow]
+    ws, ns = words[slow], n[slow]
     # log(k!) for k = 0 .. ns.max(), and log(C(nv, k) / 2**nv) from them
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(ns.max()) + 1)])
     for nv in np.unique(ns).tolist():
@@ -235,8 +227,16 @@ def _binomial_half(
         head = log_fact[: nv + 1]
         cdf = np.cumsum(np.exp(head[nv] - head - head[::-1] - nv * math.log(2.0)))
         cdf[-1] = 1.0
-        out[slow[sel]] = np.searchsorted(cdf, u[sel], side="left")
+        out[slow[sel]] = np.searchsorted(_word_thresholds(cdf), ws[sel], side="right")
     return out
+
+
+def _word_thresholds(cdf: np.ndarray) -> np.ndarray:
+    """The word thresholds floor(cdf_j 2**53) 2**11 of a sorted cdf, less
+    those from 2**64 up, which no word reaches: searchsorted(thresholds, w,
+    "right") is searchsorted(cdf, u, "left"), as the module docstring shows."""
+    c = np.floor(cdf * _TWO53)
+    return c[c < _TWO53].astype(np.uint64) << np.uint64(11)
 
 
 def _truncated_poisson_cdf(mean: float) -> np.ndarray:
@@ -270,12 +270,12 @@ def _geometric_draw(x: float) -> tuple[_Draw, int]:
 
     This inverts the cdf of the geometric law Pr(n) = (1 - x) x**(n - 1),
     n >= 1, which is the pair number conditioned on n >= 1.  Every n equals
-    that float formula applied to _uniforms(w): a + 1 <= 2**53 converts
-    exactly, the scaling by a power of two is exact, log, then a true
-    division by log(x) (a multiply by 1 / log(x) would round differently),
-    then a truncating cast, which is floor because the ratio is >= 0 or
-    -0.0.  u lives in a's buffer.  x rounds to 1.0 only from a thermal mean
-    of 2**53 or more; there the draws have no bound: ResourceLimitError.
+    that float formula: (w >> 11) + 1 <= 2**53 converts exactly, the
+    scaling by a power of two is exact, log, then a true division by log(x)
+    (a multiply by 1 / log(x) would round differently), then a truncating
+    cast, which is floor because the ratio is >= 0 or -0.0.  u lives in a's
+    buffer.  x rounds to 1.0 only from a thermal mean of 2**53 or more;
+    there the draws have no bound: ResourceLimitError.
     """
     log_x = math.log(x)
     if log_x == 0.0:
@@ -301,11 +301,7 @@ def _poisson_draw(cdf: np.ndarray) -> tuple[_Draw, int]:
     """n = 1 + searchsorted(cdf, u, side="left") on raw words, through an
     integer guide table, and the largest n it can give, cdf.size.
 
-    With a = w >> 11 and u = (a + 1) / 2**53, cdf_j < u <=> a >= C_j, where
-    C_j = floor(cdf_j * 2**53), <=> w >= C_j * 2**11.  So the draw counts the
-    word thresholds C_j * 2**11 at or below w; entries with C_j = 2**53 never
-    count and are dropped, which keeps every threshold below 2**64.
-
+    The draw counts the ``_word_thresholds`` of the cdf at or below w.
     Bucket b = w >> 52 holds the words b * 2**52 .. (b + 1) * 2**52 - 1, and
     hi[b] is the count at its last word.  With at most one threshold inside
     the bucket the count is hi[b] - (w < edge[b]), edge[b] being the largest
@@ -313,8 +309,7 @@ def _poisson_draw(cdf: np.ndarray) -> tuple[_Draw, int]:
     buckets, where the cdf piles up near 1, carry a count past the table;
     the words that land there are recounted by binary search.
     """
-    c = np.floor(cdf * _TWO53)
-    thresholds = c[c < _TWO53].astype(np.uint64) << np.uint64(11)
+    thresholds = _word_thresholds(cdf)
     first = np.arange(_GUIDE_BUCKETS, dtype=np.uint64) << np.uint64(52)
     lo = np.searchsorted(thresholds, first, side="right")
     hi = np.searchsorted(
@@ -369,9 +364,9 @@ def _click_thresholds(eta: float, top: int) -> np.ndarray:
     eta).
 
     A word w clicks for n photons iff w < W[n].  This is exactly the float
-    test u < p[n] with u = ((w >> 11) + 1) / 2**53 from _uniforms: scaling
-    by 2**53 is exact, so u < p <=> (w >> 11) + 1 < p * 2**53, and for an
-    integer a, a + 1 < P <=> a < ceil(P) - 1.  Then (w >> 11) < T <=> w <
+    test u < p[n] with u = ((w >> 11) + 1) / 2**53: scaling by 2**53 is
+    exact, so u < p <=> (w >> 11) + 1 < p * 2**53, and for an integer a,
+    a + 1 < P <=> a < ceil(P) - 1.  Then (w >> 11) < T <=> w <
     T * 2**11, which stays below 2**64 because T <= 2**53 - 1.
     """
     p = np.array([click_probability(n, eta) for n in range(top + 1)])
@@ -486,11 +481,12 @@ def simulate(
     and raise the peak memory.  The click thresholds and the guide table
     of the module docstring are built here, once per call.
     """
-    if chunk_pulses < 4 or chunk_pulses % 4 != 0:
+    # exactly int, as for SimConfig.pulses: True is no count
+    if type(chunk_pulses) is not int or chunk_pulses < 4 or chunk_pulses % 4:
         raise ValueError("chunk_pulses must be a positive multiple of 4")
     if threads is None:
         threads = os.cpu_count() or 1
-    elif threads < 1:
+    elif type(threads) is not int or threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     law = config.law
     draw, worst = None, 0

@@ -41,17 +41,16 @@ N_MAX_CAP = 10_000
 
 def validate_emission_parameter(x: float) -> float:
     """Check 0 <= x < 1 and return x as a float; a bool is no x."""
-    if isinstance(x, bool):  # float(False) would pass as 0.0
+    value = float(x)  # NaN fails the range test
+    if isinstance(x, bool) or not 0.0 <= value < 1.0:
         raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
-    x = float(x)
-    if not 0.0 <= x < 1.0 or math.isnan(x):
-        raise ValueError(f"emission parameter x must lie in [0, 1), got {x!r}")
-    return x
+    return value
 
 
 def validate_positive(value: float, name: str) -> None:
-    """Check 0 < value < inf, as a repetition rate or a counting time must be."""
-    if not 0 < value < math.inf:
+    """Check 0 < value < inf, as a repetition rate or a counting time must
+    be; a bool is no such value."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

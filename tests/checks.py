@@ -1,8 +1,8 @@
 """Shared test helpers: comparisons against printed references and exact
-rationals, pair numbers drawn by the Monte Carlo kernel, a sweep CSV
-writer for round trips through ``read_sweep``, a reader of the bundled
-reference CSVs, and the attenuated-laser efficiency calibration, which no
-package code calls."""
+rationals, the float uniforms the Monte Carlo kernel's word identities
+reproduce, pair numbers drawn by the kernel, a sweep CSV writer for round
+trips through ``read_sweep``, a reader of the bundled reference CSVs, and
+the attenuated-laser efficiency calibration, which no package code calls."""
 
 from __future__ import annotations
 
@@ -60,10 +60,20 @@ def rational_rel_error(got: float, ref: Fraction) -> float:
 
 def g2_cells(clicks1: int, pair12: int, pair13: int, triple123: int) -> tuple:
     """The exclusive click-set counts (triple, pair without the triple,
-    herald alone) that ``correlation.g2_stderr`` reads, formed from integer
+    herald alone) that ``detector_model.g2_stderr`` reads, formed from integer
     tallies, so exactly."""
     return (triple123, pair12 + pair13 - 2 * triple123,
             clicks1 - pair12 - pair13 + triple123)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to floats in (0, 1]: ((w >> 11) + 1) / 2**53.
+
+    This is the float reference the kernel's draws and click tests were
+    defined on; the kernel itself reads the words through identities that
+    are exact for every word.
+    """
+    return (np.right_shift(words, np.uint64(11)).astype(np.float64) + 1.0) / 2.0**53
 
 
 def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:

@@ -131,7 +131,8 @@ POSITIVE_FINITE = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+# a bool is no rate, time or count, though True > 0
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, True, False])
 @pytest.mark.parametrize("entry", sorted(POSITIVE_FINITE))
 def test_rates_and_times_must_be_positive_and_finite(entry, bad):
     with pytest.raises(ValueError, match="must be positive and finite") as info:
@@ -165,12 +166,14 @@ VALID_RECORD = {
 INVALID_FIELD = [
     ("DetectorChain", "eta1", -0.5, "eta1 must lie in [0, 1], got -0.5"),
     ("DetectorChain", "eta3", math.nan, "eta3 must lie in [0, 1], got nan"),
+    ("DetectorChain", "eta2", True, "eta2 must lie in [0, 1], got True"),
     ("CountRecord", "power_mw", 0.0, "power must be positive, got 0.0"),
     ("CountRecord", "sc2", math.inf, "sc2 must be finite, got inf"),
     ("CountRecord", "cc12", 1.0,
      "cc12, cc13, cc123 must be all present or all absent"),
     ("TableOneRow", "x", 1.0, "emission parameter x must lie in [0, 1), got 1.0"),
     ("TableOneRow", "eta2", 1.5, "eta2 must lie in [0, 1], got 1.5"),
+    ("TableOneRow", "eta1", False, "eta1 must lie in [0, 1], got False"),
     ("SimConfig", "mode", "split", "unknown mode 'split'"),
     ("SimConfig", "pulses", 0, "pulses must be a positive integer, got 0"),
     ("SimConfig", "mean", 5.0, "mode two_arm does not use mean"),

@@ -84,7 +84,7 @@ class TestClickProbability:
         assert all(b > a for a, b in zip(p, p[1:]))
         assert p[-1] < 1.0
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan"), True, False])
     def test_rejects_bad_eta(self, bad):
         with pytest.raises(ValueError, match="eta"):
             click_probability(2, bad)

@@ -7,11 +7,15 @@ both sides of a gate alike, and cancels.  Each row of ``MATRIX`` plants a
 runs ``simulate`` on the fixed large-count ``CONFIGS`` (the baseline counts
 are reused when ``montecarlo`` does not bind the formula) and reads the
 largest ``compare_with_analytic`` sigma over them.  A row marked caught
-must then exceed the 5-sigma gate; a row marked not caught would be a known
-blind spot and must stay below it, so closing one shows up here too.  No
-known blind spot is left: every row, the g2 estimator included, is caught.
-The judge forms g2's expectation from the click-set cells, so only the run's
-side reads ``g2_from_counts``.
+must then exceed the 5-sigma gate; a row marked not caught is a known
+blind spot and must stay below it, so closing one shows up here too.  The
+judge forms g2's expectation and variance from the click-set cells
+(``g2_on_cells``), so only the run's side reads ``g2_from_counts``, and
+every formula but one is caught.  The one left is a low g2 expectation:
+1 % of g2 is 5.8 sigma of the heralded_split config, whose run reads 1.45
+sigma below the analytic g2, so a 1 % low expectation reads 4.4 sigma.  A
+1 % high one reads 7.2, as the planted estimator does; the g2 gate
+resolves about 1.3 % of g2 here, not 1 %.
 
 The error is a factor 0.99 on a probability or a law parameter, which
 keeps it a probability, and 1.01 on the truncated Poisson cdf: entries
@@ -47,11 +51,12 @@ CONFIGS = [
 
 
 def _scaled_output(f):
-    """f with the float it returns, or each float of the list, times 0.99."""
+    """f with the float it returns, or each float of the list or tuple,
+    times 0.99."""
     def planted(*args, **kwargs):
         out = f(*args, **kwargs)
-        if isinstance(out, list):
-            return [0.99 * v for v in out]
+        if isinstance(out, (list, tuple)):
+            return type(out)(0.99 * v for v in out)
         return 0.99 * out
     return planted
 
@@ -76,6 +81,8 @@ MATRIX = [
     # only the run's side of the g2 gate reads the estimator; the judge
     # forms g2 from the click-set cells, so no known blind spot is left
     ("g2_from_counts", "detector_model", _scaled_output, True),
+    # the judge's g2 expectation and variance; 4.4 sigma, see above
+    ("g2_on_cells", "detector_model", _scaled_output, False),
     ("_geometric_draw", "montecarlo", _scaled_argument, True),
     ("_truncated_poisson_cdf", "montecarlo", _raised_cdf, True),
 ]

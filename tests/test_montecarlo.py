@@ -27,9 +27,8 @@ from spdc_stats.montecarlo import (
     _geometric_draw,
     _poisson_draw,
     _truncated_poisson_cdf,
-    _uniforms,
 )
-from checks import g2_cells, geometric_counts
+from checks import _uniforms, g2_cells, geometric_counts
 
 CHAIN10 = DetectorChain(eta1=0.215, eta2=0.198, eta3=0.163)
 
@@ -87,6 +86,19 @@ def draw_words(draw, words):
 
 def binomial_half(ns, words):
     return _binomial_half(ns, words, ns.max(), np.empty_like(ns))
+
+
+def float_inversion(ns, words, pmf):
+    """k = searchsorted(cdf, u, "left") for each n and word, on the float
+    uniform u of the word and the cdf of pmf(n) with its last entry 1."""
+    u = _uniforms(words)
+    expected = np.empty_like(ns)
+    for nv in np.unique(ns).tolist():
+        cdf = np.cumsum(pmf(nv))
+        cdf[-1] = 1.0
+        sel = ns == nv
+        expected[sel] = np.searchsorted(cdf, u[sel], side="left")
+    return expected
 
 
 class TestGeometricSampler:
@@ -235,6 +247,11 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="multiple of 4"):
             simulate(two_arm(0.1, 100), chunk_pulses=6)
 
+    @pytest.mark.parametrize("chunk", [4.0, 8192.0, True])
+    def test_chunk_size_must_be_an_int(self, chunk):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            simulate(two_arm(0.1, 100), chunk_pulses=chunk)
+
 
 class TestWorkerErrors:
     def test_error_in_a_later_stripe_reaches_the_caller(self, monkeypatch):
@@ -330,21 +347,37 @@ class TestEventSampler:
 
     def test_binomial_half_slow_path_matches_gammaln(self):
         special = pytest.importorskip("scipy.special")
+
+        def pmf(nv):
+            kk = np.arange(nv + 1, dtype=np.float64)
+            return np.exp(special.gammaln(nv + 1.0) - special.gammaln(kk + 1.0)
+                          - special.gammaln(nv - kk + 1.0) - nv * math.log(2.0))
+
         ns = np.repeat(np.arange(64, 201, dtype=np.int64), 50)
         words = np.random.Philox(key=7).random_raw(ns.size)
-        u = _uniforms(words)
-        expected = np.empty_like(ns)
-        for nv in np.unique(ns):
-            kk = np.arange(nv + 1, dtype=np.float64)
-            logpmf = (
-                special.gammaln(nv + 1.0) - special.gammaln(kk + 1.0)
-                - special.gammaln(nv - kk + 1.0) - nv * math.log(2.0)
-            )
-            cdf = np.cumsum(np.exp(logpmf))
-            cdf[-1] = 1.0
-            sel = ns == nv
-            expected[sel] = np.searchsorted(cdf, u[sel], side="left")
-        assert np.array_equal(binomial_half(ns, words), expected)
+        assert np.array_equal(binomial_half(ns, words), float_inversion(ns, words, pmf))
+
+    def test_binomial_half_slow_path_edge_words(self):
+        # each word threshold of the n = 100 table, the words 1 and 2**11
+        # either side of it, and the first, second, middle and last word;
+        # those four also at every n = 64 .. 200.  The words at a threshold
+        # tell the cdf's float steps apart, so this pmf takes the sampler's:
+        # lgamma in that order, where scipy's gammaln differs by ~1e-14
+        def pmf(nv):
+            head = np.array([math.lgamma(k + 1.0) for k in range(nv + 1)])
+            return np.exp(head[nv] - head - head[::-1] - nv * math.log(2.0))
+
+        cdf = np.cumsum(pmf(100))
+        c = np.floor(cdf[:-1] * 2.0**53)  # the last entry is set to 1
+        near = {(int(t) << 11) + d for t in c for d in (-(2**11), -1, 0, 1, 2**11)}
+        extremes = {0, 1, 2**63, 2**64 - 1}
+        words = np.array(sorted({w for w in near if 0 <= w < 2**64} | extremes),
+                         dtype=np.uint64)
+        ns = np.full(words.size, 100, dtype=np.int64)
+        assert np.array_equal(binomial_half(ns, words), float_inversion(ns, words, pmf))
+        ns = np.repeat(np.arange(64, 201, dtype=np.int64), len(extremes))
+        words = np.tile(np.array(sorted(extremes), dtype=np.uint64), 137)
+        assert np.array_equal(binomial_half(ns, words), float_inversion(ns, words, pmf))
 
     @pytest.mark.parametrize(
         "config",
@@ -666,7 +699,9 @@ class TestResourceGuards:
 class TestResolveThreads:
     """simulate's worker count: the CPU count unless threads= is given."""
 
-    @pytest.mark.parametrize("threads", [0, -4])
+    # and a count that is no int: a float would run one chunk and break
+    # the slicing of several, and True would run one thread
+    @pytest.mark.parametrize("threads", [0, -4, 2.5, 2.0, True])
     def test_simulate_rejects_nonpositive_count(self, threads):
         config = SimConfig(mode="two_arm", pulses=1000, seed=1, x=0.1,
                            chain=DetectorChain(eta1=0.2, eta2=0.2))
