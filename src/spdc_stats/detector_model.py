@@ -95,21 +95,15 @@ class DetectorChain(_ChainFields):
 
 
 class RatePrediction(NamedTuple):
-    """Predicted count rates in counts/s.
+    """``two_arm_rates``' singles and coincidence rates in counts/s.
 
-    sc1, sc2, cc apply to the two-detector configuration; cc12, cc13,
-    cc123 and the heralding singles sc1h apply to the split configuration.
-    Fields not applicable to the configuration that produced the
-    prediction are None.
+    It stays only because the benchmark's row check reads these names;
+    ROADMAP item 14 retires it with the benchmark's next change.
     """
 
-    sc1: float | None = None
-    sc2: float | None = None
-    cc: float | None = None
-    cc12: float | None = None
-    cc13: float | None = None
-    cc123: float | None = None
-    sc1h: float | None = None
+    sc1: float
+    sc2: float
+    cc: float
 
 
 # each click tally and the mask of detectors (the bits of ``pair_outcomes``)
@@ -184,11 +178,10 @@ def all_click(sets: list[float]) -> list[float]:
             for m in range(len(sets))]
 
 
-def _pair_rates(f: float, x: float, *etas: float) -> dict[str, float]:
+def _pair_rates(f: float, law: SourceLaw, *etas: float) -> dict[str, float]:
     """f times the ``all_click`` entry of each ``CLICK_MASKS`` tally that
-    the len(etas) detectors form, from one ``click_sets`` pass."""
+    the len(etas) detectors form, from one ``click_sets`` pass of law."""
     validate_positive(f, "repetition rate")
-    law = SourceLaw.geometric(x)
     etas = [validate_efficiency(eta, f"eta{i}") for i, eta in enumerate(etas, 1)]
     p = all_click(click_sets(law, pair_outcomes(*etas)))
     return {name: f * p[m] for name, m in CLICK_MASKS.items() if m < len(p)}
@@ -199,23 +192,23 @@ def two_arm_rates(f: float, x: float, eta1: float, eta2: float) -> RatePredictio
     counts/s.  Each is f times a correctly rounded sum of non-negative
     ``click_sets`` cells, and cc sums a subset of either singles' cells,
     so cc never exceeds sc1 or sc2."""
-    r = _pair_rates(f, x, eta1, eta2)
+    r = _pair_rates(f, SourceLaw.geometric(x), eta1, eta2)
     return RatePrediction(sc1=r["clicks1"], sc2=r["clicks2"], cc=r["pair12"])
 
 
 def split_coincidences(
     f: float, x: float, eta1: float, eta2: float, eta3: float
-) -> RatePrediction:
-    """Rates when one arm feeds a balanced splitter onto two detectors.
+) -> dict[str, float]:
+    """Rates in counts/s when one arm feeds a balanced splitter onto two
+    detectors, keyed by the ``CLICK_MASKS`` tally that counts each:
+    clicks1, clicks2, clicks3, pair12, pair13 and triple123.
 
     The n photons reaching the splitter divide binomially between the two
     output branches; detector 2 sees k photons with branch efficiency eta2
     and detector 3 sees n - k with eta3.  Every rate is an entry of
     ``all_click`` over one ``click_sets`` pass.
     """
-    r = _pair_rates(f, x, eta1, eta2, eta3)
-    return RatePrediction(cc12=r["pair12"], cc13=r["pair13"],
-                          cc123=r["triple123"], sc1h=r["clicks1"])
+    return _pair_rates(f, SourceLaw.geometric(x), eta1, eta2, eta3)
 
 
 def g2_from_counts(sc1: float, cc12: float, cc13: float, cc123: float) -> float:
@@ -238,9 +231,9 @@ def g2_on_cells(sets: list[float]) -> tuple[float, float]:
     no pulse can produce, raises ValueError.  With s = t + q + h (click1)
     and u = 2t + q (pair12 + pair13) the estimator is g = 2 s t / u**2,
     whose derivatives in t, q, h are 2A/u**2, -2B/u**2 and 2t/u**2 for
-    A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  g has degree 0, so the
-    delta method under the cells' multinomial covariance is a sum of
-    positive terms and nothing cancels:
+    A = (q**2 + q h - 2 t h)/u, B = t (q + 2h)/u.  The delta method under
+    the cells' multinomial covariance is a sum of positive terms and
+    nothing cancels:
 
         Var(g) * pulses = (2 / u**2)**2 (t A**2 + q B**2 + h t**2).
     """
@@ -248,13 +241,19 @@ def g2_on_cells(sets: list[float]) -> tuple[float, float]:
     for name, v in (("t", t), ("q", q), ("h", h)):
         if v < 0:
             raise ValueError(f"cell {name} must be non-negative, got {v!r}")
+    # g has degree 0 and the variance degree -1, so the largest cell scaled
+    # by a power of two into [1, 2) keeps u * u off underflow at small x; the
+    # variance scales back exactly, and u * u, unlike pow, rounds alike at any scale
+    k = 1 - math.frexp(max(t, q, h))[1]
+    t, q, h = math.ldexp(t, k), math.ldexp(q, k), math.ldexp(h, k)
     u = 2.0 * t + q
     if u == 0:
         raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
     a = (q * q + q * h - 2.0 * t * h) / u
     b = t * (q + 2.0 * h) / u
-    return (2.0 * (t + q + h) * t / u**2,
-            (2.0 / u**2) ** 2 * (t * a * a + q * b * b + h * t * t))
+    w = 2.0 / (u * u)
+    return (2.0 * (t + q + h) * t / (u * u),
+            math.ldexp(w * w * (t * a * a + q * b * b + h * t * t), k))
 
 
 def g2_stderr(t: float, q: float, h: float, pulses: float) -> float:

@@ -103,8 +103,8 @@ class CountRecord(_RecordFields):
 class InversionResult(NamedTuple):
     """Solution of the three-rate system with its forward residual.
 
-    iterations is always 0: the solution is explicit.  The field stays so
-    that table1.json keeps its schema.
+    iterations is always 0: the solution is explicit.  The field stays only
+    because the benchmark's ``inversion.mean_iterations`` reads it.
     """
 
     tau: float
@@ -131,7 +131,6 @@ class _RowFields(NamedTuple):
     mean_pairs: float
     x: float
     residual: float
-    iterations: int
     cc12: float | None = None
     cc13: float | None = None
     cc123: float | None = None
@@ -172,20 +171,21 @@ def invert_counts(
     sc1: float,
     sc2: float,
     cc: float,
-    with_sigma: bool = False,
-    integration_time: float = 1.0,
+    integration_time: float | None = None,
 ) -> InversionResult:
     """Solve (sc1, sc2, cc) for (tau, eta1, eta2) at pump power power_mw.
 
-    Optionally propagates counting noise through the explicit solution
-    (the delta method) into 1-sigma bands.  The noise model is per-pulse
-    multinomial over the f * integration_time pulses counted: every
-    coincidence is also a single in both arms, so the three rates are
-    correlated, not independent Poisson counts.
+    Given the counting time integration_time, in s, it also propagates
+    counting noise through the explicit solution (the delta method) into
+    1-sigma bands.  The noise model is per-pulse multinomial over the
+    f * integration_time pulses counted: every coincidence is also a single
+    in both arms, so the three rates are correlated, not independent
+    Poisson counts.
     """
     validate_positive(f, "repetition rate")
     validate_positive(power_mw, "power")
-    validate_positive(integration_time, "integration_time")
+    if integration_time is not None:
+        validate_positive(integration_time, "integration_time")
     if not (sc1 > 0 and sc2 > 0 and cc > 0):
         raise DataInconsistencyError(
             f"all rates must be positive, got sc1={sc1}, sc2={sc2}, cc={cc}"
@@ -224,7 +224,7 @@ def invert_counts(
         )
 
     sigmas = (None, None, None)
-    if with_sigma:
+    if integration_time is not None:
         sigmas = _propagate_sigma(f, power_mw, (s1, s2, c), integration_time)
     return InversionResult(
         tau=x / power_mw,
@@ -296,7 +296,6 @@ def row_from_inversion(
         mean_pairs=law.mean,
         x=inv.x,
         residual=inv.residual,
-        iterations=inv.iterations,
         cc12=record.cc12,
         cc13=record.cc13,
         cc123=record.cc123,

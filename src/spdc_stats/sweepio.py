@@ -142,8 +142,8 @@ def _as_json(item: CountRecord | TableOneRow, status: str) -> dict:
 def _from_json(cls, raw: dict):
     """``cls`` built from the keys of ``raw`` that name its fields; a field
     with a default may be absent, and other keys (such as an old table's
-    ``solver``) are ignored.  Each field must be a JSON number, or null
-    where it has a default, which is None for every field."""
+    ``solver`` and ``iterations``) are ignored.  Each field must be a JSON
+    number, or null where it has a default, which is None for every field."""
     defaults = cls._field_defaults
     values = {}
     for name in cls._fields:
@@ -239,6 +239,8 @@ def bundled_path(name: str):
     return resources.files("spdc_stats.data").joinpath(name)
 
 
-def load_bundled_sweep(name: str = "table1_measured.csv") -> list[CountRecord]:
-    with resources.as_file(bundled_path(name)) as path:
+def load_bundled_sweep() -> list[CountRecord]:
+    """The bundled 16-point measured sweep, the one bundled CSV that is a
+    sweep."""
+    with resources.as_file(bundled_path("table1_measured.csv")) as path:
         return read_sweep(path)

@@ -33,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from spdc_stats import ResourceLimitError
-from spdc_stats.detector_model import RatePrediction
 from spdc_stats.photon_statistics import (
     EPS_TRUNC_DEFAULT,
     N_MAX_CAP,
@@ -318,17 +317,15 @@ def _split_weight_fn(eta1, eta2, eta3, which):
 
 def split_coincidences(
     f: float, x: float, eta1: float, eta2: float, eta3: float
-) -> RatePrediction:
+) -> dict[str, float]:
     """Heralding singles and branch coincidences behind a balanced
-    splitter, with the binomial photon split averaged explicitly for
-    each n."""
-    cc12, cc13, cc123 = (
-        f * weighted_pair_sum(x, _split_weight_fn(eta1, eta2, eta3, which))
-        for which in ("12", "13", "123")
-    )
-    return RatePrediction(
-        cc12=cc12, cc13=cc13, cc123=cc123, sc1h=singles_rate(f, x, eta1)
-    )
+    splitter, keyed as the package's ``split_coincidences`` keys them, with
+    the binomial photon split averaged explicitly for each n."""
+    rates = {
+        name: f * weighted_pair_sum(x, _split_weight_fn(eta1, eta2, eta3, which))
+        for name, which in (("pair12", "12"), ("pair13", "13"), ("triple123", "123"))
+    }
+    return dict(rates, clicks1=singles_rate(f, x, eta1))
 
 
 def exact_all_click(x: float, eta1: float, eta2: float, eta3=None) -> list:

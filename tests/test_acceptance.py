@@ -255,7 +255,7 @@ def test_criterion_7_shape_checks(inverted_rows):
     # predicted three-fold coincidences grow quadratically over 10-200 mW
     fit_rows = [r for r in inverted_rows if r.power_mw <= 200]
     cc123 = np.array([
-        split_coincidences(F, r.x, r.eta1, r.eta2, r.eta2 * ETA3_RATIO).cc123
+        split_coincidences(F, r.x, r.eta1, r.eta2, r.eta2 * ETA3_RATIO)["triple123"]
         for r in fit_rows
     ])
     fit_p = np.array([r.power_mw for r in fit_rows])
@@ -273,11 +273,12 @@ def test_criterion_7_shape_checks(inverted_rows):
         pred = split_coincidences(
             F, row.x, row.eta1, row.eta2, row.eta2 * ETA3_RATIO
         )
-        g2 = 2.0 * pred.cc123 * pred.sc1h / (pred.cc12 + pred.cc13) ** 2
+        g2 = (2.0 * pred["triple123"] * pred["clicks1"]
+              / (pred["pair12"] + pred["pair13"]) ** 2)
         lines.append(
             f"    {p:.0f} mW: g2 measured {ref['g2_measured']} vs predicted "
             f"{g2:.4f}; three-folds measured {ref['cc123']} vs predicted "
-            f"{pred.cc123:.0f}"
+            f"{pred['triple123']:.0f}"
         )
 
     ok = near_linear and quadratic

@@ -5,6 +5,7 @@ names defensively: when one goes missing, its metric turns null instead of
 the run failing.  These tests fail first.
 """
 
+import inspect
 import json
 import math
 import os
@@ -125,7 +126,7 @@ POSITIVE_FINITE = {
     "invert_counts.f": lambda v: spdc_stats.invert_counts(
         v, 10, 223e3, 205e3, 45e3),
     "invert_counts.integration_time": lambda v: spdc_stats.invert_counts(
-        F, 10, 223e3, 205e3, 45e3, with_sigma=True, integration_time=v),
+        F, 10, 223e3, 205e3, 45e3, integration_time=v),
     "g2_stderr.pulses": lambda v: spdc_stats.detector_model.g2_stderr(
         0.001, 0.018, 0.081, v),
 }
@@ -140,6 +141,49 @@ def test_rates_and_times_must_be_positive_and_finite(entry, bad):
     assert type(info.value) is ValueError
 
 
+# every settable value of the public API: the defaulted parameters of each
+# public function and the field defaults of each public record.  A knob
+# added or removed edits this literal.
+PUBLIC_SETTINGS = {
+    "CountRecord": {"cc12": None, "cc13": None, "cc123": None},
+    "DetectorChain": {"eta2": None, "eta3": None},
+    "InversionResult": {"tau_sigma": None, "eta1_sigma": None,
+                        "eta2_sigma": None},
+    "SimConfig": {"x": None, "chain": None, "source_kind": None, "mean": None},
+    "SimCounts": {name: 0 for name in (
+        "clicks1", "clicks2", "clicks3", "pair12", "pair13", "triple123",
+        "emitted", "emitted_sq", "emitted_cu", "pulses_with_emission",
+        "clicked_photons")},
+    "TableOneRow": {"cc12": None, "cc13": None, "cc123": None},
+    "build_table_two": {"eta2_scale": 1.0, "eta3_scale": 0.823529411764706},
+    "curve": {"variant": "click", "mean_grid": None},
+    "invert_counts": {"integration_time": None},
+    "report_for_row": {"eta2_scale": 1.0, "eta3_scale": 0.823529411764706},
+    "saturation_gap": {"variant": "click", "mean_grid": None},
+    "simulate": {"threads": None, "chunk_pulses": 32768},
+    "truncation_order": {"eps_trunc": 1e-12},
+}
+
+
+def test_public_settings():
+    settings = {}
+    for name in spdc_stats.__all__:
+        obj = getattr(spdc_stats, name)
+        if hasattr(obj, "_field_defaults"):
+            found = dict(obj._field_defaults)
+        elif inspect.isfunction(obj):
+            found = {p.name: p.default
+                     for p in inspect.signature(obj).parameters.values()
+                     if p.default is not p.empty}
+        else:
+            continue
+        if found:
+            settings[name] = found
+    assert settings == PUBLIC_SETTINGS
+    # the defaults, exactly: 1 == 1.0 == True would hide a changed type
+    assert repr(settings) == repr(PUBLIC_SETTINGS)
+
+
 def test_lookups_are_cached_in_the_package():
     value = spdc_stats.simulate
     assert vars(spdc_stats)["simulate"] is value
@@ -152,6 +196,15 @@ def test_unknown_names_raise_attribute_error():
     assert "RatePrediction" not in spdc_stats.__all__
 
 
+def test_submodules_resolve_and_are_listed():
+    # an imported submodule is already an attribute, so call the hook itself
+    assert spdc_stats.__getattr__("saturation") is sys.modules["spdc_stats.saturation"]
+    listed = dir(spdc_stats)
+    assert listed == sorted(listed)
+    assert set(spdc_stats.__all__) <= set(listed)
+    assert {"cli", "montecarlo", "sweepio", "__version__"} <= set(listed)
+
+
 # each validating record: valid keyword arguments, one field set invalid,
 # and the error its checks raise
 VALID_RECORD = {
@@ -159,7 +212,7 @@ VALID_RECORD = {
     "CountRecord": dict(power_mw=10.0, sc1=2e5, sc2=2e5, cc=4e4),
     "TableOneRow": dict(power_mw=10.0, sc1=2e5, sc2=2e5, cc=4e4, tau=1e-3,
                         eta1=0.2, eta2=0.2, pair_rate=1e6, one_pair_rate=1e6,
-                        mean_pairs=0.01, x=0.01, residual=0.0, iterations=0),
+                        mean_pairs=0.01, x=0.01, residual=0.0),
     "SimConfig": dict(mode="two_arm", pulses=1000, seed=1, x=0.1,
                       chain=spdc_stats.DetectorChain(eta1=0.2, eta2=0.2)),
 }
@@ -177,6 +230,8 @@ INVALID_FIELD = [
     ("SimConfig", "mode", "split", "unknown mode 'split'"),
     ("SimConfig", "pulses", 0, "pulses must be a positive integer, got 0"),
     ("SimConfig", "mean", 5.0, "mode two_arm does not use mean"),
+    ("SimConfig", "x", None, "mode two_arm requires x"),
+    ("SimConfig", "chain", None, "mode two_arm requires chain"),
 ]
 
 

@@ -117,6 +117,12 @@ class TestInvert:
             ("power_mw,sc1,sc2,cc,cc12,cc13,cc123\n"
              "10,2e5,1.9e5,4e4,2e4,-,77\n", "all present or all absent"),
             ("power_mw,sc1,sc2,cc\n10,2e5,-1.0,4e4\n", "non-negative"),
+            ("", "line 1: missing header row"),
+            ("power_mw,sc1,sc2,cc\n10,2e5,1.9e5\n",
+             "line 2: expected 4 columns, got 3"),
+            ("power_mw,sc1,sc2,cc,cc12,cc13,cc123\n"
+             "10,2e5,1.9e5,4e4,2e4,1.8e4,-77\n",
+             "line 2: split coincidence rates must be non-negative"),
         ],
     )
     def test_malformed_sweeps(self, tmp_path, capsys, body, fragment):
@@ -159,6 +165,14 @@ class TestInvert:
         code = main(["invert", str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("power_mw,sc1,sc2,cc\n10,223000,205000,45000\n\n"
+                         " , , , \n30,657000,594000,136000\n")
+        assert main(["invert", str(sweep), "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "table1.csv")
+        assert [row["power_mw"] for row in rows] == ["10.0", "30.0"]
 
 
 class TestCorrelations:
@@ -249,10 +263,11 @@ class TestCorrelations:
              "table: repetition_rate_hz must be a number, got True"),
             ({"repetition_rate_hz": -5},
              "table: repetition_rate_hz must be positive and finite, got -5"),
+            ([{"status": 0}], "row 1: status must be a string, got 0"),
         ],
         ids=["rows-string", "row-number", "sc1-string", "eta2-string",
              "eta1-nan", "x-above-1", "eta2-negative", "rate-nan", "rate-true",
-             "rate-negative"],
+             "rate-negative", "status-number"],
     )
     def test_malformed_table1_json(self, tmp_path, capsys, rows, fragment):
         good = {
@@ -275,6 +290,18 @@ class TestCorrelations:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("spdc-stats: error:")
         assert fragment in err[0]
+
+    def test_rates_near_underflow(self, tmp_path):
+        # this row inverts to x = 9.57e-80, where g2's squared pair rate
+        # underflows unless the click-set cells are rescaled first
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("power_mw,sc1,sc2,cc\n10,1.6e-72,1.5e-72,3.3e-73\n")
+        assert main(["invert", str(sweep), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "table2.csv"
+        assert main(["correlations", str(tmp_path / "table1.json"),
+                     "--out", str(out)]) == 0
+        g2 = float(read_csv(out)[0]["g2_predicted"])
+        assert 0.0 < g2 < 1e-78
 
     def test_failed_rows_carry_over(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -479,6 +506,17 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.read_text())["comparison"]["triple123"]["analytic"] > 0
 
+    def test_split_at_x_1e_200(self, tmp_path):
+        # the expected g2 reads cells far below the square root of the
+        # smallest float
+        out = tmp_path / "tiny.json"
+        code = main([
+            "simulate", "--mode", "heralded_split", "--x", "1e-200",
+            "--eta1", ".2", "--eta2", ".2", "--eta3", ".2", "--pulses", "1000",
+            "--out", str(out),
+        ])
+        assert code == 0
+
     @pytest.mark.parametrize("eta1,eta23", [("0", "0.2"), ("0.2", "0")])
     def test_split_with_dark_detectors(self, tmp_path, eta1, eta23):
         # no pair coincidences can occur, so there is no g2 to compare
@@ -542,10 +580,11 @@ class TestSweepRoundTrip:
         f, rows = read_table1_json(path)
         assert f == 76e6
         assert rows == table
-        # tables written while the inversion was iterative carry a solver key
+        # tables written while the inversion was iterative carry a solver
+        # key, and older tables an iterations key
         payload = json.loads(path.read_text())
         for row in payload["rows"]:
-            row["solver"] = "newton"
+            row["solver"], row["iterations"] = "newton", 0
         path.write_text(json.dumps(payload))
         assert read_table1_json(path) == (76e6, table)
 
@@ -560,6 +599,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "invert" in proc.stdout
+
+    def test_usage_error_exits_one_in_process(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bogus"])
+        assert info.value.code == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_usage_error_exits_one(self):
         exe = shutil.which("spdc-stats")

@@ -285,7 +285,8 @@ class TestG2HeraldedPredicted:
     @pytest.mark.parametrize("x", [1e-4, 0.0135, 0.392])
     def test_matches_series_rates(self, x):
         rates = oracle.split_coincidences(1.0, x, 0.215, 0.198, 0.163)
-        series = g2_from_counts(rates.sc1h, rates.cc12, rates.cc13, rates.cc123)
+        series = g2_from_counts(rates["clicks1"], rates["pair12"], rates["pair13"],
+                                rates["triple123"])
         got = g2_heralded_predicted(x, 0.215, 0.198, 0.163)
         assert got == pytest.approx(series, rel=1e-9)
 
@@ -294,7 +295,7 @@ def _row(x, power=10.0, eta1=0.215, eta2=0.198, **kwargs):
     return TableOneRow(
         power_mw=power, sc1=2e5, sc2=2e5, cc=4e4, tau=x / power,
         eta1=eta1, eta2=eta2, pair_rate=1e6, one_pair_rate=1e6,
-        mean_pairs=x / (1 - x), x=x, residual=1e-12, iterations=3, **kwargs
+        mean_pairs=x / (1 - x), x=x, residual=1e-12, **kwargs
     )
 
 

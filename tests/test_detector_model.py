@@ -89,6 +89,15 @@ class TestClickProbability:
         with pytest.raises(ValueError, match="eta"):
             click_probability(2, bad)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "photon count n must be integer"),
+        ("3", "photon count n must be integer"),
+        (-1, "photon count n must be non-negative"),
+    ])
+    def test_rejects_bad_photon_count(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            click_probability(n, 0.5)
+
 
 class TestSinglesRate:
     def test_dead_detector(self):
@@ -188,27 +197,25 @@ class TestCoincidenceRate:
 class TestSplitCoincidences:
     def test_dead_branch_kills_three_folds(self):
         pred = split_coincidences(F, 0.2, 0.3, 0.0, 0.4)
-        assert pred.cc123 == 0.0
-        assert pred.cc12 == 0.0
+        assert pred["triple123"] == 0.0
+        assert pred["pair12"] == 0.0
         pred = split_coincidences(F, 0.2, 0.3, 0.4, 0.0)
-        assert pred.cc123 == 0.0
+        assert pred["triple123"] == 0.0
 
     @pytest.mark.parametrize("x", [0.0135, 0.128, 0.392])
     def test_series_matches_brute_force(self, x):
         pred = split_coincidences(F, x, 0.215, 0.198, 0.163)
         ref12, ref13, ref123 = brute_split(F, x, 0.215, 0.198, 0.163)
-        assert pred.cc12 == pytest.approx(ref12, rel=1e-11)
-        assert pred.cc13 == pytest.approx(ref13, rel=1e-11)
-        assert pred.cc123 == pytest.approx(ref123, rel=1e-11)
+        assert pred["pair12"] == pytest.approx(ref12, rel=1e-11)
+        assert pred["pair13"] == pytest.approx(ref13, rel=1e-11)
+        assert pred["triple123"] == pytest.approx(ref123, rel=1e-11)
 
     @pytest.mark.parametrize("x", [0.128, 0.392])
     def test_closed_form_cross_check_moderate_x(self, x):
         series = oracle.split_coincidences(F, x, 0.215, 0.198, 0.163)
         closed = split_coincidences(F, x, 0.215, 0.198, 0.163)
-        for field in ("cc12", "cc13", "cc123", "sc1h"):
-            assert getattr(closed, field) == pytest.approx(
-                getattr(series, field), rel=1e-9
-            )
+        for field in ("pair12", "pair13", "triple123", "clicks1"):
+            assert closed[field] == pytest.approx(series[field], rel=1e-9)
 
     @pytest.mark.parametrize("x", [1e-4, 0.0135])
     def test_closed_form_cross_check_small_x(self, x):
@@ -216,25 +223,25 @@ class TestSplitCoincidences:
         # relative precision at small x
         series = oracle.split_coincidences(1.0, x, 0.215, 0.198, 0.163)
         closed = split_coincidences(1.0, x, 0.215, 0.198, 0.163)
-        for field in ("cc12", "cc13", "cc123"):
-            assert getattr(closed, field) == pytest.approx(
-                getattr(series, field), rel=1e-12, abs=0
-            )
+        for field in ("pair12", "pair13", "triple123"):
+            assert closed[field] == pytest.approx(series[field], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "x",
-        [1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9, 0.99, 0.9999,
-         0.999999],
+        [1e-120, 1e-80, 1e-12, 1e-9, 1e-6, 1e-4, 0.0135, 0.128, 0.392, 0.7, 0.9,
+         0.99, 0.9999, 0.999999],
     )
     def test_closed_form_matches_exact_rational(self, x):
         # the inclusion-exclusion sum over the generating function,
-        # evaluated in exact rational arithmetic on the same float inputs
+        # evaluated in exact rational arithmetic on the same float inputs;
+        # at x = 1e-80 and below, g2's u**2 underflows unless rescaled
         grid = [1e-12, 1e-9, 0.163, 0.215, 0.5, 1.0 - 1e-13, 1.0]
         for etas in itertools.product(grid, repeat=3):
             exact = oracle.exact_all_click(x, *etas)
             pred = split_coincidences(1.0, x, *etas)
-            for field, mask in (("cc12", 3), ("cc13", 5), ("cc123", 7), ("sc1h", 1)):
-                got = getattr(pred, field)
+            for field, mask in (("pair12", 3), ("pair13", 5), ("triple123", 7),
+                                ("clicks1", 1)):
+                got = pred[field]
                 assert got > 0.0, (field, x, etas)
                 assert rational_rel_error(got, exact[mask]) <= 2e-15, (field, x, etas)
             g2 = 2 * exact[1] * exact[7] / (exact[3] + exact[5]) ** 2
@@ -267,33 +274,34 @@ class TestSplitCoincidences:
     @pytest.mark.parametrize("x, eta1", [(0.0, 0.3), (0.2, 0.0)])
     def test_closed_form_no_pairs_or_dead_herald(self, x, eta1):
         pred = split_coincidences(F, x, eta1, 0.4, 0.5)
-        assert (pred.cc12, pred.cc13, pred.cc123) == (0.0, 0.0, 0.0)
+        assert [pred[k] for k in ("pair12", "pair13", "triple123")] == [0.0] * 3
 
     def test_branch_two_composes_with_pair_coincidence(self):
         # a 50/50 split followed by a detector of efficiency eta is one
         # detector of efficiency eta/2 as far as branch pairs go
         pred = split_coincidences(F, 0.128, 0.215, 0.198, 0.163)
-        assert pred.cc12 == pytest.approx(
+        assert pred["pair12"] == pytest.approx(
             two_arm_rates(F, 0.128, 0.215, 0.198 / 2.0).cc, rel=1e-10
         )
-        assert pred.cc13 == pytest.approx(
+        assert pred["pair13"] == pytest.approx(
             two_arm_rates(F, 0.128, 0.215, 0.163 / 2.0).cc, rel=1e-10
         )
 
     def test_branch_swap_symmetry(self):
         a = split_coincidences(F, 0.2, 0.3, 0.5, 0.25)
         b = split_coincidences(F, 0.2, 0.3, 0.25, 0.5)
-        assert a.cc12 == pytest.approx(b.cc13, rel=1e-12)
-        assert a.cc13 == pytest.approx(b.cc12, rel=1e-12)
-        assert a.cc123 == pytest.approx(b.cc123, rel=1e-12)
+        assert a["pair12"] == pytest.approx(b["pair13"], rel=1e-12)
+        assert a["pair13"] == pytest.approx(b["pair12"], rel=1e-12)
+        assert a["triple123"] == pytest.approx(b["triple123"], rel=1e-12)
 
     def test_ordering_chain(self):
         pred = split_coincidences(F, 0.392, 0.125, 0.107, 0.088)
-        assert pred.cc123 <= min(pred.cc12, pred.cc13) <= pred.sc1h
+        assert (pred["triple123"] <= min(pred["pair12"], pred["pair13"])
+                <= pred["clicks1"])
 
     def test_heralding_singles_field(self):
         pred = split_coincidences(F, 0.128, 0.215, 0.198, 0.163)
-        assert pred.sc1h == pytest.approx(
+        assert pred["clicks1"] == pytest.approx(
             two_arm_rates(F, 0.128, 0.215, 0.198).sc1, rel=1e-12)
 
     def test_back_solved_branch_sum_consistency(self):
@@ -301,7 +309,7 @@ class TestSplitCoincidences:
         # policy, the summed branch coincidences land near the value
         # back-solved from the measured three-fold rate
         pred = split_coincidences(F, X10, 0.215, 0.198, 0.198 * 0.56 / 0.68)
-        assert pred.cc12 + pred.cc13 == pytest.approx(40e3, rel=0.20)
+        assert pred["pair12"] + pred["pair13"] == pytest.approx(40e3, rel=0.20)
 
     def test_small_branch_efficiency_limit(self):
         # with tiny branch efficiencies the three-fold rate reduces to the
@@ -312,7 +320,7 @@ class TestSplitCoincidences:
         pr = (1.0 - x) * x**ns
         herald = 1.0 - (1.0 - e1) ** ns
         limit = F * float(np.sum(pr * herald * e * e * ns * (ns - 1) / 4.0))
-        assert pred.cc123 == pytest.approx(limit, rel=1e-2)
+        assert pred["triple123"] == pytest.approx(limit, rel=1e-2)
 
     def test_all_small_efficiency_limit(self):
         # when the herald is also weak its click probability linearizes to
@@ -322,7 +330,7 @@ class TestSplitCoincidences:
         ns = np.arange(400)
         pr = (1.0 - x) * x**ns
         limit = F * float(np.sum(pr * e * ns * e * e * ns * (ns - 1) / 4.0))
-        assert pred.cc123 == pytest.approx(limit, rel=1e-2)
+        assert pred["triple123"] == pytest.approx(limit, rel=1e-2)
 
     def test_large_truncation_order_path(self):
         # x = 0.7 needs more than 60 series terms, where the oracle's
@@ -330,8 +338,8 @@ class TestSplitCoincidences:
         assert truncation_order(0.7, 1e-12) > 60
         pred = split_coincidences(F, 0.7, 0.215, 0.198, 0.163)
         ref12, ref13, ref123 = brute_split(F, 0.7, 0.215, 0.198, 0.163, n_max=300)
-        assert pred.cc12 == pytest.approx(ref12, rel=1e-9)
-        assert pred.cc123 == pytest.approx(ref123, rel=1e-9)
+        assert pred["pair12"] == pytest.approx(ref12, rel=1e-9)
+        assert pred["triple123"] == pytest.approx(ref123, rel=1e-9)
 
     def test_truncation_cap(self):
         with pytest.raises(ResourceLimitError):

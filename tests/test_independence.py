@@ -11,11 +11,14 @@ must then exceed the 5-sigma gate; a row marked not caught is a known
 blind spot and must stay below it, so closing one shows up here too.  The
 judge forms g2's expectation and variance from the click-set cells
 (``g2_on_cells``), so only the run's side reads ``g2_from_counts``, and
-every formula but one is caught.  The one left is a low g2 expectation:
-1 % of g2 is 5.8 sigma of the heralded_split config, whose run reads 1.45
-sigma below the analytic g2, so a 1 % low expectation reads 4.4 sigma.  A
-1 % high one reads 7.2, as the planted estimator does; the g2 gate
-resolves about 1.3 % of g2 here, not 1 %.
+every formula is caught.  The heralded_split config counts 4,000,000
+pulses, so 1 % of g2 is 11.6 sigma; its run reads 0.91 sigma below the
+analytic g2, a 1 % low expectation 10.8 sigma and a 1 % high one 12.5.
+
+One tally still shares its formula: the sampler and the judge both read
+``emission_probability`` for pulses_with_emission, so a planted error there
+moves that gate's two sides alike (0.5 to 2.3 sigma) and is caught only
+through the emission moments and the click tallies.
 
 The error is a factor 0.99 on a probability or a law parameter, which
 keeps it a probability, and 1.01 on the truncated Poisson cdf: entries
@@ -41,7 +44,7 @@ GATE = 5.0
 CONFIGS = [
     SimConfig(mode="two_arm", pulses=1_000_000, seed=11, x=0.5,
               chain=DetectorChain(0.6, 0.7)),
-    SimConfig(mode="heralded_split", pulses=1_000_000, seed=12, x=0.5,
+    SimConfig(mode="heralded_split", pulses=4_000_000, seed=12, x=0.5,
               chain=DetectorChain(0.6, 0.7, 0.6)),
     SimConfig(mode="saturation", pulses=1_000_000, seed=13,
               source_kind="thermal", mean=2.0, chain=DetectorChain(0.5)),
@@ -79,10 +82,10 @@ MATRIX = [
     ("click_sets", "detector_model", _scaled_output, True),
     ("pair_outcomes", "detector_model", _scaled_output, True),
     # only the run's side of the g2 gate reads the estimator; the judge
-    # forms g2 from the click-set cells, so no known blind spot is left
+    # forms g2 from the click-set cells
     ("g2_from_counts", "detector_model", _scaled_output, True),
-    # the judge's g2 expectation and variance; 4.4 sigma, see above
-    ("g2_on_cells", "detector_model", _scaled_output, False),
+    # the judge's g2 expectation and variance; 10.8 sigma, see above
+    ("g2_on_cells", "detector_model", _scaled_output, True),
     ("_geometric_draw", "montecarlo", _scaled_argument, True),
     ("_truncated_poisson_cdf", "montecarlo", _raised_cdf, True),
 ]

@@ -153,7 +153,7 @@ class TestInvertCounts:
     def test_sigma_bands_optional(self):
         plain = invert_counts(F, 10, 223e3, 205e3, 45e3)
         assert plain.tau_sigma is None
-        banded = invert_counts(F, 10, 223e3, 205e3, 45e3, with_sigma=True)
+        banded = invert_counts(F, 10, 223e3, 205e3, 45e3, integration_time=1.0)
         assert banded.tau_sigma > 0
         assert banded.eta1_sigma > 0
         assert banded.eta2_sigma > 0
@@ -175,7 +175,7 @@ class TestInvertCounts:
             ))
             res = invert_counts(
                 F, truth.power_mw, counts.clicks1 / t, counts.clicks2 / t,
-                counts.pair12 / t, with_sigma=True, integration_time=t,
+                counts.pair12 / t, integration_time=t,
             )
             inside += [
                 abs(res.tau - truth.tau) <= res.tau_sigma,

@@ -70,6 +70,10 @@ class TestCurve:
         with pytest.raises(ValueError):
             curve("thermal", eta=0.5, variant="other")
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="mean_grid must be non-empty"):
+            curve("thermal", 0.5, "click", [])
+
 
 class TestGap:
     def test_spot_value(self):
