@@ -249,6 +249,11 @@ def g2_on_cells(sets: list[float]) -> tuple[float, float]:
     u = 2.0 * t + q
     if u == 0:
         raise DivergenceError("pair12 + pair13 = 0: g2 estimator undefined")
+    # u is still tiny when the herald alone dwarfs the pairs (branch
+    # efficiencies below ~1e-162), and then u * u underflows to 0
+    if u * u == 0:
+        raise DivergenceError(
+            "(pair12 + pair13)**2 underflows: g2 estimator undefined")
     a = (q * q + q * h - 2.0 * t * h) / u
     b = t * (q + 2.0 * h) / u
     w = 2.0 / (u * u)

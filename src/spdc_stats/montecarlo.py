@@ -43,11 +43,14 @@ of n, n**2 and n**3 over the chunk.  Every click tally is the count of
 the AND of the click masks of its ``CLICK_MASKS`` entry, for the entries
 below 2**D.
 
-With T workers, each runs every T-th chunk: worker 0 on the calling
-thread, the others on plain ``threading.Thread``s, all joined before the
-rows are summed.  An exception that ends a worker is raised again,
-unchanged, in the caller.  The calling thread page-faults no more per
-chunk than a started thread (``getrusage`` ru_minflt, ~5 per 2**15-event
+With T workers, all pull chunks from one shared queue until it is empty:
+worker 0 on the calling thread, the others on plain ``threading.Thread``s,
+all joined before the rows are summed.  A chunk's tallies depend only on
+its start and length, so which worker runs it changes nothing, and a
+worker on a faster CPU simply takes more chunks; the workers finish within
+about one chunk of each other.  Once a worker raises, the others take no
+new chunk, and the exception is raised again, unchanged, in the caller.
+The calling thread page-faults no more per chunk than a started thread (``getrusage`` ru_minflt, ~5 per 2**15-event
 coherent chunk on either).  Each worker runs its chunks through one set
 of scratch arrays sized to a chunk: three 8-byte arrays and D + 1 bool
 masks, four in heralded_split.  Every ufunc and gather writes into them
@@ -56,7 +59,9 @@ Chunks default to 2**15 events, so a heralded_split chunk's words take
 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two threads, but raised
 the peak RSS of ten such runs from 45-48 to 51 MB.  numpy's Philox words
 take 45-61 % of a 2**15-event chunk in every mode (2 vCPUs, numpy 2.4.6),
-and the contract fixes their layout, so the kernel is at its floor.
+and the contract fixes their layout, so the kernel is at its floor.  A
+call's wall time is also that of its slowest worker, which the shared
+queue keeps within about one chunk of the others.
 
 This module samples and tallies; ``expectations`` judges a run against
 the analytic model.  Both read the source through ``SimConfig.law``, whose
@@ -397,8 +402,9 @@ class _ChunkKernel:
             for name, mask in CLICK_MASKS.items() if mask < 1 << len(etas)
         ]
 
-    def run_stripe(self, jobs: list[tuple[int, int]], size: int) -> np.ndarray:
-        """Summed tallies of the chunks (start, m) in jobs, m <= size.
+    def run_chunks(self, jobs, size: int) -> np.ndarray:
+        """Summed tallies of the chunks (start, m) that the iterable jobs
+        yields, m <= size.
 
         One set of scratch arrays serves every chunk: a (uint64: uniforms,
         bucket indices, gathered thresholds), n and k (int64: pair numbers,
@@ -471,15 +477,16 @@ def simulate(
     threads, by default the CPU count, and chunk_pulses affect speed
     only, never the result.
     chunk_pulses counts emitting pulses per work chunk and must be a
-    positive multiple of 4 (stream-seek alignment).  Worker w of T runs
-    the chunks w, w + T, w + 2T, ... through its own scratch arrays, sized
-    to one chunk, and returns one tally row; worker 0 runs here, the others
-    on threads started here.  The rows are summed once every thread is
-    joined, and an exception that ended a worker is raised here as it was
-    raised there.  The default chunk, 2**15, holds a heralded_split
-    chunk's random words to 1.3 MB; larger chunks save little per chunk
-    and raise the peak memory.  The click thresholds and the guide table
-    of the module docstring are built here, once per call.
+    positive multiple of 4 (stream-seek alignment).  The T workers pull
+    chunks in order from one shared queue until it is empty, run each
+    through their own scratch arrays, sized to one chunk, and return one
+    tally row each; worker 0 runs here, the others on threads started
+    here.  The rows are summed once every thread is joined.  A worker that
+    raises stops the others from taking a new chunk, and its exception is
+    raised here as it was raised there.  The default chunk, 2**15, holds
+    a heralded_split chunk's random words to 1.3 MB; larger chunks save
+    little per chunk and raise the peak memory.  The click thresholds and
+    the guide table of the module docstring are built here, once per call.
     """
     # exactly int, as for SimConfig.pulses: True is no count
     if type(chunk_pulses) is not int or chunk_pulses < 4 or chunk_pulses % 4:
@@ -509,11 +516,27 @@ def simulate(
         workers = min(threads, len(jobs))
         # each worker's row, or the exception that ended it
         rows = [None] * workers
+        queue = iter(jobs)
+        lock = threading.Lock()
+        failed = threading.Event()
+
+        def pull():
+            """The jobs this worker takes from the shared queue: the next
+            one each time, until the queue is empty or a worker failed."""
+            while not failed.is_set():
+                # one pull is one step under the lock, whatever the
+                # interpreter makes atomic, so no job is run twice or lost
+                with lock:
+                    job = next(queue, None)
+                if job is None:
+                    return
+                yield job
 
         def work(w):
             try:
-                rows[w] = kernel.run_stripe(jobs[w::workers], size)
+                rows[w] = kernel.run_chunks(pull(), size)
             except BaseException as exc:  # raised below, once all are joined
+                failed.set()
                 rows[w] = exc
 
         pool = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]

@@ -349,6 +349,19 @@ class TestCorrelations:
         gb = float(read_csv(b)[0]["g2_predicted"])
         assert ga != gb
 
+    def test_underflowing_prediction_left_empty(self, invert_out, tmp_path):
+        # branch efficiencies below ~1e-162: g2's squared pair rate
+        # underflows, so the prediction is undefined and the run goes on
+        out = tmp_path / "t2.csv"
+        assert main([
+            "correlations", str(invert_out / "table1.json"),
+            "--eta2-scale", "1e-170", "--eta3-scale", "1e-170",
+            "--out", str(out),
+        ]) == 0
+        rows = read_csv(out)
+        assert [r["g2_predicted"] for r in rows] == ["-"] * len(rows)
+        assert all(r["status"] == "ok" for r in rows)
+
     @pytest.mark.parametrize("scale", ["-0.5", "nan"])
     def test_bad_eta2_scale_rejected(self, invert_out, tmp_path, capsys, scale):
         code = main([

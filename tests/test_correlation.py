@@ -261,6 +261,13 @@ class TestDivergences:
         with pytest.raises(ValueError, match="eta1"):
             g2_heralded_predicted(0.0, 1.5, 0.2, 0.2)
 
+    def test_predicted_heralded_underflow_diverges(self):
+        # with branch efficiencies below ~1e-162 the pair rates' square
+        # underflows even after the cells are rescaled
+        assert g2_heralded_predicted(0.1, 0.2, 1e-160, 1e-160) > 0.0
+        with pytest.raises(DivergenceError, match="underflows"):
+            g2_heralded_predicted(0.1, 0.2, 1e-165, 1e-165)
+
 
 class TestG2HeraldedPredicted:
     def test_table_two_value(self):

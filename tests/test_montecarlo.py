@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -253,28 +255,99 @@ class TestDeterminism:
             simulate(two_arm(0.1, 100), chunk_pulses=chunk)
 
 
+def wrap_jobs(monkeypatch, each):
+    """Patch the chunk loop so that each(start) runs before each chunk it
+    takes, on the thread that takes it."""
+    run_chunks = _ChunkKernel.run_chunks
+
+    def wrapped(kernel, jobs, size):
+        def checked():
+            for job in jobs:
+                each(job[0])
+                yield job
+
+        return run_chunks(kernel, checked(), size)
+
+    monkeypatch.setattr(_ChunkKernel, "run_chunks", wrapped)
+
+
 class TestWorkerErrors:
-    def test_error_in_a_later_stripe_reaches_the_caller(self, monkeypatch):
-        class StripeError(Exception):
+    def test_error_in_a_later_chunk_reaches_the_caller(self, monkeypatch):
+        class ChunkError(Exception):
             pass
 
         raised = []
-        run_stripe = _ChunkKernel.run_stripe
 
-        def failing(kernel, jobs, size):
-            if jobs[0][0] == 0:  # the first stripe runs as usual
-                return run_stripe(kernel, jobs, size)
-            raised.append(StripeError(f"stripe from event {jobs[0][0]}"))
-            raise raised[-1]
+        def fail_at_1024(start):
+            if start == 1024:
+                raised.append(ChunkError(f"chunk from event {start}"))
+                raise raised[-1]
 
-        monkeypatch.setattr(_ChunkKernel, "run_stripe", failing)
+        wrap_jobs(monkeypatch, fail_at_1024)
         config = two_arm(0.392, 10_000, seed=3)
         before = threading.active_count()
-        with pytest.raises(StripeError) as info:
+        with pytest.raises(ChunkError) as info:
             simulate(config, threads=2, chunk_pulses=1024)
         assert info.value is raised[0]
-        assert str(info.value) == "stripe from event 1024"
+        assert str(info.value) == "chunk from event 1024"
         assert threading.active_count() == before
+
+    def test_no_new_chunk_after_a_failure(self, monkeypatch):
+        # 16 chunks; once the first fails, each other worker finishes the
+        # chunk it holds and may have pulled one more before the failure
+        # was flagged, but takes none after
+        started = []
+
+        def fail_first(start):
+            started.append(start)
+            if start == 0:
+                raise RuntimeError("first chunk")
+            time.sleep(0.002)
+
+        wrap_jobs(monkeypatch, fail_first)
+        config = two_arm(0.392, 40_000, seed=3)
+        with pytest.raises(RuntimeError, match="first chunk"):
+            simulate(config, threads=2, chunk_pulses=1024)
+        assert 0 in started
+        assert len(started) - 1 <= 2
+
+
+class TestDispatch:
+    """Workers pull chunks from one queue, so a slow worker takes fewer."""
+
+    def test_slow_caller_takes_fewer_chunks(self, monkeypatch):
+        caller = threading.get_ident()
+        ran = []  # per chunk, whether the calling thread ran it
+
+        def slow_caller(start):
+            here = threading.get_ident() == caller
+            ran.append(here)
+            if here:
+                time.sleep(0.005)
+
+        config = two_arm(0.392, 40_000, seed=3)
+        expected = simulate(config, threads=1)
+        wrap_jobs(monkeypatch, slow_caller)
+        assert simulate(config, threads=2, chunk_pulses=1024) == expected
+        assert len(ran) == 16
+        assert len(ran) - sum(ran) > sum(ran)
+
+    def test_every_chunk_runs_once_under_contention(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the
+        # interpreter allows: a chunk pulled twice or lost changes a tally
+        starts = []
+        config = heralded(0.392, 50_000, seed=29)
+        expected = simulate(config, threads=1)
+        wrap_jobs(monkeypatch, starts.append)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate(config, threads=8, chunk_pulses=64)
+        finally:
+            sys.setswitchinterval(interval)
+        events = expected.pulses_with_emission
+        assert sorted(starts) == list(range(0, events, 64))
+        assert got == expected
 
 
 class TestEventCountKey:
@@ -510,7 +583,7 @@ class TestKernelTables:
         config = saturation("thermal", 10.0, 1_000, seed=1)
         draw, _ = _event_photon_sampler(config.law)
         with pytest.raises(IndexError, match="past the click tables"):
-            _ChunkKernel(config, draw, 3).run_stripe([(0, 512)], 512)
+            _ChunkKernel(config, draw, 3).run_chunks([(0, 512)], 512)
 
     def test_binomial_half_fast_path_is_popcount(self):
         ns = np.random.default_rng(4).integers(0, 64, 5000)
