@@ -22,7 +22,7 @@ _PUBLIC = {
     "cli": (),
     "correlation": (
         "CorrelationReport", "build_table_two", "g2_heralded_predicted",
-        "ideal_g", "report_for_row",
+        "ideal_g",
     ),
     "detector_model": (
         "DetectorChain", "g2_from_counts", "split_coincidences",
@@ -36,14 +36,14 @@ _PUBLIC = {
         "CountRecord", "FailedRow", "InversionResult", "TableOneRow",
         "build_table", "invert_counts",
     ),
-    "expectations": ("analytic_expectations", "compare_with_analytic"),
+    "expectations": ("compare_with_analytic",),
     "montecarlo": ("SimConfig", "SimCounts", "simulate"),
     "photon_statistics": (
         "SourceLaw", "truncation_order",
     ),
     "saturation": (
         "GAP_PEAK_Z", "SaturationCurve", "click_gap", "curve",
-        "default_mean_grid", "saturation_gap",
+        "saturation_gap",
     ),
     "sweepio": (
         "bundled_path", "load_bundled_sweep", "read_sweep",

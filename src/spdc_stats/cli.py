@@ -176,18 +176,17 @@ def cmd_correlations(args) -> int:
 
 
 def cmd_saturation(args) -> int:
-    from .saturation import curve, default_mean_grid
+    from .saturation import curve
     from .sweepio import write_curves_csv
 
     etas = args.etas if args.etas else list(DEFAULT_SATURATION_ETAS)
-    grid = default_mean_grid()
     curves = [
-        curve(kind, eta, args.variant, grid)
+        curve(kind, eta, args.variant)
         for kind in ("coherent", "thermal")
         for eta in etas
     ]
     write_curves_csv(curves, args.out)
-    print(f"wrote {args.out}: {len(curves)} curves x {len(grid)} points")
+    print(f"wrote {args.out}: {len(curves)} curves x {len(curves[0].means)} points")
     return 0
 
 

@@ -103,35 +103,6 @@ class CorrelationReport(NamedTuple):
     g3_unheralded: float
 
 
-def report_for_row(
-    row: TableOneRow,
-    eta2_scale: float = DEFAULT_ETA2_SCALE,
-    eta3_scale: float = DEFAULT_ETA3_SCALE,
-) -> CorrelationReport:
-    """Correlation values for one inverted sweep row."""
-    x, law = row.x, SourceLaw.geometric(row.x)
-    eta2 = min(row.eta2 * eta2_scale, 1.0)
-    eta3 = min(row.eta2 * eta3_scale, 1.0)
-
-    def guarded(fn, *args):
-        try:
-            return fn(*args)
-        except DivergenceError:
-            return None
-
-    return CorrelationReport(
-        power_mw=row.power_mw,
-        g2_measured=None if row.cc12 is None else guarded(
-            g2_from_counts, row.sc1, row.cc12, row.cc13, row.cc123),
-        g2_predicted=guarded(g2_heralded_predicted, x, row.eta1, eta2, eta3),
-        g2_heralded=ideal_g(law, 2, "heralded"),
-        g2_unheralded=ideal_g(law, 2, "arm"),
-        g2_signal_idler=guarded(ideal_g, law, 2, "pooled"),
-        g3_signal_idler=guarded(ideal_g, law, 3, "pooled"),
-        g3_unheralded=ideal_g(law, 3, "arm"),
-    )
-
-
 def build_table_two(
     rows: list[TableOneRow | FailedRow],
     eta2_scale: float = DEFAULT_ETA2_SCALE,
@@ -142,13 +113,30 @@ def build_table_two(
     FailedRow entries pass through unchanged so callers can keep the
     row-for-row correspondence with the input sweep.
     """
+
+    def guarded(fn, *args):
+        try:
+            return fn(*args)
+        except DivergenceError:
+            return None
+
     out: list[CorrelationReport | FailedRow] = []
     for row in rows:
         if isinstance(row, FailedRow):
             out.append(row)
             continue
-        out.append(
-            report_for_row(row, eta2_scale=eta2_scale, eta3_scale=eta3_scale)
-        )
+        x, law = row.x, SourceLaw.geometric(row.x)
+        eta2 = min(row.eta2 * eta2_scale, 1.0)
+        eta3 = min(row.eta2 * eta3_scale, 1.0)
+        out.append(CorrelationReport(
+            power_mw=row.power_mw,
+            g2_measured=None if row.cc12 is None else guarded(
+                g2_from_counts, row.sc1, row.cc12, row.cc13, row.cc123),
+            g2_predicted=guarded(g2_heralded_predicted, x, row.eta1, eta2, eta3),
+            g2_heralded=ideal_g(law, 2, "heralded"),
+            g2_unheralded=ideal_g(law, 2, "arm"),
+            g2_signal_idler=guarded(ideal_g, law, 2, "pooled"),
+            g3_signal_idler=guarded(ideal_g, law, 3, "pooled"),
+            g3_unheralded=ideal_g(law, 3, "arm"),
+        ))
     return out
-

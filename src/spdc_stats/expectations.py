@@ -28,6 +28,7 @@ import math
 
 from .detector_model import (CLICK_MASKS, all_click, click_sets, g2_from_counts,
                              g2_on_cells, pair_outcomes)
+from .errors import DivergenceError
 from .photon_statistics import click_moment, emission_probability
 
 # emission-moment tallies and the (k, eta) of each: every photon counts
@@ -54,16 +55,14 @@ def _judge(config):
             out[name] = clicks[m]
             variance[name] = clicks[m] * math.fsum(
                 q for s, q in enumerate(sets) if s & m != m)
-    # as for a run: without pair12 + pair13, g2 is undefined
-    if config.mode == "heralded_split" and clicks[3] + clicks[5] > 0:
-        out["g2"], variance["g2"] = g2_on_cells(sets)
+    if config.mode == "heralded_split":
+        # as for a run: without pair12 + pair13, or where its square
+        # underflows, g2 is undefined
+        try:
+            out["g2"], variance["g2"] = g2_on_cells(sets)
+        except DivergenceError:
+            pass
     return out, variance
-
-
-def analytic_expectations(config) -> dict[str, float]:
-    """Per-pulse expected values of every tally the mode produces, plus
-    'g2' in heralded_split mode; keys match SimCounts field names."""
-    return _judge(config)[0]
 
 
 def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
@@ -78,7 +77,7 @@ def compare_with_analytic(config, counts) -> dict[str, dict[str, float]]:
     report: dict[str, dict[str, float]] = {}
     for name, target in expected.items():
         if name != "g2":
-            mc = counts.fraction(name)
+            mc = getattr(counts, name) / counts.pulses
         elif counts.pair12 + counts.pair13:
             mc = g2_from_counts(
                 counts.clicks1, counts.pair12, counts.pair13, counts.triple123

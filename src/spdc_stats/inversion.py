@@ -113,9 +113,9 @@ class InversionResult(NamedTuple):
     x: float
     residual: float
     iterations: int
-    tau_sigma: float | None = None
-    eta1_sigma: float | None = None
-    eta2_sigma: float | None = None
+    tau_sigma: float | None
+    eta1_sigma: float | None
+    eta2_sigma: float | None
 
 
 class _RowFields(NamedTuple):

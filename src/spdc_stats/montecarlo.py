@@ -55,9 +55,9 @@ coherent chunk on either).  Each worker runs its chunks through one set
 of scratch arrays sized to a chunk: three 8-byte arrays and D + 1 bool
 masks, four in heralded_split.  Every ufunc and gather writes into them
 through out=, so a chunk allocates no array but its random words.
-Chunks default to 2**15 events, so a heralded_split chunk's words take
-1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two threads, but raised
-the peak RSS of ten such runs from 45-48 to 51 MB.  numpy's Philox words
+Chunks hold ``CHUNK_EVENTS`` = 2**15 events, so a heralded_split chunk's
+words take 1.3 MB.  2**16 ran 2-7 % faster at 1e7 pulses with two threads,
+but raised the peak RSS of ten such runs from 45-48 to 51 MB.  numpy's Philox words
 take 45-61 % of a 2**15-event chunk in every mode (2 vCPUs, numpy 2.4.6),
 and the contract fixes their layout, so the kernel is at its floor.  A
 call's wall time is also that of its slowest worker, which the shared
@@ -88,7 +88,8 @@ from .photon_statistics import SourceLaw, emission_probability
 # each mode and the number of detectors it reads
 _DETECTORS = {"two_arm": 2, "heralded_split": 3, "saturation": 1}
 
-DEFAULT_CHUNK_PULSES = 1 << 15
+# events per work chunk; a multiple of 4, as the stream seeks in 4-word blocks
+CHUNK_EVENTS = 1 << 15
 
 # buckets of the guide table over the truncated Poisson cdf
 _GUIDE_BUCKETS = 4096
@@ -189,9 +190,6 @@ class SimCounts(NamedTuple):
     emitted_cu: int = 0
     pulses_with_emission: int = 0
     clicked_photons: int = 0
-
-    def fraction(self, field: str) -> float:
-        return getattr(self, field) / self.pulses
 
 
 # the tallies of a kernel row, in SimCounts order, and their columns
@@ -467,30 +465,20 @@ class _ChunkKernel:
         row[_COL["pulses_with_emission"]] += m
 
 
-def simulate(
-    config: SimConfig,
-    threads: int | None = None,
-    chunk_pulses: int = DEFAULT_CHUNK_PULSES,
-) -> SimCounts:
+def simulate(config: SimConfig, threads: int | None = None) -> SimCounts:
     """Run the simulation described by config and return exact tallies.
 
-    threads, by default the CPU count, and chunk_pulses affect speed
-    only, never the result.
-    chunk_pulses counts emitting pulses per work chunk and must be a
-    positive multiple of 4 (stream-seek alignment).  The T workers pull
-    chunks in order from one shared queue until it is empty, run each
-    through their own scratch arrays, sized to one chunk, and return one
-    tally row each; worker 0 runs here, the others on threads started
-    here.  The rows are summed once every thread is joined.  A worker that
-    raises stops the others from taking a new chunk, and its exception is
-    raised here as it was raised there.  The default chunk, 2**15, holds
-    a heralded_split chunk's random words to 1.3 MB; larger chunks save
-    little per chunk and raise the peak memory.  The click thresholds and
-    the guide table of the module docstring are built here, once per call.
+    threads, by default the CPU count, affects speed only, never the
+    result.  The events are cut into chunks of ``CHUNK_EVENTS``.  The T
+    workers pull chunks in order from one shared queue until it is empty,
+    run each through their own scratch arrays, sized to one chunk, and
+    return one tally row each; worker 0 runs here, the others on threads
+    started here.  The rows are summed once every thread is joined.  A
+    worker that raises stops the others from taking a new chunk, and its
+    exception is raised here as it was raised there.  The click thresholds
+    and the guide table of the module docstring are built here, once per
+    call.
     """
-    # exactly int, as for SimConfig.pulses: True is no count
-    if type(chunk_pulses) is not int or chunk_pulses < 4 or chunk_pulses % 4:
-        raise ValueError("chunk_pulses must be a positive multiple of 4")
     if threads is None:
         threads = os.cpu_count() or 1
     elif type(threads) is not int or threads < 1:
@@ -506,8 +494,8 @@ def simulate(
         )
     events = _event_count(config)
     jobs = [
-        (start, min(chunk_pulses, events - start))
-        for start in range(0, events, chunk_pulses)
+        (start, min(CHUNK_EVENTS, events - start))
+        for start in range(0, events, CHUNK_EVENTS)
     ]
     total = np.zeros(len(_TALLY_FIELDS), dtype=np.int64)
     if jobs:

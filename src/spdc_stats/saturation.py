@@ -27,15 +27,11 @@ from .photon_statistics import SourceLaw, click_moment
 GAP_PEAK_Z = 2.5128624172523393
 
 
-def default_mean_grid() -> tuple[float, ...]:
-    """Logarithmic mean-photon-number grid, 1e-2 to 1e2, 60 points.
-
-    The exponents are built as numpy's linspace builds them, k * (4/59) - 2
-    with the last one exactly 2.
-    """
-    step = 4.0 / 59
-    exponents = [k * step - 2.0 for k in range(59)] + [2.0]
-    return tuple(10.0 ** y for y in exponents)
+# The default logarithmic mean-photon-number grid, 1e-2 to 1e2, 60 points.
+# The exponents are built as numpy's linspace builds them, k * (4/59) - 2
+# with the last one exactly 2.
+MEAN_GRID = tuple(
+    10.0 ** y for y in [k * (4.0 / 59) - 2.0 for k in range(59)] + [2.0])
 
 
 class SaturationCurve(NamedTuple):
@@ -63,10 +59,7 @@ def curve(
     eta = validate_efficiency(eta)
     if variant not in ("click", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
-    if mean_grid is None:
-        means = default_mean_grid()
-    else:
-        means = tuple(float(m) for m in mean_grid)
+    means = MEAN_GRID if mean_grid is None else tuple(float(m) for m in mean_grid)
     if not means:
         raise ValueError("mean_grid must be non-empty")
     k = 0 if variant == "click" else 1

@@ -1,8 +1,9 @@
 """Shared test helpers: comparisons against printed references and exact
 rationals, the float uniforms the Monte Carlo kernel's word identities
-reproduce, pair numbers drawn by the kernel, a sweep CSV writer for round
-trips through ``read_sweep``, a reader of the bundled reference CSVs, and
-the attenuated-laser efficiency calibration, which no package code calls."""
+reproduce, pair numbers drawn by the kernel, a simulation at a chosen chunk
+size, a sweep CSV writer for round trips through ``read_sweep``, a reader
+of the bundled reference CSVs, and the attenuated-laser efficiency
+calibration, which no package code calls."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from spdc_stats import montecarlo
 from spdc_stats.montecarlo import _geometric_draw
 from spdc_stats.sweepio import SWEEP_COLUMNS, SWEEP_OPTIONAL, _fmt, bundled_path
 
@@ -99,6 +101,17 @@ def geometric_counts(x: float, seed: int, size: int) -> np.ndarray:
             counts = np.pad(counts, (0, c.size - counts.size))
         counts[: c.size] += c
     return counts
+
+
+def simulate_chunked(config, chunk: int, threads: int | None = None):
+    """``simulate`` with work chunks of chunk events, a multiple of 4, and
+    the module's ``CHUNK_EVENTS`` restored afterwards."""
+    saved = montecarlo.CHUNK_EVENTS
+    montecarlo.CHUNK_EVENTS = chunk
+    try:
+        return montecarlo.simulate(config, threads)
+    finally:
+        montecarlo.CHUNK_EVENTS = saved
 
 
 def write_sweep(records, path) -> None:

@@ -22,7 +22,6 @@ from spdc_stats import (
     build_table_two,
     compare_with_analytic,
     curve,
-    default_mean_grid,
     ideal_g,
     invert_counts,
     saturation_gap,
@@ -30,7 +29,8 @@ from spdc_stats import (
     split_coincidences,
     two_arm_rates,
 )
-from checks import half_ulp, load_bundled_csv
+from spdc_stats.saturation import MEAN_GRID
+from checks import half_ulp, load_bundled_csv, simulate_chunked
 
 F = 76e6
 ETA3_RATIO = 0.56 / 0.68
@@ -185,7 +185,7 @@ def test_criterion_5_monte_carlo_equivalence(inverted_rows):
         details.append(f"x={x}: worst {worst:.2f} sigma")
     rerun_cfg, rerun_counts = baseline
     deterministic = (
-        simulate(rerun_cfg, threads=2, chunk_pulses=1 << 19) == rerun_counts
+        simulate_chunked(rerun_cfg, 1 << 19, threads=2) == rerun_counts
     )
     ok = ok and deterministic
     elapsed = time.perf_counter() - start
@@ -200,7 +200,7 @@ def test_criterion_5_monte_carlo_equivalence(inverted_rows):
 
 def test_criterion_6_saturation_properties():
     etas = np.linspace(0.1, 1.0, 10)
-    means = default_mean_grid()
+    means = MEAN_GRID
     dominance = all(
         gap > 0.0
         for eta in etas

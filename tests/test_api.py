@@ -147,8 +147,6 @@ def test_rates_and_times_must_be_positive_and_finite(entry, bad):
 PUBLIC_SETTINGS = {
     "CountRecord": {"cc12": None, "cc13": None, "cc123": None},
     "DetectorChain": {"eta2": None, "eta3": None},
-    "InversionResult": {"tau_sigma": None, "eta1_sigma": None,
-                        "eta2_sigma": None},
     "SimConfig": {"x": None, "chain": None, "source_kind": None, "mean": None},
     "SimCounts": {name: 0 for name in (
         "clicks1", "clicks2", "clicks3", "pair12", "pair13", "triple123",
@@ -158,9 +156,8 @@ PUBLIC_SETTINGS = {
     "build_table_two": {"eta2_scale": 1.0, "eta3_scale": 0.823529411764706},
     "curve": {"variant": "click", "mean_grid": None},
     "invert_counts": {"integration_time": None},
-    "report_for_row": {"eta2_scale": 1.0, "eta3_scale": 0.823529411764706},
     "saturation_gap": {"variant": "click", "mean_grid": None},
-    "simulate": {"threads": None, "chunk_pulses": 32768},
+    "simulate": {"threads": None},
     "truncation_order": {"eps_trunc": 1e-12},
 }
 
@@ -193,7 +190,14 @@ def test_lookups_are_cached_in_the_package():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         spdc_stats.no_such_name
-    assert "RatePrediction" not in spdc_stats.__all__
+    for name in ("RatePrediction", "analytic_expectations", "report_for_row",
+                 "default_mean_grid"):
+        assert name not in spdc_stats.__all__
+
+
+def test_simulate_takes_a_config_and_a_thread_count():
+    params = inspect.signature(spdc_stats.simulate).parameters
+    assert list(params) == ["config", "threads"]
 
 
 def test_submodules_resolve_and_are_listed():

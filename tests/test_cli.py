@@ -437,6 +437,19 @@ class TestSimulate:
         chain = json.loads(out.read_text())["config"]["chain"]
         assert chain == {"eta1": 0.215, "eta2": 0.198, "eta3": None}
 
+    def test_underflowing_g2_left_out(self, tmp_path):
+        # branch efficiencies below ~1e-162: g2's squared pair rate
+        # underflows, so the run is judged on its tallies alone
+        out = tmp_path / "sim.json"
+        assert main([
+            "simulate", "--mode", "heralded_split", "--x", "0.5",
+            "--eta1", "0.9", "--eta2", "1e-170", "--eta3", "1e-170",
+            "--pulses", "100000", "--seed", "1", "--out", str(out),
+        ]) == 0
+        comparison = json.loads(out.read_text())["comparison"]
+        assert "g2" not in comparison
+        assert "clicks1" in comparison
+
     def test_zero_pulses_rejected(self, tmp_path, capsys):
         code = main([
             "simulate", "--mode", "two_arm", "--x", "0.1", "--eta1", "0.2",

@@ -19,7 +19,6 @@ from spdc_stats import (
     g2_from_counts,
     g2_heralded_predicted,
     ideal_g,
-    report_for_row,
     simulate,
 )
 from spdc_stats.detector_model import (DEFAULT_ETA3_SCALE, click_sets, g2_stderr,
@@ -308,7 +307,7 @@ def _row(x, power=10.0, eta1=0.215, eta2=0.198, **kwargs):
 
 class TestReports:
     def test_report_for_inverted_row(self, inverted_rows):
-        report = report_for_row(inverted_rows[0])
+        report = build_table_two([inverted_rows[0]])[0]
         assert within_printed(report.g2_heralded, "0.027", 0.02)
         assert within_printed(report.g2_predicted, "0.023", 0.15)
         assert report.g2_unheralded == 2.0
@@ -317,13 +316,13 @@ class TestReports:
 
     def test_measured_counts_flow_through(self):
         row = _row(0.0135, cc12=22e3, cc13=18.4e3, cc123=77.0)
-        report = report_for_row(row)
+        report = build_table_two([row])[0]
         assert report.g2_measured == pytest.approx(
             g2_from_counts(2e5, 22e3, 18.4e3, 77.0), rel=1e-12
         )
 
     def test_zero_x_row_flags_divergent_columns(self):
-        report = report_for_row(_row(0.0))
+        report = build_table_two([_row(0.0)])[0]
         assert report.g2_signal_idler is None
         assert report.g3_signal_idler is None
         assert report.g3_unheralded == 6.0
@@ -341,7 +340,7 @@ class TestReports:
 
     def test_eta2_scale(self, inverted_rows):
         row = inverted_rows[0]
-        report = report_for_row(row, eta2_scale=0.5)
+        report = build_table_two([row], eta2_scale=0.5)[0]
         assert report.g2_predicted == g2_heralded_predicted(
             row.x, row.eta1, 0.5 * row.eta2, row.eta2 * DEFAULT_ETA3_SCALE
         )
@@ -349,15 +348,15 @@ class TestReports:
     def test_branch_scaled_past_one_is_clamped(self):
         # both branches at 1.2 predict as perfect detectors
         row = _row(0.0135, eta2=0.6)
-        report = report_for_row(row, eta2_scale=2.0, eta3_scale=2.0)
+        report = build_table_two([row], eta2_scale=2.0, eta3_scale=2.0)[0]
         assert report.g2_predicted == g2_heralded_predicted(
             row.x, row.eta1, 1.0, 1.0
         )
 
     def test_eta_scale_overrides(self, inverted_rows):
         row = inverted_rows[0]
-        default = report_for_row(row)
-        symmetric = report_for_row(row, eta3_scale=1.0)
+        default = build_table_two([row])[0]
+        symmetric = build_table_two([row], eta3_scale=1.0)[0]
         assert default.g2_predicted == pytest.approx(
             g2_heralded_predicted(
                 row.x, row.eta1, row.eta2, row.eta2 * 0.56 / 0.68

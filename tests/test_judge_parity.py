@@ -1,8 +1,9 @@
 """Recorded values of the Monte Carlo judge over every mode and both sources.
 
 ``data/judge_parity.json`` holds, for each config of ``grid()``, the
-per-pulse ``analytic_expectations`` and the ``compare_with_analytic``
-standard errors over ``PULSES`` pulses, as this module's ``record()``
+per-pulse expectations of the judge (``expectations._judge``) and the
+standard errors ``compare_with_analytic`` reports over ``PULSES`` pulses,
+as this module's ``record()``
 wrote them.  Rewriting how the judge or the source laws are computed must
 keep every expectation bit-identical and every standard error within
 ``STDERR_REL`` relative, with six exceptions held to references instead.
@@ -49,13 +50,8 @@ import pytest
 
 import oracle
 from checks import rational_rel_error
-from spdc_stats import (
-    DetectorChain,
-    SimConfig,
-    SimCounts,
-    analytic_expectations,
-    compare_with_analytic,
-)
+from spdc_stats import DetectorChain, SimConfig
+from spdc_stats.expectations import _judge
 
 RECORD = Path(__file__).resolve().parent / "data" / "judge_parity.json"
 PULSES = 10**6
@@ -102,11 +98,10 @@ def judge(spec: dict) -> tuple[dict, dict]:
     if spec["mode"] == "two_arm":
         etas = etas[:2]
     config = SimConfig(pulses=PULSES, seed=0, chain=DetectorChain(*etas), **spec)
-    expected = analytic_expectations(config)
-    # one pair coincidence, so the g2 row is formed wherever the model has one
-    counts = SimCounts(pulses=PULSES, clicks1=1, pair12=1)
-    report = compare_with_analytic(config, counts)
-    return expected, {name: entry["stderr"] for name, entry in report.items()}
+    expected, variance = _judge(config)
+    # the standard error as compare_with_analytic forms it
+    return expected, {name: math.sqrt(max(v, 0.0) / PULSES)
+                      for name, v in variance.items()}
 
 
 def exact_tallies(spec: dict) -> dict:

@@ -1,0 +1,22 @@
+"""The README's Python examples run as written, so one that names a removed
+function fails here instead of going stale."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_example_runs(source):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(source, str(README), "exec"), {"__name__": "readme"})

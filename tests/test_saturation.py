@@ -8,7 +8,6 @@ from spdc_stats import (
     SaturationCurve,
     click_gap,
     curve,
-    default_mean_grid,
     saturation_gap,
 )
 from spdc_stats.photon_statistics import SourceLaw, click_moment
@@ -16,7 +15,7 @@ from spdc_stats.photon_statistics import SourceLaw, click_moment
 
 class TestCurve:
     def test_default_grid(self):
-        grid = default_mean_grid()
+        grid = curve("coherent", 0.5).means
         assert len(grid) == 60
         assert grid[0] == pytest.approx(1e-2)
         assert grid[-1] == pytest.approx(1e2)
@@ -87,9 +86,8 @@ class TestGap:
         assert gap == 0.0
 
     def test_coherent_dominates_thermal_everywhere(self):
-        grid = default_mean_grid()
         for eta in np.linspace(0.1, 1.0, 10):
-            for mean, gap in saturation_gap(float(eta), mean_grid=grid):
+            for mean, gap in saturation_gap(float(eta)):
                 assert gap > 0.0
 
     def test_gap_grows_with_eta_before_saturation(self):
